@@ -9,14 +9,15 @@ from .algebra import (
     AlgebraContext,
     ContextError,
     Letter,
+    MatPoly,
     NCPoly,
+    is_holomorphic,
     poly_adjoint,
     poly_mul,
 )
 from .rewrite import (
     canonical_monomials,
     is_canonical_word,
-    is_holomorphic,
     normalize,
     normalize_by_steps,
     reduce_step,
@@ -35,7 +36,6 @@ from .representations import (
 )
 from .norms import (
     GapReport,
-    MatPoly,
     NormConvergenceError,
     NormEstimate,
     ball_norm,

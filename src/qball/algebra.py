@@ -8,7 +8,7 @@ qball.rewrite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Tuple, Union
+from typing import Dict, NamedTuple, Sequence, Tuple, Union
 
 from .scalars import Scalar
 
@@ -192,6 +192,38 @@ class NCPoly:
             wtxt = "*".join(str(l) for l in word) or "1"
             parts.append(f"{self.terms[word]!r}·{wtxt}")
         return f"NCPoly(n={self.n}, " + " + ".join(parts) + ")"
+
+
+def is_holomorphic(p: NCPoly) -> bool:
+    """True iff no word of p contains a starred letter."""
+    return all(not letter.starred for word in p.terms for letter in word)
+
+
+class MatPoly:
+    """A matrix with NCPoly entries (one matrix level of the algebra).
+
+    Rectangular shapes are allowed (rows and columns of zeros do not change
+    the operator norm, so a row matrix needs no padding).
+    """
+
+    def __init__(self, entries: Sequence[Sequence[NCPoly]]):
+        rows = [list(r) for r in entries]
+        if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("matrix rows must be nonempty and equally long")
+        n = rows[0][0].n
+        for r in rows:
+            for p in r:
+                if p.n != n:
+                    raise ValueError("entries must share the same n")
+        self.entries = rows
+        self.shape = (len(rows), len(rows[0]))
+        self.n = n
+
+    def degree(self) -> int:
+        return max(p.degree() for r in self.entries for p in r)
+
+    def is_holomorphic(self) -> bool:
+        return all(is_holomorphic(p) for r in self.entries for p in r)
 
 
 def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:

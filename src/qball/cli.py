@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__
-from .algebra import BALL, SPHERE, AlgebraContext, ContextError, NCPoly
+from .algebra import (BALL, SPHERE, AlgebraContext, ContextError, MatPoly,
+                      NCPoly)
 from .norms import (
-    MatPoly,
     NormConvergenceError,
     ball_norm,
     boundary_norm,
@@ -199,7 +199,7 @@ def _cmd_normal_form(args) -> int:
     return EXIT_OK
 
 
-def _norm_schedule(args, degree: int):
+def _norm_schedule(args):
     trunc = _parse_trunc(args.trunc)
     return make_schedule(trunc, args.theta)
 
@@ -209,7 +209,7 @@ def _cmd_norm(args) -> int:
     parsed = parse_expression(text, args.n)
     q = _parse_q(args.q)
     tol = args.tol if args.tol is not None else 1e-8
-    schedule = _norm_schedule(args, 0)
+    schedule = _norm_schedule(args)
     if isinstance(parsed, MatPoly):
         estimate = matrix_norm_level_k(parsed, args.side, float(q), schedule, tol)
     elif args.side == "ball":
@@ -226,7 +226,7 @@ def _cmd_norm(args) -> int:
 
 def _gap_report(args, operation: str, parsed, text: str, tol: float) -> dict:
     q = _parse_q(args.q)
-    schedule = _norm_schedule(args, 0)
+    schedule = _norm_schedule(args)
     gap = max_principle_report(parsed, float(q), schedule, tol, expression=text)
     report = _base_report(args, operation, text)
     report["schedule"] = [
@@ -299,6 +299,10 @@ def _cmd_relations_residual(args) -> int:
 
 
 def _cmd_confluence_fuzz(args) -> int:
+    if args.n < 1:
+        raise ContextError(f"--n must be at least 1, got {args.n}")
+    if args.count < 0:
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
     failures = 0
     strategies = [("leftmost", None), ("rightmost", None),
                   ("random", 0), ("random", 1), ("random", 2)]

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .algebra import NCPoly
+from .algebra import MatPoly, NCPoly, is_holomorphic
 from .representations import (
     BoundaryConfig,
     FockConfig,
@@ -33,7 +33,6 @@ from .representations import (
     fock_generators,
     rep_apply,
 )
-from .rewrite import is_holomorphic
 
 DEFAULT_TOL = 1e-8
 _DENSE_LIMIT = 2048
@@ -264,33 +263,6 @@ def boundary_norm(f: NCPoly, q_val: float, schedule: ScheduleLike,
 
 
 # -- matrix levels ----------------------------------------------------
-
-class MatPoly:
-    """A matrix with NCPoly entries (one matrix level of the algebra).
-
-    Rectangular shapes are allowed (rows and columns of zeros do not change
-    the operator norm, so a row matrix needs no padding).
-    """
-
-    def __init__(self, entries: Sequence[Sequence[NCPoly]]):
-        rows = [list(r) for r in entries]
-        if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("matrix rows must be nonempty and equally long")
-        n = rows[0][0].n
-        for r in rows:
-            for p in r:
-                if p.n != n:
-                    raise ValueError("entries must share the same n")
-        self.entries = rows
-        self.shape = (len(rows), len(rows[0]))
-        self.n = n
-
-    def degree(self) -> int:
-        return max(p.degree() for r in self.entries for p in r)
-
-    def is_holomorphic(self) -> bool:
-        return all(is_holomorphic(p) for r in self.entries for p in r)
-
 
 def _block_norm(rep: RepMatrices, F: MatPoly, q_val: float, L: int,
                 tol: float) -> float:

@@ -19,8 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .algebra import ContextError, Letter, NCPoly, Word
-from .norms import MatPoly
+from .algebra import ContextError, Letter, MatPoly, NCPoly, Word
 from .scalars import GaussianRational, Scalar
 
 

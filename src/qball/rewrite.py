@@ -12,20 +12,29 @@ In sphere mode, canonical words with both a z_1 and a z_1* additionally lose
 one such pair (rule R5) by commuting a z_1* leftward and substituting
 z_1 z_1* = 1 - sum_{k>=2} z_k z_k*, so sphere normal forms satisfy
 alpha_1 * beta_1 = 0.
+
+Every rule coefficient lies in Z[q, q^-1], so rule replacements and the
+cached normal form of each word are integer Laurent polynomials
+{q-exponent: int}.  The user's Gaussian-rational coefficients are applied
+once, exactly, when normalize assembles the result.
 """
 
 from __future__ import annotations
 
 import random
+from math import lcm
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly, Word
+from .algebra import is_holomorphic  # noqa: F401  (re-exported)
 from .scalars import Scalar
 
-Expansion = List[Tuple[Scalar, Word]]
+# An integer Laurent polynomial in q: {exponent: nonzero int}.
+Laurent = Dict[int, int]
+Expansion = List[Tuple[Laurent, Word]]
 
-_Q = Scalar.q
-_ONE = Scalar.one
+_ONE_MINUS_Q2: Laurent = {0: 1, 2: -1}
+_Q2_MINUS_ONE: Laurent = {0: -1, 2: 1}
 
 
 def find_violation(word: Word) -> Optional[int]:
@@ -58,20 +67,19 @@ def _expand_pair(a: Letter, b: Letter, n: int) -> Expansion:
     """Replacement terms for the two-letter window (a, b)."""
     rule = _pair_rule(a, b)
     if rule == "R1":
-        return [(_Q(-1), (b, a))]
+        return [({-1: 1}, (b, a))]
     if rule == "R2":
-        return [(_Q(1), (b, a))]
+        return [({1: 1}, (b, a))]
     if rule == "R3":
-        return [(_Q(1), (b, a))]
+        return [({1: 1}, (b, a))]
     if rule == "R4":
         j = a.index
         out: Expansion = [
-            (_Q(2), (Letter(j, False), Letter(j, True))),
-            (Scalar.one_minus_q2(), ()),
+            ({2: 1}, (Letter(j, False), Letter(j, True))),
+            (_ONE_MINUS_Q2, ()),
         ]
         for k in range(j + 1, n + 1):
-            out.append((-Scalar.one_minus_q2(),
-                        (Letter(k, False), Letter(k, True))))
+            out.append((_Q2_MINUS_ONE, (Letter(k, False), Letter(k, True))))
         return out
     raise ValueError("no rule applies to this pair")
 
@@ -121,10 +129,10 @@ def apply_r5(word: Word, n: int) -> Expansion:
     tail_unstarred = exponents_word((0,) + alpha[1:], (0,) * n)
     tail_starred = exponents_word((0,) * n, (beta[0] - 1,) + beta[1:])
     tail = tail_unstarred + tail_starred
-    out: Expansion = [(_Q(shift), head + tail)]
+    out: Expansion = [({shift: 1}, head + tail)]
     for k in range(2, n + 1):
         pair = (Letter(k, False), Letter(k, True))
-        out.append((-_Q(shift), head + pair + tail))
+        out.append(({shift: -1}, head + pair + tail))
     return out
 
 
@@ -136,10 +144,11 @@ def is_canonical_word(word: Word, ctx: AlgebraContext) -> bool:
 
 # -- full normalization (leftmost, memoized) --------------------------
 
-_NF_CACHE: Dict[Tuple[int, str, Word], Dict[Word, Scalar]] = {}
+_NF_CACHE: Dict[Tuple[int, str, Word], Dict[Word, Laurent]] = {}
 
 
-def _normalize_word(word: Word, ctx: AlgebraContext) -> Dict[Word, Scalar]:
+def _normalize_word(word: Word, ctx: AlgebraContext) -> Dict[Word, Laurent]:
+    """Normal form of one word, over Z[q, q^-1]; the result is shared."""
     key = (ctx.n, ctx.mode, word)
     cached = _NF_CACHE.get(key)
     if cached is not None:
@@ -150,36 +159,57 @@ def _normalize_word(word: Word, ctx: AlgebraContext) -> Dict[Word, Scalar]:
     elif r5_applicable(word, ctx):
         expansion = apply_r5(word, ctx.n)
     else:
-        result = {word: Scalar.one()}
+        result = {word: {0: 1}}
         _NF_CACHE[key] = result
         return result
-    acc: Dict[Word, Scalar] = {}
+    acc: Dict[Word, Laurent] = {}
     for coeff, replacement in expansion:
-        for w, c in _normalize_word(replacement, ctx).items():
-            s = acc.get(w)
-            s = coeff * c if s is None else s + coeff * c
-            if s.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-    _NF_CACHE[key] = acc
-    return acc
+        for w, lp in _normalize_word(replacement, ctx).items():
+            target = acc.setdefault(w, {})
+            for k1, c1 in coeff.items():
+                for k2, c2 in lp.items():
+                    k = k1 + k2
+                    v = target.get(k, 0) + c1 * c2
+                    if v:
+                        target[k] = v
+                    else:
+                        del target[k]
+    result = {w: lp for w, lp in acc.items() if lp}
+    _NF_CACHE[key] = result
+    return result
 
 
 def normalize(p: NCPoly, ctx: AlgebraContext) -> NCPoly:
-    """Unique normal form: every word canonical for the given context."""
+    """Unique normal form: every word canonical for the given context.
+
+    The coefficients of p are brought to one common denominator D, the
+    Gaussian-integer numerators are accumulated per (canonical word,
+    q-exponent), and each output coefficient is formed by one division by D.
+    """
     if p.n != ctx.n:
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
-    acc: Dict[Word, Scalar] = {}
+    den = 1
+    for coeff in p.terms.values():
+        for _, c in coeff.items():
+            den = lcm(den, c.re.denominator, c.im.denominator)
+    re_acc: Dict[Word, Laurent] = {}
+    im_acc: Dict[Word, Laurent] = {}
     for word, coeff in p.terms.items():
-        for w, c in _normalize_word(word, ctx).items():
-            s = acc.get(w)
-            s = coeff * c if s is None else s + coeff * c
-            if s.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-    return NCPoly(ctx.n, acc)
+        scaled = [(k, c.re.numerator * (den // c.re.denominator),
+                   c.im.numerator * (den // c.im.denominator))
+                  for k, c in coeff.items()]
+        for w, lp in _normalize_word(word, ctx).items():
+            re_w = re_acc.setdefault(w, {})
+            im_w = im_acc.setdefault(w, {})
+            for k1, a, b in scaled:
+                for k2, c in lp.items():
+                    k = k1 + k2
+                    if a:
+                        re_w[k] = re_w.get(k, 0) + a * c
+                    if b:
+                        im_w[k] = im_w.get(k, 0) + b * c
+    return NCPoly(ctx.n, {w: Scalar.from_integers(re_acc[w], im_acc[w], den)
+                          for w in re_acc})
 
 
 # -- single-step reduction with pluggable strategy --------------------
@@ -229,8 +259,9 @@ def reduce_step(p: NCPoly, ctx: AlgebraContext,
         expansion = apply_r5(word, ctx.n)
     delta: Dict[Word, Scalar] = {word: -coeff}
     for c, w in expansion:
+        term = coeff * Scalar.from_integers(c)
         s = delta.get(w)
-        s = coeff * c if s is None else s + coeff * c
+        s = term if s is None else s + term
         if s.is_zero():
             delta.pop(w, None)
         else:
@@ -254,11 +285,6 @@ def normalize_by_steps(p: NCPoly, ctx: AlgebraContext,
 
 
 # -- misc -------------------------------------------------------------
-
-def is_holomorphic(p: NCPoly) -> bool:
-    """True iff no word of p contains a starred letter."""
-    return all(not letter.starred for word in p.terms for letter in word)
-
 
 def canonical_monomials(n: int, max_degree: int,
                         ctx: Optional[AlgebraContext] = None) -> Iterator[Word]:

@@ -124,6 +124,17 @@ class Scalar:
         return Scalar({0: GaussianRational(re, im)})
 
     @staticmethod
+    def from_integers(re: Dict[int, int], im: Dict[int, int] | None = None,
+                      den: int = 1) -> "Scalar":
+        """(re + i*im) / den for integer Laurent maps {exponent: int}."""
+        if im is None and den == 1:  # a lifted rule coefficient
+            return Scalar({k: GaussianRational(c) for k, c in re.items()})
+        im = im or {}
+        return Scalar({k: GaussianRational(Fraction(re.get(k, 0), den),
+                                           Fraction(im.get(k, 0), den))
+                       for k in re.keys() | im.keys()})
+
+    @staticmethod
     def one_minus_q2() -> "Scalar":
         """The recurring factor 1 - q^2."""
         return Scalar({0: _GR_ONE, 2: -_GR_ONE})

@@ -139,3 +139,19 @@ def test_bad_q_exit_code(capsys):
 def test_missing_expression(capsys):
     code, _, err = run(capsys, "norm", "--n", "1", "--trunc", "4")
     assert code == 2
+
+
+def test_confluence_fuzz_rejects_negative_count(capsys):
+    code, out, err = run(capsys, "confluence-fuzz", "--n", "2",
+                         "--count", "-3")
+    assert code == 2
+    assert "--count must be nonnegative" in err
+    assert "PASS" not in out
+
+
+def test_confluence_fuzz_rejects_zero_generators(capsys):
+    code, out, err = run(capsys, "confluence-fuzz", "--n", "0",
+                         "--count", "3")
+    assert code == 2
+    assert "--n must be at least 1" in err
+    assert "PASS" not in out

@@ -12,6 +12,7 @@ from qball.algebra import (
 )
 from qball.parsing import parse_expression
 from qball.rewrite import (
+    _NF_CACHE,
     apply_r5,
     canonical_monomials,
     is_canonical_word,
@@ -182,3 +183,17 @@ def test_canonical_monomials_count():
     assert len(set(words)) == 35
     ball = AlgebraContext(2, BALL)
     assert all(is_canonical_word(w, ball) for w in words)
+
+
+def test_word_cache_holds_integer_laurent_polynomials():
+    # Gaussian coefficients with unlike denominators meet the cached word
+    # normal forms only in normalize's final pass.
+    p = parse_expression("(1/2+1/3*i)*z2'*z1*z1'*z2 - (3/4-5/9*i)*q^-1*z1'*z1", 2)
+    for ctx in (BALL2, SPHERE2):
+        _NF_CACHE.clear()
+        normalize(p, ctx)
+        assert _NF_CACHE
+        for nf in _NF_CACHE.values():
+            for laurent in nf.values():
+                assert laurent
+                assert all(type(c) is int for c in laurent.values())

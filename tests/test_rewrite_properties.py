@@ -1,0 +1,112 @@
+"""Generated-input properties of the rewriter.
+
+Coefficients are c*q^k with real parts over powers of 2 and imaginary parts
+over powers of 3, so normalize's common denominator is a true lcm and not
+just one of the input denominators.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly
+from qball.rewrite import normalize, normalize_by_steps
+from qball.scalars import GaussianRational, Scalar
+
+MAX_WORD = 5
+
+
+@st.composite
+def scalars(draw):
+    re = Fraction(2 * draw(st.integers(-3, 2)) + 1, 2 ** draw(st.integers(0, 3)))
+    im = Fraction(3 * draw(st.integers(-2, 1)) + draw(st.sampled_from([1, 2])),
+                  3 ** draw(st.integers(0, 2)))
+    return Scalar({draw(st.integers(-2, 2)): GaussianRational(re, im)})
+
+
+def words(n, max_size=MAX_WORD):
+    letter = st.builds(Letter, st.integers(1, n), st.booleans())
+    return st.lists(letter, max_size=max_size).map(tuple)
+
+
+@st.composite
+def cases(draw, max_terms=3):
+    """(context, polynomial) with n <= 3, words of length <= 5."""
+    n = draw(st.integers(1, 3))
+    ctx = AlgebraContext(n, draw(st.sampled_from([BALL, SPHERE])))
+    p = NCPoly.zero(n)
+    for _ in range(draw(st.integers(1, max_terms))):
+        p = p + NCPoly.from_word(n, draw(words(n)), draw(scalars()))
+    return ctx, p
+
+
+def _gen(n, j, starred=False):
+    return NCPoly.generator(n, j, starred)
+
+
+def relation(ctx, j):
+    """A defining relation of the context that normalizes to 0.
+
+    Ball: z_j* z_j - q^2 z_j z_j* - (1-q^2)(1 - sum_{k>j} z_k z_k*), rule R4
+    read as an identity.  Sphere: 1 - sum_k z_k z_k*.
+    """
+    n = ctx.n
+    one = NCPoly.one(n)
+    if ctx.mode == SPHERE:
+        return one - sum((_gen(n, k) * _gen(n, k, True)
+                          for k in range(1, n + 1)), NCPoly.zero(n))
+    tail = sum((_gen(n, k) * _gen(n, k, True) for k in range(j + 1, n + 1)),
+               NCPoly.zero(n))
+    return (_gen(n, j, True) * _gen(n, j)
+            - (_gen(n, j) * _gen(n, j, True)).scale(Scalar.q(2))
+            - (one - tail).scale(Scalar.one_minus_q2()))
+
+
+@st.composite
+def cancelling_cases(draw):
+    """s * u * relation * v, an input whose normal form is exactly 0."""
+    ctx, _ = draw(cases(max_terms=1))
+    n = ctx.n
+    u = NCPoly.from_word(n, draw(words(n, 2)))
+    v = NCPoly.from_word(n, draw(words(n, 2)))
+    rel = relation(ctx, draw(st.integers(1, n)))
+    return ctx, (u * rel * v).scale(draw(scalars()))
+
+
+@settings(max_examples=40)
+@given(cases())
+def test_normalize_agrees_with_leftmost_steps(case):
+    ctx, p = case
+    assert normalize(p, ctx) == normalize_by_steps(p, ctx, "leftmost")
+
+
+@settings(max_examples=60)
+@given(cases())
+def test_normalize_idempotent(case):
+    ctx, p = case
+    nf = normalize(p, ctx)
+    assert normalize(nf, ctx) == nf
+
+
+@settings(max_examples=60)
+@given(cases())
+def test_normalize_commutes_with_adjoint(case):
+    ctx, p = case
+    assert (normalize(p.adjoint(), ctx)
+            == normalize(normalize(p, ctx).adjoint(), ctx))
+
+
+@settings(max_examples=60)
+@given(st.one_of(cases(), cancelling_cases()), scalars())
+def test_normalize_linear(case, s):
+    ctx, p = case
+    assert normalize(p.scale(s), ctx) == normalize(p, ctx).scale(s)
+
+
+@settings(max_examples=30)
+@given(cancelling_cases())
+def test_relations_cancel_exactly(case):
+    ctx, p = case
+    assert not p.is_zero()
+    assert normalize(p, ctx).is_zero()
