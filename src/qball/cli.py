@@ -219,6 +219,7 @@ def _cmd_norm(args) -> int:
     report = _base_report(args, f"norm-{args.side}", text)
     report["schedule"] = estimate.points
     report["result"] = estimate.final
+    report["stabilized"] = estimate.stabilized
     report["tolerances"] = {"tol": tol}
     _emit(report, args, args._started)
     return EXIT_OK
@@ -236,6 +237,8 @@ def _gap_report(args, operation: str, parsed, text: str, tol: float) -> dict:
     ]
     report["result"] = {"ball": gap.ball.final, "boundary": gap.boundary.final}
     report["gap"] = gap.gap
+    report["stabilized"] = {"ball": gap.ball.stabilized,
+                            "boundary": gap.boundary.stabilized}
     report["holomorphic"] = gap.holomorphic
     report["tolerances"] = {"tol": tol}
     return report

@@ -7,9 +7,19 @@ grow as the truncation parameters increase.
 
 The norm of the ball algebra is taken as the sup over the implemented
 norming family (Fock plus the boundary family); the boundary norm uses the
-boundary family alone.  The boundary M-cycle is evaluated per character
-block, which is exactly its block diagonalization over the M-th roots of
-unity.
+boundary family alone.
+
+In the boundary character block of an M-th root of unity omega, z1 acts
+as omega * D and the other generators do not depend on omega, so a word of
+z1-charge d = #z1 - #z1' contributes omega^d times its omega = 1 matrix.  A
+polynomial, or a k x l matrix of polynomials, is one trigonometric
+polynomial sum_d omega^d A_d: per schedule point the omega = 1 block is
+built once, one compressed A_d is formed per charge, all M blocks come out
+of one einsum (in batches of about 1 MB), and each batch takes its top
+singular values from one stacked LAPACK SVD.  Blocks above _DENSE_LIMIT go
+through operator_norm one at a time.  n = 1 is the 1 x 1 case, with
+circle_grid_max as its independent oracle.  Maximum-principle reports
+compute the boundary value once per point and use it for both sides.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from .representations import (
 
 DEFAULT_TOL = 1e-8
 _DENSE_LIMIT = 2048
+_BATCH_BYTES = 1 << 20      # size of one stacked batch of boundary blocks
 
 
 class NormConvergenceError(RuntimeError):
@@ -173,14 +184,18 @@ def _check_trunc(N: int, degree: int) -> None:
             f"truncation too small: N={N} < deg+1={degree + 1}")
 
 
-def fock_certified_value(f: NCPoly, q_val: float, N: int,
+def fock_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
                          tol: float = DEFAULT_TOL) -> float:
     """Certified lower bound for the Fock-representation norm of f."""
     degree = f.degree()
     _check_trunc(N, degree)
     rep = _fock_rep(f.n, N, q_val)
     indices = certify_compression(rep, degree)
-    block = compress(rep_apply(f, rep, q_val), indices)
+    if isinstance(f, MatPoly):
+        block = np.block([[compress(rep_apply(p, rep, q_val), indices)
+                           for p in row] for row in f.entries])
+    else:
+        block = compress(rep_apply(f, rep, q_val), indices)
     return operator_norm(block, tol)
 
 
@@ -209,31 +224,77 @@ def circle_grid_max(f: NCPoly, q_val: float, points: int) -> float:
     return best
 
 
-def boundary_certified_value(f: NCPoly, q_val: float, N: int, M: int,
-                             tol: float = DEFAULT_TOL) -> float:
+def _charge_matrices(F: MatPoly, rep: RepMatrices, indices: np.ndarray,
+                     q_val: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The z1-charges d = #z1 - #z1' of F's words and, stacked, the
+    compressed omega = 1 matrix A_d of each charge part (entry (a, b) at
+    rows a*r.., cols b*r..)."""
+    parts: dict = {}
+    for a, row in enumerate(F.entries):
+        for b, p in enumerate(row):
+            for word, coeff in p.terms.items():
+                d = sum(-1 if x.starred else 1 for x in word if x.index == 1)
+                parts.setdefault(d, {}).setdefault((a, b), {})[word] = coeff
+    r = len(indices)
+    charges = sorted(parts)
+    A = np.zeros((len(charges), F.shape[0] * r, F.shape[1] * r), dtype=complex)
+    for i, d in enumerate(charges):
+        for (a, b), terms in parts[d].items():
+            A[i, a * r:(a + 1) * r, b * r:(b + 1) * r] = compress(
+                rep_apply(NCPoly(F.n, terms), rep, q_val), indices)
+    return np.array(charges, dtype=int), A
+
+
+def boundary_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
+                             M: int, tol: float = DEFAULT_TOL) -> float:
     """Certified lower bound for the boundary-family norm of f.
 
-    Maximizes the per-character block norms over the M-th roots of unity.
+    f is a polynomial (the 1 x 1 case) or a matrix of polynomials.  The
+    value is the max of the block norms sum_d omega^d A_d over the M-th
+    roots of unity omega.
     """
-    degree = f.degree()
-    if f.n == 1:
-        # one-dimensional character blocks: plain function evaluation
-        return circle_grid_max(f, q_val, M)
-    _check_trunc(N, degree)
-    cfg = BoundaryConfig(n=f.n, N=N, M=M, q_val=q_val)
+    F = f if isinstance(f, MatPoly) else MatPoly([[f]])
+    L = F.degree()
+    rep = boundary_block_generators(
+        BoundaryConfig(n=F.n, N=N, M=M, q_val=q_val), 1.0)
+    if rep.cutoff is not None:
+        _check_trunc(N, L)
+    charges, A = _charge_matrices(F, rep, certify_compression(rep, L), q_val)
+    if not len(charges):
+        return 0.0
+    # omega_t^d = exp(2 pi i (t d mod M) / M): nested grids share exact phases
+    phases = np.exp(2j * np.pi * (np.outer(np.arange(M), charges) % M) / M)
+    if max(A.shape[1:]) > _DENSE_LIMIT:
+        return max(operator_norm(np.tensordot(w, A, axes=1), tol)
+                   for w in phases)
+    chunk = max(1, _BATCH_BYTES // A[0].nbytes)
     best = 0.0
-    for t in range(M):
-        omega = cmath.exp(2j * cmath.pi * t / M)
-        rep = boundary_block_generators(cfg, omega)
-        indices = certify_compression(rep, degree)
-        block = compress(rep_apply(f, rep, q_val), indices)
-        best = max(best, operator_norm(block, tol))
+    for start in range(0, M, chunk):
+        blocks = np.einsum("md,dij->mij", phases[start:start + chunk], A)
+        top = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+        best = max(best, float(top.max()))
     return best
 
 
 # -- norm schedules ---------------------------------------------------
 
-def ball_norm(f: NCPoly, q_val: float, schedule: ScheduleLike,
+def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
+               schedule: ScheduleLike, tol: float, ball: bool
+               ) -> Tuple[Optional[NormEstimate], NormEstimate]:
+    """Ball (if asked) and boundary schedules of f.  The boundary value is
+    computed once per point; the ball value is max(Fock, boundary)."""
+    pts = _as_schedule(schedule)
+    params = [{"N": N, "M": M} for N, M in pts]
+    bdry = [boundary_certified_value(f, q_val, N, M, tol) for N, M in pts]
+    boundary = NormEstimate.from_values(params, bdry, tol)
+    if not ball:
+        return None, boundary
+    values = [max(fock_certified_value(f, q_val, N, tol), b)
+              for (N, _), b in zip(pts, bdry)]
+    return NormEstimate.from_values(params, values, tol), boundary
+
+
+def ball_norm(f: Union[NCPoly, MatPoly], q_val: float, schedule: ScheduleLike,
               tol: float = DEFAULT_TOL) -> NormEstimate:
     """Certified lower bounds for the ball norm of f.
 
@@ -241,50 +302,17 @@ def ball_norm(f: NCPoly, q_val: float, schedule: ScheduleLike,
     boundary family annihilates the sphere relation but still represents
     the ball algebra, so it participates in the sup.
     """
-    pts = _as_schedule(schedule)
-    params, values = [], []
-    for N, M in pts:
-        v = max(fock_certified_value(f, q_val, N, tol),
-                boundary_certified_value(f, q_val, N, M, tol))
-        params.append({"N": N, "M": M})
-        values.append(v)
-    return NormEstimate.from_values(params, values, tol)
+    return _schedules(f, q_val, schedule, tol, ball=True)[0]
 
 
-def boundary_norm(f: NCPoly, q_val: float, schedule: ScheduleLike,
+def boundary_norm(f: Union[NCPoly, MatPoly], q_val: float,
+                  schedule: ScheduleLike,
                   tol: float = DEFAULT_TOL) -> NormEstimate:
     """Certified lower bounds for the quotient (sphere) norm of f."""
-    pts = _as_schedule(schedule)
-    params, values = [], []
-    for N, M in pts:
-        params.append({"N": N, "M": M})
-        values.append(boundary_certified_value(f, q_val, N, M, tol))
-    return NormEstimate.from_values(params, values, tol)
+    return _schedules(f, q_val, schedule, tol, ball=False)[1]
 
 
 # -- matrix levels ----------------------------------------------------
-
-def _block_norm(rep: RepMatrices, F: MatPoly, q_val: float, L: int,
-                tol: float) -> float:
-    indices = certify_compression(rep, L)
-    blocks = [[compress(rep_apply(p, rep, q_val), indices)
-               for p in row] for row in F.entries]
-    return operator_norm(np.block(blocks), tol)
-
-
-def _boundary_matrix_value(F: MatPoly, q_val: float, N: int, M: int,
-                           tol: float) -> float:
-    L = F.degree()
-    if F.n > 1:
-        _check_trunc(N, L)
-    cfg = BoundaryConfig(n=F.n, N=N, M=M, q_val=q_val)
-    best = 0.0
-    for t in range(M):
-        omega = cmath.exp(2j * cmath.pi * t / M)
-        rep = boundary_block_generators(cfg, omega)
-        best = max(best, _block_norm(rep, F, q_val, L, tol))
-    return best
-
 
 def matrix_norm_level_k(F: MatPoly, side: str, q_val: float,
                         schedule: ScheduleLike,
@@ -292,18 +320,8 @@ def matrix_norm_level_k(F: MatPoly, side: str, q_val: float,
     """Norm schedule for a k x k matrix over the algebra."""
     if side not in ("ball", "boundary"):
         raise ValueError(f"side must be 'ball' or 'boundary', got {side!r}")
-    pts = _as_schedule(schedule)
-    L = F.degree()
-    params, values = [], []
-    for N, M in pts:
-        bval = _boundary_matrix_value(F, q_val, N, M, tol)
-        if side == "ball":
-            _check_trunc(N, L)
-            rep = _fock_rep(F.n, N, q_val)
-            bval = max(bval, _block_norm(rep, F, q_val, L, tol))
-        params.append({"N": N, "M": M})
-        values.append(bval)
-    return NormEstimate.from_values(params, values, tol)
+    norm = ball_norm if side == "ball" else boundary_norm
+    return norm(F, q_val, schedule, tol)
 
 
 # -- maximum-principle reports ----------------------------------------
@@ -327,23 +345,20 @@ class GapReport:
 def max_principle_report(f: Union[NCPoly, MatPoly], q_val: float,
                          schedule: ScheduleLike, tol: float = DEFAULT_TOL,
                          expression: str = "") -> GapReport:
-    """Run both sides on the same schedule and report the norm gap."""
-    pts = _as_schedule(schedule)
-    if isinstance(f, MatPoly):
-        ball = matrix_norm_level_k(f, "ball", q_val, pts, tol)
-        bdry = matrix_norm_level_k(f, "boundary", q_val, pts, tol)
-        holo = f.is_holomorphic()
-    else:
-        ball = ball_norm(f, q_val, pts, tol)
-        bdry = boundary_norm(f, q_val, pts, tol)
-        holo = is_holomorphic(f)
+    """Run both sides on the same schedule and report the norm gap.
+
+    One pass: each schedule point computes the boundary value once and the
+    Fock value once; the ball value is their max.
+    """
+    ball, boundary = _schedules(f, q_val, schedule, tol, ball=True)
     return GapReport(
         expression=expression,
         ball=ball,
-        boundary=bdry,
-        gap=abs(ball.final - bdry.final),
-        holomorphic=holo,
-        schedule=[{"N": N, "M": M} for N, M in pts],
+        boundary=boundary,
+        gap=abs(ball.final - boundary.final),
+        holomorphic=(f.is_holomorphic() if isinstance(f, MatPoly)
+                     else is_holomorphic(f)),
+        schedule=[{"N": N, "M": M} for N, M in _as_schedule(schedule)],
     )
 
 

@@ -155,3 +155,30 @@ def test_confluence_fuzz_rejects_zero_generators(capsys):
     assert code == 2
     assert "--n must be at least 1" in err
     assert "PASS" not in out
+
+
+def test_norm_report_has_stabilized_flag(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "norm", "--n", "1", "--expr", "z1",
+                     "--trunc", "10,12,14", "--theta", "16",
+                     "--json", str(path))
+    assert code == 0
+    assert json.loads(path.read_text())["stabilized"] is True
+
+
+@pytest.mark.parametrize("command, expr", [
+    ("maxprinciple", "z1+z2'*z1"),
+    ("ci-check", "z1+z2"),
+])
+def test_gap_reports_stabilized_and_deterministic(capsys, tmp_path, command,
+                                                  expr):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        code, _, _ = run(capsys, command, "--n", "2", "--q", "1/2",
+                         "--expr", expr, "--trunc", "4,6", "--theta", "8",
+                         "--json", str(path))
+        assert code in (0, 4)
+    assert a.read_bytes() == b.read_bytes()
+    stabilized = json.loads(a.read_text())["stabilized"]
+    assert set(stabilized) == {"ball", "boundary"}
+    assert all(isinstance(v, bool) for v in stabilized.values())
