@@ -1,10 +1,29 @@
 """Command-line surface: normalization, norms, maximum-principle runs,
 complete-isometry checks, relation residuals, confluence fuzzing, and the
 PBW rank probe.  Every run emits a human-readable summary and, on request,
-a machine-readable JSON report and a CSV schedule table.
+a machine-readable JSON report and (for subcommands with a schedule) a CSV
+schedule table.
 
-Exit codes: 0 success, 2 input error, 3 numerical non-convergence,
-4 acceptance-check failure.
+Each subcommand takes --n and exactly the flags its handler reads:
+
+  normal-form         --mode --expr/--expr-file --json
+  norm                --side --expr/--expr-file --q --trunc --theta --tol
+                      --json --csv
+  maxprinciple        --expr/--expr-file --q --trunc --theta --tol --json --csv
+  ci-check            --level --expr/--expr-file --q --trunc --theta
+                      --threshold --json --csv
+  relations-residual  --side --q --trunc (one entry) --threshold --json --csv
+  confluence-fuzz     --mode --seed --count --json
+  pbw-rank            --degree --q --trunc (one entry) --threshold --json --csv
+
+--tol is the numerical tolerance of each norm value; --threshold is the
+pass/fail bound of a check.  The JSON report always has the same keys;
+"mode" and "seed" are null where the subcommand has no such flag.  A
+boundary relations-residual is evaluated on the omega = 1 character block,
+which has the residual of every block, so its point reports "M": null.
+
+Exit codes: 0 success, 2 input error (including a flag the subcommand does
+not take), 3 numerical non-convergence, 4 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -34,7 +53,7 @@ from .representations import (
     BoundaryConfig,
     FockConfig,
     TruncationError,
-    boundary_generators,
+    boundary_block_generators,
     fock_generators,
     relation_residual,
 )
@@ -48,27 +67,31 @@ EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
 
 
-def _add_common(sub: argparse.ArgumentParser, *, expr: bool = True,
-                numeric: bool = True) -> None:
+# Flags shared by several subcommands, each with one meaning everywhere.
+_FLAGS = {
+    "--mode": dict(choices=[BALL, SPHERE], default=BALL),
+    "--q": dict(default="1/2", help="deformation parameter, rational or decimal"),
+    "--trunc": dict(default="8", help="comma-separated truncation schedule"),
+    "--theta": dict(type=int, help="final cyclic order (theta samples)"),
+    "--tol": dict(type=float, default=1e-8, help="numerical tolerance of norms"),
+    "--seed": dict(type=int, default=0),
+    "--json": dict(dest="json_path", help="write the JSON report here"),
+    "--csv": dict(dest="csv_path", help="write the schedule table as CSV here"),
+}
+
+
+def _command(subs, name: str, help: str, *flags: str) -> argparse.ArgumentParser:
+    """A subcommand taking --n and exactly the named shared flags."""
+    sub = subs.add_parser(name, help=help)
     sub.add_argument("--n", type=int, required=True, help="number of generators")
-    sub.add_argument("--mode", choices=[BALL, SPHERE], default=BALL)
-    if expr:
-        group = sub.add_mutually_exclusive_group()
-        group.add_argument("--expr", help="expression text")
-        group.add_argument("--expr-file", help="file containing the expression")
-    if numeric:
-        sub.add_argument("--q", default="1/2",
-                         help="deformation parameter, rational or decimal")
-        sub.add_argument("--trunc", default="8",
-                         help="comma-separated truncation schedule")
-        sub.add_argument("--theta", type=int, default=None,
-                         help="final cyclic order (number of theta samples)")
-        sub.add_argument("--tol", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--json", dest="json_path", default=None,
-                     help="write the JSON report here")
-    sub.add_argument("--csv", dest="csv_path", default=None,
-                     help="write the schedule table here as CSV")
+    for flag in flags:
+        if flag == "--expr":
+            group = sub.add_mutually_exclusive_group()
+            group.add_argument("--expr", help="expression text")
+            group.add_argument("--expr-file", help="file holding the expression")
+        else:
+            sub.add_argument(flag, **_FLAGS[flag])
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,37 +100,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="q-deformed ball/sphere algebra toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
+    schedule = ("--q", "--trunc", "--theta")
+    single_point = ("--q", "--trunc", "--json", "--csv")
 
-    sub = subs.add_parser("normal-form", help="rewrite to canonical form")
-    _add_common(sub, numeric=False)
+    _command(subs, "normal-form", "rewrite to canonical form",
+             "--mode", "--expr", "--json")
 
-    sub = subs.add_parser("norm", help="certified norm schedule")
+    sub = _command(subs, "norm", "certified norm schedule",
+                   "--expr", *schedule, "--tol", "--json", "--csv")
     sub.add_argument("--side", choices=["ball", "boundary"], default="ball")
-    _add_common(sub)
 
-    sub = subs.add_parser("maxprinciple",
-                          help="ball vs boundary norm gap report")
-    _add_common(sub)
+    _command(subs, "maxprinciple", "ball vs boundary norm gap report",
+             "--expr", *schedule, "--tol", "--json", "--csv")
 
-    sub = subs.add_parser("ci-check",
-                          help="complete-isometry gap check at a matrix level")
-    sub.add_argument("--level", type=int, default=2)
-    _add_common(sub)
+    sub = _command(subs, "ci-check",
+                   "complete-isometry gap check at a matrix level",
+                   "--expr", *schedule, "--json", "--csv")
+    sub.add_argument("--level", type=int, help="scalar copies on the diagonal")
+    sub.add_argument("--threshold", type=float, default=2e-2,
+                     help="largest gap that passes")
 
-    sub = subs.add_parser("relations-residual",
-                          help="defining-relation residuals of a representation")
+    sub = _command(subs, "relations-residual",
+                   "defining-relation residuals of a representation",
+                   *single_point)
     sub.add_argument("--side", choices=["fock", "boundary"], default="fock")
-    _add_common(sub, expr=False)
+    sub.add_argument("--threshold", type=float, default=1e-12,
+                     help="largest residual that passes")
 
-    sub = subs.add_parser("confluence-fuzz",
-                          help="strategy-independence fuzzing of the rewriter")
+    sub = _command(subs, "confluence-fuzz",
+                   "strategy-independence fuzzing of the rewriter",
+                   "--mode", "--seed", "--json")
     sub.add_argument("--count", type=int, default=100)
-    _add_common(sub, expr=False, numeric=False)
 
-    sub = subs.add_parser("pbw-rank",
-                          help="linear independence of canonical monomials")
+    sub = _command(subs, "pbw-rank",
+                   "linear independence of canonical monomials", *single_point)
     sub.add_argument("--degree", type=int, default=3)
-    _add_common(sub, expr=False)
+    sub.add_argument("--threshold", type=float, default=1e-8,
+                     help="smallest singular value that passes")
     return parser
 
 
@@ -131,6 +160,13 @@ def _parse_trunc(text: str) -> List[int]:
         raise ParseError(f"bad truncation schedule {text!r}", 0) from exc
 
 
+def _single_trunc(text: str) -> int:
+    trunc = _parse_trunc(text)
+    if len(trunc) != 1:
+        raise ValueError(f"--trunc takes one truncation here, got {text!r}")
+    return trunc[0]
+
+
 def _load_expr(args) -> str:
     if getattr(args, "expr", None) is not None:
         return args.expr
@@ -140,10 +176,11 @@ def _load_expr(args) -> str:
     raise ParseError("an expression is required (--expr or --expr-file)", 0)
 
 
-def _emit(report: dict, args, started: float) -> None:
+def _emit(report: dict, args) -> None:
     print(f"operation : {report['operation']}")
     print(f"input     : {report['input']}")
-    print(f"context   : n={report['n']} q={report['q']} mode={report['mode']}")
+    print("context   : " + " ".join(f"{k}={report[k]}" for k in ("n", "q", "mode")
+                                     if report[k] is not None))
     for point in report.get("schedule", []):
         bits = [f"N={point.get('N')}"]
         if point.get("M") is not None:
@@ -155,12 +192,12 @@ def _emit(report: dict, args, started: float) -> None:
         print(f"gap       : {report['gap']:.12g}")
     if "holomorphic" in report:
         print(f"holomorphic: {report['holomorphic']}")
-    print(f"wall-clock: {time.monotonic() - started:.3f}s")
+    print(f"wall-clock: {time.monotonic() - args._started:.3f}s")
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
             handle.write("\n")
-    if args.csv_path:
+    if getattr(args, "csv_path", None):
         with open(args.csv_path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["N", "M", "value"])
@@ -174,14 +211,24 @@ def _base_report(args, operation: str, input_text: str) -> dict:
         "input": input_text,
         "n": args.n,
         "q": getattr(args, "q", None),
-        "mode": args.mode,
+        "mode": getattr(args, "mode", None),
         "operation": operation,
         "schedule": [],
         "result": None,
         "tolerances": {},
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "version": __version__,
     }
+
+
+def _verdict(report: dict, args, failed: bool, failure: str) -> int:
+    """Emit a check's report, then its PASS or FAIL line and exit code."""
+    _emit(report, args)
+    if failed:
+        print(f"FAIL: {failure}")
+        return EXIT_CHECK_FAILED
+    print("PASS")
+    return EXIT_OK
 
 
 def _cmd_normal_form(args) -> int:
@@ -195,33 +242,32 @@ def _cmd_normal_form(args) -> int:
         report["result"] = print_matrix(result)
     else:
         report["result"] = print_poly(normalize(parsed, ctx))
-    _emit(report, args, args._started)
+    _emit(report, args)
     return EXIT_OK
 
 
 def _norm_schedule(args):
-    trunc = _parse_trunc(args.trunc)
-    return make_schedule(trunc, args.theta)
+    return make_schedule(_parse_trunc(args.trunc), args.theta)
 
 
 def _cmd_norm(args) -> int:
     text = _load_expr(args)
     parsed = parse_expression(text, args.n)
     q = _parse_q(args.q)
-    tol = args.tol if args.tol is not None else 1e-8
     schedule = _norm_schedule(args)
     if isinstance(parsed, MatPoly):
-        estimate = matrix_norm_level_k(parsed, args.side, float(q), schedule, tol)
+        estimate = matrix_norm_level_k(parsed, args.side, float(q), schedule,
+                                       args.tol)
     elif args.side == "ball":
-        estimate = ball_norm(parsed, float(q), schedule, tol)
+        estimate = ball_norm(parsed, float(q), schedule, args.tol)
     else:
-        estimate = boundary_norm(parsed, float(q), schedule, tol)
+        estimate = boundary_norm(parsed, float(q), schedule, args.tol)
     report = _base_report(args, f"norm-{args.side}", text)
     report["schedule"] = estimate.points
     report["result"] = estimate.final
     report["stabilized"] = estimate.stabilized
-    report["tolerances"] = {"tol": tol}
-    _emit(report, args, args._started)
+    report["tolerances"] = {"tol": args.tol}
+    _emit(report, args)
     return EXIT_OK
 
 
@@ -247,58 +293,53 @@ def _gap_report(args, operation: str, parsed, text: str, tol: float) -> dict:
 def _cmd_maxprinciple(args) -> int:
     text = _load_expr(args)
     parsed = parse_expression(text, args.n)
-    tol = args.tol if args.tol is not None else 1e-8
-    report = _gap_report(args, "maxprinciple", parsed, text, tol)
-    _emit(report, args, args._started)
+    report = _gap_report(args, "maxprinciple", parsed, text, args.tol)
+    _emit(report, args)
     return EXIT_OK
 
 
 def _cmd_ci_check(args) -> int:
     text = _load_expr(args)
     parsed = parse_expression(text, args.n)
+    if isinstance(parsed, MatPoly) and args.level is not None:
+        raise ValueError("--level applies to a scalar expression only; "
+                         "a matrix expression sets its own level")
     if isinstance(parsed, NCPoly):
+        # diag(f, ..., f) has the singular values of f in every
+        # representation, so its gap report is that of f; the report names
+        # the diagonal matrix as its input.
+        level = 2 if args.level is None else args.level
+        if level < 1:
+            raise ValueError(f"--level must be at least 1, got {level}")
         zero = NCPoly.zero(args.n)
-        parsed = MatPoly([[parsed if r == c else zero
-                           for c in range(args.level)]
-                          for r in range(args.level)])
-        text = print_matrix(parsed)
-    threshold = args.tol if args.tol is not None else 2e-2
+        text = print_matrix(MatPoly([[parsed if r == c else zero
+                                      for c in range(level)]
+                                     for r in range(level)]))
     report = _gap_report(args, "ci-check", parsed, text, 1e-8)
-    report["tolerances"] = {"gap": threshold}
-    _emit(report, args, args._started)
-    if report["gap"] > threshold:
-        print(f"FAIL: gap {report['gap']:.3e} exceeds {threshold:.3e}")
-        return EXIT_CHECK_FAILED
-    print("PASS")
-    return EXIT_OK
+    report["tolerances"] = {"gap": args.threshold}
+    return _verdict(report, args, report["gap"] > args.threshold,
+                    f"gap {report['gap']:.3e} exceeds {args.threshold:.3e}")
 
 
 def _cmd_relations_residual(args) -> int:
     q = _parse_q(args.q)
-    trunc = _parse_trunc(args.trunc)
-    N = trunc[-1]
-    M = args.theta if args.theta is not None else 8
-    threshold = args.tol if args.tol is not None else 1e-12
+    N = _single_trunc(args.trunc)
     if args.side == "fock":
         rep = fock_generators(FockConfig(n=args.n, N=N, q_val=float(q)))
         ctx = AlgebraContext(args.n, BALL)
     else:
-        rep = boundary_generators(
-            BoundaryConfig(n=args.n, N=N, M=M, q_val=float(q)))
+        # Every defining relation is homogeneous in z1-charge, so on each
+        # character block its residual is a phase times the omega = 1 one.
+        rep = boundary_block_generators(
+            BoundaryConfig(n=args.n, N=N, M=1, q_val=float(q)), 1.0)
         ctx = AlgebraContext(args.n, SPHERE)
     residual = relation_residual(rep, ctx, float(q))
-    report = _base_report(args, f"relations-residual-{args.side}",
-                          f"n={args.n}")
-    report["schedule"] = [{"N": N, "M": M if args.side == "boundary" else None,
-                           "value": residual}]
+    report = _base_report(args, f"relations-residual-{args.side}", f"n={args.n}")
+    report["schedule"] = [{"N": N, "M": None, "value": residual}]
     report["result"] = residual
-    report["tolerances"] = {"residual": threshold}
-    _emit(report, args, args._started)
-    if residual > threshold:
-        print(f"FAIL: residual {residual:.3e} exceeds {threshold:.3e}")
-        return EXIT_CHECK_FAILED
-    print("PASS")
-    return EXIT_OK
+    report["tolerances"] = {"residual": args.threshold}
+    return _verdict(report, args, residual > args.threshold,
+                    f"residual {residual:.3e} exceeds {args.threshold:.3e}")
 
 
 def _cmd_confluence_fuzz(args) -> int:
@@ -319,29 +360,21 @@ def _cmd_confluence_fuzz(args) -> int:
                 break
     report = _base_report(args, "confluence-fuzz", f"count={args.count}")
     report["result"] = {"checked": args.count, "failures": failures}
-    _emit(report, args, args._started)
-    if failures:
-        print(f"FAIL: {failures} strategy disagreements")
-        return EXIT_CHECK_FAILED
-    print("PASS")
-    return EXIT_OK
+    return _verdict(report, args, failures > 0,
+                    f"{failures} strategy disagreements")
 
 
 def _cmd_pbw_rank(args) -> int:
     q = _parse_q(args.q)
-    N = _parse_trunc(args.trunc)[-1]
-    threshold = args.tol if args.tol is not None else 1e-8
+    N = _single_trunc(args.trunc)
     value = pbw_gram_min_singular(args.n, args.degree, N, float(q))
     report = _base_report(args, "pbw-rank", f"degree<={args.degree}")
     report["schedule"] = [{"N": N, "M": None, "value": value}]
     report["result"] = value
-    report["tolerances"] = {"min_singular": threshold}
-    _emit(report, args, args._started)
-    if value < threshold:
-        print(f"FAIL: minimum singular value {value:.3e} below {threshold:.3e}")
-        return EXIT_CHECK_FAILED
-    print("PASS")
-    return EXIT_OK
+    report["tolerances"] = {"min_singular": args.threshold}
+    return _verdict(report, args, value < args.threshold,
+                    f"minimum singular value {value:.3e} below "
+                    f"{args.threshold:.3e}")
 
 
 _COMMANDS = {

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from qball import (SPHERE, AlgebraContext, BoundaryConfig, boundary_generators,
+                   relation_residual)
 from qball.cli import main
 
 
@@ -83,7 +85,7 @@ def test_relations_residual_pass(capsys):
 
 def test_relations_residual_boundary(capsys):
     code, out, _ = run(capsys, "relations-residual", "--n", "2", "--q", "1/2",
-                       "--trunc", "8", "--side", "boundary", "--theta", "8")
+                       "--trunc", "8", "--side", "boundary")
     assert code == 0
     assert "PASS" in out
 
@@ -114,12 +116,12 @@ def test_ci_check_failure_exit_code(capsys):
     # an impossible gap threshold forces exit code 4
     code, out, _ = run(capsys, "ci-check", "--n", "1", "--q", "1/2",
                        "--expr", "1+z1", "--trunc", "4", "--theta", "4",
-                       "--tol", "1e-30")
+                       "--threshold", "1e-30")
     assert code in (0, 4)  # gap may be exactly 0 on coarse schedules
     # make it definitely fail: non-holomorphic input has gap 1
     code, out, _ = run(capsys, "ci-check", "--n", "1", "--q", "1/2",
                        "--expr", "1-z1*z1'", "--trunc", "6", "--theta", "8",
-                       "--tol", "1e-3")
+                       "--threshold", "1e-3")
     assert code == 4
     assert "FAIL" in out
 
@@ -182,3 +184,132 @@ def test_gap_reports_stabilized_and_deterministic(capsys, tmp_path, command,
     stabilized = json.loads(a.read_text())["stabilized"]
     assert set(stabilized) == {"ball", "boundary"}
     assert all(isinstance(v, bool) for v in stabilized.values())
+
+
+# argv that each subcommand runs with (test_report_nulls_flags_not_taken
+# checks it exits 0), so only an added flag can make argparse reject a call.
+_BASE_ARGV = {
+    "normal-form": ["--n", "1", "--expr", "z1"],
+    "norm": ["--n", "1", "--expr", "z1", "--trunc", "4"],
+    "maxprinciple": ["--n", "1", "--expr", "z1", "--trunc", "4"],
+    "ci-check": ["--n", "1", "--expr", "z1", "--trunc", "4"],
+    "relations-residual": ["--n", "1", "--trunc", "4"],
+    "confluence-fuzz": ["--n", "1", "--count", "1"],
+    "pbw-rank": ["--n", "1", "--trunc", "4"],
+}
+_FLAG_VALUES = {"--seed": "1", "--csv": "table.csv", "--mode": "ball",
+                "--theta": "8", "--tol": "1e-3"}
+
+
+# Flags each subcommand does not read, and --tol on the three commands whose
+# pass bound is --threshold.
+@pytest.mark.parametrize("command, flag", [
+    ("normal-form", "--seed"), ("normal-form", "--csv"),
+    ("norm", "--mode"), ("norm", "--seed"),
+    ("maxprinciple", "--mode"), ("maxprinciple", "--seed"),
+    ("ci-check", "--mode"), ("ci-check", "--seed"), ("ci-check", "--tol"),
+    ("relations-residual", "--mode"), ("relations-residual", "--seed"),
+    ("relations-residual", "--theta"), ("relations-residual", "--tol"),
+    ("confluence-fuzz", "--csv"),
+    ("pbw-rank", "--mode"), ("pbw-rank", "--seed"), ("pbw-rank", "--theta"),
+    ("pbw-rank", "--tol"),
+])
+def test_flag_not_taken_exits_2(capsys, tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = [command] + _BASE_ARGV[command] + [flag, _FLAG_VALUES[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, mode, seed", [
+    ("normal-form", "ball", None),
+    ("norm", None, None),
+    ("maxprinciple", None, None),
+    ("ci-check", None, None),
+    ("relations-residual", None, None),
+    ("confluence-fuzz", "ball", 0),
+    ("pbw-rank", None, None),
+])
+def test_report_nulls_flags_not_taken(capsys, tmp_path, command, mode, seed):
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, command, *_BASE_ARGV[command],
+                       "--json", str(path))
+    assert code == 0
+    report = json.loads(path.read_text())
+    assert (report["mode"], report["seed"]) == (mode, seed)
+    assert ("mode=" in out) == (mode is not None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("M", [1, 4, 8])
+def test_boundary_residual_on_one_block(capsys, tmp_path, n, M):
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "relations-residual", "--n", str(n), "--q", "1/2",
+                     "--trunc", "8", "--side", "boundary", "--json", str(path))
+    assert code == 0
+    report = json.loads(path.read_text())
+    full = relation_residual(boundary_generators(BoundaryConfig(n, 8, M, 0.5)),
+                             AlgebraContext(n, SPHERE), 0.5)
+    assert report["result"] == pytest.approx(full, abs=1e-15)
+    assert report["schedule"] == [{"N": 8, "M": None,
+                                   "value": report["result"]}]
+
+
+@pytest.mark.parametrize("n, expr", [
+    (1, "1+z1"),
+    (2, "z1+z2'*z1"),
+    (3, "z1*z2 - 2*z3'"),
+])
+def test_ci_check_scalar_matches_explicit_diagonal(capsys, tmp_path, n, expr):
+    reports = []
+    for argv in (["--expr", expr, "--level", "3"],
+                 ["--expr", f"[{expr}, 0, 0; 0, {expr}, 0; 0, 0, {expr}]"]):
+        path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "ci-check", "--n", str(n), "--q", "1/2",
+                         "--trunc", "4,6", "--theta", "8", *argv,
+                         "--json", str(path))
+        assert code in (0, 4)
+        reports.append(json.loads(path.read_text()))
+    scalar, diagonal = reports
+    assert scalar["input"].startswith("[") and scalar["input"].count(";") == 2
+    for side in ("ball", "boundary"):
+        assert scalar["result"][side] == pytest.approx(
+            diagonal["result"][side], abs=1e-12)
+    assert scalar["gap"] == pytest.approx(diagonal["gap"], abs=1e-12)
+    assert scalar["holomorphic"] == diagonal["holomorphic"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--expr", "[z1, 0; 0, z1]", "--level", "2"], "--level applies"),
+    (["--expr", "z1", "--level", "0"], "--level must be at least 1"),
+])
+def test_ci_check_level_errors(capsys, argv, message):
+    code, out, err = run(capsys, "ci-check", "--n", "1", "--trunc", "4", *argv)
+    assert code == 2
+    assert message in err
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize("command", ["relations-residual", "pbw-rank"])
+@pytest.mark.parametrize("trunc", ["6,8", ""])
+def test_single_point_commands_take_one_truncation(capsys, command, trunc):
+    code, out, err = run(capsys, command, "--n", "2", "--trunc", trunc)
+    assert code == 2
+    assert "--trunc takes one truncation" in err
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize("command, threshold, key", [
+    ("relations-residual", "-1", "residual"),
+    ("pbw-rank", "1e9", "min_singular"),
+])
+def test_threshold_sets_pass_bound(capsys, tmp_path, command, threshold, key):
+    path = tmp_path / "report.json"
+    code, out, _ = run(capsys, command, *_BASE_ARGV[command],
+                       "--threshold", threshold, "--json", str(path))
+    assert code == 4
+    assert "FAIL" in out
+    assert json.loads(path.read_text())["tolerances"] == {key: float(threshold)}
