@@ -115,21 +115,24 @@ DEFAULT_THETA = 1024
 
 
 def make_schedule(trunc: Sequence[int], theta: Optional[int] = None) -> List[SchedulePoint]:
-    """Pair a truncation schedule with a nested (doubling) theta grid.
+    """Pair a truncation schedule with nested theta grids.
 
-    The final grid order is theta; earlier points halve it, so all grids
-    are nested and the resulting bounds are monotone.
+    The final grid order is theta; each earlier point halves it while the
+    result still divides theta, M_i = theta >> min(P - 1 - i, v2(theta))
+    for P points, so every grid is a subgroup of the next and the resulting
+    bounds are monotone.
     """
     if not trunc:
         raise ValueError("empty schedule")
     if list(trunc) != sorted(set(trunc)):
         raise ValueError("truncation schedule must be strictly increasing")
     final = theta if theta is not None else DEFAULT_THETA
-    out = []
-    for i, N in enumerate(trunc):
-        M = max(1, final >> (len(trunc) - 1 - i))
-        out.append((int(N), int(M)))
-    return out
+    if final < 1:
+        raise ValueError(f"theta must be at least 1, got {final}")
+    halvings = (final & -final).bit_length() - 1  # v2(theta)
+    last = len(trunc) - 1
+    return [(int(N), final >> min(last - i, halvings))
+            for i, N in enumerate(trunc)]
 
 
 def _as_schedule(schedule: ScheduleLike) -> List[SchedulePoint]:

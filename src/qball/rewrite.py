@@ -17,6 +17,11 @@ Every rule coefficient lies in Z[q, q^-1], so rule replacements and the
 cached normal form of each word are integer Laurent polynomials
 {q-exponent: int}.  The user's Gaussian-rational coefficients are applied
 once, exactly, when normalize assembles the result.
+
+The single-step path (reduce_step, normalize_by_steps) also runs over
+Z[i][q, q^-1]: the input is lifted once to Gaussian-integer numerators over
+the common denominator D of its coefficients, each step multiplies and adds
+integers in that one state, and the result is divided by D once at the end.
 """
 
 from __future__ import annotations
@@ -179,6 +184,32 @@ def _normalize_word(word: Word, ctx: AlgebraContext) -> Dict[Word, Laurent]:
     return result
 
 
+# Gaussian-integer numerators over one common denominator:
+# {word: {q-exponent: (re, im)}}, with no zero entry and no empty word.
+State = Dict[Word, Dict[int, Tuple[int, int]]]
+
+
+def _lift(p: NCPoly) -> Tuple[State, int]:
+    """p as Gaussian-integer numerators over the lcm D of its denominators."""
+    den = 1
+    for coeff in p.terms.values():
+        for _, c in coeff.items():
+            den = lcm(den, c.re.denominator, c.im.denominator)
+    state = {word: {k: (c.re.numerator * (den // c.re.denominator),
+                        c.im.numerator * (den // c.im.denominator))
+                    for k, c in coeff.items()}
+             for word, coeff in p.terms.items()}
+    return state, den
+
+
+def _lower(state: State, den: int, n: int) -> NCPoly:
+    """The polynomial a lifted state stands for: one division per coefficient."""
+    return NCPoly(n, {w: Scalar.from_integers({k: a for k, (a, _) in lp.items()},
+                                              {k: b for k, (_, b) in lp.items()},
+                                              den)
+                      for w, lp in state.items()})
+
+
 def normalize(p: NCPoly, ctx: AlgebraContext) -> NCPoly:
     """Unique normal form: every word canonical for the given context.
 
@@ -188,20 +219,14 @@ def normalize(p: NCPoly, ctx: AlgebraContext) -> NCPoly:
     """
     if p.n != ctx.n:
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
-    den = 1
-    for coeff in p.terms.values():
-        for _, c in coeff.items():
-            den = lcm(den, c.re.denominator, c.im.denominator)
+    state, den = _lift(p)
     re_acc: Dict[Word, Laurent] = {}
     im_acc: Dict[Word, Laurent] = {}
-    for word, coeff in p.terms.items():
-        scaled = [(k, c.re.numerator * (den // c.re.denominator),
-                   c.im.numerator * (den // c.im.denominator))
-                  for k, c in coeff.items()]
+    for word, coeff in state.items():
         for w, lp in _normalize_word(word, ctx).items():
             re_w = re_acc.setdefault(w, {})
             im_w = im_acc.setdefault(w, {})
-            for k1, a, b in scaled:
+            for k1, (a, b) in coeff.items():
                 for k2, c in lp.items():
                     k = k1 + k2
                     if a:
@@ -217,70 +242,102 @@ def normalize(p: NCPoly, ctx: AlgebraContext) -> NCPoly:
 LEFTMOST = "leftmost"
 RIGHTMOST = "rightmost"
 RANDOM = "random"
-
-# A rule instance is (word, pos, kind): kind "pair" carries the window
-# position, kind "r5" rewrites the whole word.
-Instance = Tuple[Word, Optional[int], str]
+STRATEGIES = (LEFTMOST, RIGHTMOST, RANDOM)
 
 
-def _instances(p: NCPoly, ctx: AlgebraContext) -> List[Instance]:
-    out: List[Instance] = []
-    for word in sorted(p.terms, key=lambda w: (len(w), w)):
-        for pos in _adjacent_violations(word):
-            out.append((word, pos, "pair"))
+def _check_step_args(p: NCPoly, ctx: AlgebraContext, strategy: str,
+                     random_source: object, source_name: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == RANDOM and random_source is None:
+        raise ValueError(f"random strategy needs {source_name}")
+    if p.n != ctx.n:
+        raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
+
+
+def _rule_sites(word: Word, ctx: AlgebraContext,
+                sites: Dict[Word, List[Optional[int]]]) -> List[Optional[int]]:
+    """Pair positions of the rules applying to word, then None for R5."""
+    out = sites.get(word)
+    if out is None:
+        out = _adjacent_violations(word)
         if r5_applicable(word, ctx):
-            out.append((word, None, "r5"))
+            out.append(None)
+        sites[word] = out
     return out
+
+
+def _step(state: State, ctx: AlgebraContext, strategy: str,
+          rng: Optional[random.Random],
+          sites: Dict[Word, List[Optional[int]]]) -> bool:
+    """Apply one rule instance to state in place; False at a fixed point.
+
+    The candidates are the words in (length, word) order, each with its
+    pair positions and then R5; leftmost takes the first, rightmost the
+    last and random draws one with rng.choice.  sites memoizes each word's
+    rule positions.
+    """
+    candidates = [(word, pos)
+                  for word in sorted(state, key=lambda w: (len(w), w))
+                  for pos in _rule_sites(word, ctx, sites)]
+    if not candidates:
+        return False
+    if strategy == LEFTMOST:
+        word, pos = candidates[0]
+    elif strategy == RIGHTMOST:
+        word, pos = candidates[-1]
+    else:
+        word, pos = rng.choice(candidates)
+    coeff = state.pop(word)
+    if pos is None:
+        expansion = apply_r5(word, ctx.n)
+    else:
+        expansion = apply_pair_rule(word, pos, ctx.n)
+    for lp, w in expansion:
+        target = state.setdefault(w, {})
+        for k1, (a, b) in coeff.items():
+            for k2, c in lp.items():
+                k = k1 + k2
+                re, im = target.get(k, (0, 0))
+                re, im = re + a * c, im + b * c
+                if re or im:
+                    target[k] = (re, im)
+                else:
+                    del target[k]
+        if not target:
+            del state[w]
+    return True
 
 
 def reduce_step(p: NCPoly, ctx: AlgebraContext,
                 strategy: str = LEFTMOST,
                 rng: Optional[random.Random] = None) -> NCPoly:
     """Apply exactly one rule instance to one word; fixed points unchanged."""
-    if p.n != ctx.n:
-        raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
-    candidates = _instances(p, ctx)
-    if not candidates:
+    _check_step_args(p, ctx, strategy, rng, "an rng")
+    state, den = _lift(p)
+    if not _step(state, ctx, strategy, rng, {}):
         return p
-    if strategy == LEFTMOST:
-        word, pos, kind = candidates[0]
-    elif strategy == RIGHTMOST:
-        word, pos, kind = candidates[-1]
-    elif strategy == RANDOM:
-        if rng is None:
-            raise ValueError("random strategy needs an rng")
-        word, pos, kind = rng.choice(candidates)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    coeff = p.terms[word]
-    if kind == "pair":
-        expansion = apply_pair_rule(word, pos, ctx.n)
-    else:
-        expansion = apply_r5(word, ctx.n)
-    delta: Dict[Word, Scalar] = {word: -coeff}
-    for c, w in expansion:
-        term = coeff * Scalar.from_integers(c)
-        s = delta.get(w)
-        s = term if s is None else s + term
-        if s.is_zero():
-            delta.pop(w, None)
-        else:
-            delta[w] = s
-    return p + NCPoly(ctx.n, delta)
+    return _lower(state, den, ctx.n)
 
 
 def normalize_by_steps(p: NCPoly, ctx: AlgebraContext,
                        strategy: str = LEFTMOST,
                        seed: Optional[int] = None,
                        max_steps: int = 200000) -> NCPoly:
-    """Drive reduce_step to a fixed point (used by confluence fuzzing)."""
+    """Apply single rule steps until none applies (used by confluence fuzzing).
+
+    The steps are those of repeated reduce_step calls, with one
+    random.Random(seed) for the random strategy, which therefore needs a
+    seed.  One lifted state is updated in place, and RuntimeError is raised
+    if the fixed point needs more than max_steps rule applications.
+    """
+    _check_step_args(p, ctx, strategy, seed, "a seed")
     rng = random.Random(seed) if strategy == RANDOM else None
-    current = p
-    for _ in range(max_steps):
-        nxt = reduce_step(current, ctx, strategy, rng)
-        if nxt == current:
-            return current
-        current = nxt
+    state, den = _lift(p)
+    sites: Dict[Word, List[Optional[int]]] = {}
+    for _ in range(max_steps + 1):
+        if not _step(state, ctx, strategy, rng, sites):
+            return _lower(state, den, ctx.n)
     raise RuntimeError(f"no fixed point within {max_steps} steps")
 
 

@@ -127,8 +127,6 @@ class Scalar:
     def from_integers(re: Dict[int, int], im: Dict[int, int] | None = None,
                       den: int = 1) -> "Scalar":
         """(re + i*im) / den for integer Laurent maps {exponent: int}."""
-        if im is None and den == 1:  # a lifted rule coefficient
-            return Scalar({k: GaussianRational(c) for k, c in re.items()})
         im = im or {}
         return Scalar({k: GaussianRational(Fraction(re.get(k, 0), den),
                                            Fraction(im.get(k, 0), den))

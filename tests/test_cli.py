@@ -313,3 +313,26 @@ def test_threshold_sets_pass_bound(capsys, tmp_path, command, threshold, key):
     assert code == 4
     assert "FAIL" in out
     assert json.loads(path.read_text())["tolerances"] == {key: float(threshold)}
+
+
+def test_norm_theta_not_a_power_of_two_stays_monotone(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "norm", "--side", "boundary", "--n", "1",
+                     "--expr", "1-z1", "--trunc", "2,4,6", "--theta", "10",
+                     "--json", str(path))
+    assert code == 0
+    report = json.loads(path.read_text())
+    assert [p["M"] for p in report["schedule"]] == [5, 5, 10]
+    values = [p["value"] for p in report["schedule"]]
+    assert values == sorted(values)
+    assert report["result"] == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["norm", "maxprinciple", "ci-check"])
+@pytest.mark.parametrize("theta", ["0", "-8"])
+def test_theta_below_one_is_an_input_error(capsys, command, theta):
+    code, out, err = run(capsys, command, "--n", "1", "--expr", "1+z1",
+                         "--trunc", "4,8", "--theta", theta)
+    assert code == 2
+    assert "theta must be at least 1" in err
+    assert "PASS" not in out

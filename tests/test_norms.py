@@ -226,3 +226,20 @@ def test_stabilization_flag():
 
 def test_pbw_gram_min_singular():
     assert pbw_gram_min_singular(2, 3, 8, Q) > 1e-8
+
+
+def test_make_schedule_nests_grids_for_any_theta():
+    # Earlier grids halve theta only while the result still divides it.
+    assert make_schedule([2, 4, 6], 10) == [(2, 5), (4, 5), (6, 10)]
+    assert make_schedule([1, 2, 3, 4], 12) == [(1, 3), (2, 3), (3, 6), (4, 12)]
+    assert make_schedule([1, 2, 3], 2) == [(1, 1), (2, 1), (3, 2)]
+    for theta in (1, 3, 6, 10, 12, 40, 64, 96, 100):
+        grids = [M for _, M in make_schedule([1, 2, 3, 4], theta)]
+        assert grids[-1] == theta
+        assert all(b % a == 0 for a, b in zip(grids, grids[1:]))
+
+
+def test_make_schedule_rejects_theta_below_one():
+    for theta in (0, -1, -64):
+        with pytest.raises(ValueError):
+            make_schedule([4, 8], theta)

@@ -81,6 +81,15 @@ def test_normalize_agrees_with_leftmost_steps(case):
     assert normalize(p, ctx) == normalize_by_steps(p, ctx, "leftmost")
 
 
+@settings(max_examples=40)
+@given(cases(), st.sampled_from([("leftmost", None), ("rightmost", None),
+                                 ("random", 0), ("random", 1), ("random", 2)]))
+def test_normalize_agrees_with_every_strategy(case, strategy):
+    ctx, p = case
+    name, seed = strategy
+    assert normalize(p, ctx) == normalize_by_steps(p, ctx, name, seed)
+
+
 @settings(max_examples=60)
 @given(cases())
 def test_normalize_idempotent(case):
