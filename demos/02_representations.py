@@ -12,7 +12,7 @@ from qball import (
     BoundaryConfig,
     FockConfig,
     SPHERE,
-    boundary_generators,
+    boundary_block_generators,
     certify_compression,
     fock_generators,
     parse_expression,
@@ -35,7 +35,9 @@ for n in (1, 2, 3):
                           AlgebraContext(n), q)
     print(f"  Fock     n={n}: {r:.2e}")
 for n in (2, 3):
-    rep_b = boundary_generators(BoundaryConfig(n, 8, 8, q))
+    # every relation is homogeneous in z1-charge: the omega = 1 block has
+    # the residual of every character block
+    rep_b = boundary_block_generators(BoundaryConfig(n, 8, 1, q), 1.0)
     r = relation_residual(rep_b, AlgebraContext(n, SPHERE), q)
     print(f"  boundary n={n}: {r:.2e}  (includes sum z_k z_k* = 1)")
 

@@ -28,10 +28,8 @@ from .representations import (
     RepMatrices,
     TruncationError,
     boundary_block_generators,
-    boundary_generators,
     certify_compression,
     fock_generators,
-    relation_residual,
     rep_apply,
 )
 from .norms import (
@@ -40,12 +38,12 @@ from .norms import (
     NormEstimate,
     ball_norm,
     boundary_norm,
-    circle_grid_max,
     make_schedule,
     matrix_norm_level_k,
     max_principle_report,
     operator_norm,
     pbw_gram_min_singular,
+    relation_residual,
 )
 from .parsing import ParseError, parse_expression, print_matrix, print_poly
 
@@ -56,12 +54,11 @@ __all__ = [
     "DomainError", "FockConfig", "GapReport", "GaussianRational", "Letter",
     "MatPoly", "NCPoly", "NormConvergenceError", "NormEstimate", "ParseError",
     "RepMatrices", "Scalar", "TruncationError", "ball_norm",
-    "boundary_block_generators", "boundary_generators", "boundary_norm",
-    "canonical_monomials", "certify_compression", "circle_grid_max",
-    "fock_generators", "is_canonical_word", "is_holomorphic", "make_schedule",
-    "matrix_norm_level_k", "max_principle_report", "normalize",
-    "normalize_by_steps", "operator_norm", "parse_expression",
-    "pbw_gram_min_singular", "poly_adjoint", "poly_mul", "print_matrix",
-    "print_poly", "reduce_step", "relation_residual", "rep_apply",
-    "scalar_eval",
+    "boundary_block_generators", "boundary_norm", "canonical_monomials",
+    "certify_compression", "fock_generators", "is_canonical_word",
+    "is_holomorphic", "make_schedule", "matrix_norm_level_k",
+    "max_principle_report", "normalize", "normalize_by_steps",
+    "operator_norm", "parse_expression", "pbw_gram_min_singular",
+    "poly_adjoint", "poly_mul", "print_matrix", "print_poly", "reduce_step",
+    "relation_residual", "rep_apply", "scalar_eval",
 ]

@@ -47,6 +47,7 @@ from .norms import (
     matrix_norm_level_k,
     max_principle_report,
     pbw_gram_min_singular,
+    relation_residual,
 )
 from .parsing import ParseError, parse_expression, print_matrix, print_poly
 from .representations import (
@@ -55,7 +56,6 @@ from .representations import (
     TruncationError,
     boundary_block_generators,
     fock_generators,
-    relation_residual,
 )
 from .rewrite import normalize, normalize_by_steps
 from .sampling import random_poly_stream

@@ -9,29 +9,36 @@ The norm of the ball algebra is taken as the sup over the implemented
 norming family (Fock plus the boundary family); the boundary norm uses the
 boundary family alone.
 
+Every top singular value comes from one kernel, operator_norm.  Each Fock
+basis vector is a weight vector of the gauge torus z_j -> lambda_j z_j, so
+a certified block is a permuted direct sum of small blocks: the kernel
+splits it into the connected components of its structural nonzeros
+(exact zeros only, no threshold) and takes the max of their norms.
+Components of up to _DENSE_LIMIT = 2048 rows (or columns) go through
+batched LAPACK SVDs of about 1 MB each, larger ones through
+scipy.sparse.linalg.svds.
+
 In the boundary character block of an M-th root of unity omega, z1 acts
 as omega * D and the other generators do not depend on omega, so a word of
 z1-charge d = #z1 - #z1' contributes omega^d times its omega = 1 matrix.  A
 polynomial, or a k x l matrix of polynomials, is one trigonometric
 polynomial sum_d omega^d A_d: per schedule point the omega = 1 block is
-built once, one compressed A_d is formed per charge, all M blocks come out
-of one einsum (in batches of about 1 MB), and each batch takes its top
-singular values from one stacked LAPACK SVD.  Blocks above _DENSE_LIMIT go
-through operator_norm one at a time.  n = 1 is the 1 x 1 case, with
-circle_grid_max as its independent oracle.  Maximum-principle reports
-compute the boundary value once per point and use it for both sides.
+built once, one compressed A_d is formed per charge, and the kernel takes
+the stack with its table of phases omega^d; the union sparsity pattern
+over d holds for every omega, so one split serves all M blocks.  n = 1 is
+the 1 x 1 case.  Maximum-principle reports compute the boundary value once
+per point and use it for both sides.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from .algebra import MatPoly, NCPoly, is_holomorphic
+from .algebra import SPHERE, AlgebraContext, MatPoly, NCPoly, is_holomorphic
 from .representations import (
     BoundaryConfig,
     FockConfig,
@@ -40,13 +47,14 @@ from .representations import (
     boundary_block_generators,
     certify_compression,
     compress,
+    defining_relation_residuals,
     fock_generators,
     rep_apply,
 )
 
 DEFAULT_TOL = 1e-8
 _DENSE_LIMIT = 2048
-_BATCH_BYTES = 1 << 20      # size of one stacked batch of boundary blocks
+_BATCH_BYTES = 1 << 20      # size of one stacked batch of components
 
 
 class NormConvergenceError(RuntimeError):
@@ -57,53 +65,82 @@ class NormConvergenceError(RuntimeError):
         self.last_value = last_value
 
 
-def operator_norm(A: Union[np.ndarray, sp.spmatrix], tol: float = DEFAULT_TOL) -> float:
-    """Largest singular value, deterministic.
+def operator_norm(A: Union[np.ndarray, sp.spmatrix], tol: float = DEFAULT_TOL,
+                  phases: Optional[np.ndarray] = None) -> float:
+    """Largest singular value of the block A, deterministic.
 
-    Small matrices go through LAPACK; larger ones use power iteration on
-    A^H A started from the normalized all-ones vector, stopping on
-    stagnation of the Rayleigh quotient.
+    With phases, A is a stack of D matrices A_d and the value is the max
+    over t of the largest singular value of sum_d phases[t, d] * A_d.
+
+    Rows and columns are labelled by the connected components of the
+    bipartite graph of the structural nonzeros (A != 0; for a stack the
+    union pattern over d, which holds for every t).  Permuted, each block
+    is the direct sum of its components, so its norm is the max of theirs.
+    The components of one shape, over as many t as fit in _BATCH_BYTES
+    (at least one), go to one stacked LAPACK SVD; a component with more
+    than _DENSE_LIMIT rows and columns goes to ARPACK (svds, k = 1) from
+    the all-ones vector.  A zero or empty block gives 0; a sparse A is
+    densified.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if sp.issparse(A):
-        if A.shape[0] == 0 or A.shape[1] == 0 or A.nnz == 0:
-            return 0.0
-        if max(A.shape) <= _DENSE_LIMIT:
-            return float(np.linalg.norm(A.toarray(), 2))
-        return _power_iteration(A, tol)
-    A = np.asarray(A)
-    if A.size == 0 or not np.any(A):
-        return 0.0
-    if max(A.shape) <= _DENSE_LIMIT:
-        return float(np.linalg.norm(A, 2))
-    return _power_iteration(sp.csr_matrix(A), tol)
+    # Imported here: csgraph and sparse.linalg add ~0.1 s to `import qball`.
+    from scipy.sparse.csgraph import connected_components
+
+    stack = np.asarray(A.toarray() if sp.issparse(A) else A)
+    if phases is None:
+        stack, phases = stack[None], np.ones((1, 1))
+    r, c = stack.shape[1:]
+    rows, cols = np.nonzero(np.any(stack != 0, axis=0))
+    vals = stack[:, rows, cols]
+    # row i -> column node r + j; np.nonzero lists rows in ascending order
+    count, labels = connected_components(sp.csr_matrix(
+        (np.ones(len(rows)), r + cols, np.searchsorted(rows, range(r + c + 1))),
+        shape=(r + c, r + c)), directed=False)
+    # position of each row (column) among the rows (columns) of its component
+    part = np.concatenate([labels[:r], count + labels[r:]])
+    order = np.argsort(part, kind="stable")
+    sizes = np.bincount(part, minlength=2 * count)
+    pos = np.empty(r + c, dtype=int)
+    pos[order] = np.arange(r + c) - (np.cumsum(sizes) - sizes)[part[order]]
+    n_rows, n_cols = sizes[:count], sizes[count:]
+    comp, i, j = labels[rows], pos[rows], pos[r + cols]
+    best = 0.0
+    shape = n_rows * (c + 1) + n_cols         # one key per component shape
+    for key in np.unique(shape[(n_rows > 0) & (n_cols > 0)]):
+        a, b = divmod(int(key), c + 1)
+        group = shape == key
+        if min(a, b) > _DENSE_LIMIT:
+            for k in np.nonzero(group)[0]:
+                mine = comp == k
+                for w in phases:
+                    block = sp.csr_matrix(
+                        (w @ vals[:, mine], (i[mine], j[mine])), shape=(a, b))
+                    best = max(best, _svds_top(block, tol, best))
+            continue
+        slot, edges, size = np.cumsum(group) - 1, group[comp], group.sum()
+        sub = np.zeros((len(vals), size, a, b), dtype=complex)
+        sub[:, slot[comp[edges]], i[edges], j[edges]] = vals[:, edges]
+        chunk = max(1, _BATCH_BYTES // sub[0].nbytes)
+        for start in range(0, len(phases), chunk):
+            blocks = np.einsum("md,dkij->mkij", phases[start:start + chunk], sub)
+            top = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+            best = max(best, float(top.max()))
+    return best
 
 
-def _power_iteration(A: sp.spmatrix, tol: float, max_iter: int = 200000) -> float:
-    A = A.tocsr()
-    Ah = A.conjugate().transpose().tocsr()
-    v = np.ones(A.shape[1], dtype=complex)
-    v /= np.linalg.norm(v)
-    rayleigh = 0.0
-    stagnant = 0
-    for _ in range(max_iter):
-        w = Ah @ (A @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0
-        new = float(np.real(np.vdot(v, w)))
-        v = w / nrm
-        if abs(new - rayleigh) <= tol * max(abs(new), 1e-300):
-            stagnant += 1
-            if stagnant >= 3:
-                return float(np.sqrt(max(new, 0.0)))
-        else:
-            stagnant = 0
-        rayleigh = new
-    raise NormConvergenceError(
-        f"power iteration did not stagnate within {max_iter} iterations",
-        float(np.sqrt(max(rayleigh, 0.0))))
+def _svds_top(block: sp.csr_matrix, tol: float, best: float) -> float:
+    """Top singular value of one large component, by ARPACK from the
+    all-ones vector."""
+    from scipy.sparse.linalg import ArpackNoConvergence, svds
+
+    try:
+        return float(svds(block, k=1, tol=tol, v0=np.ones(min(block.shape)),
+                          return_singular_vectors=False)[0])
+    except ArpackNoConvergence as exc:
+        raise NormConvergenceError(
+            f"svds did not converge on a {block.shape[0]} x {block.shape[1]}"
+            " component", best) from exc
 
 
 # -- schedules and estimates ------------------------------------------
@@ -202,31 +239,6 @@ def fock_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
     return operator_norm(block, tol)
 
 
-def _circle_word_value(word, z: complex) -> complex:
-    out = 1 + 0j
-    for letter in word:
-        out *= z.conjugate() if letter.starred else z
-    return out
-
-
-def circle_grid_max(f: NCPoly, q_val: float, points: int) -> float:
-    """Classical oracle for n = 1: max of |f(e^{i theta})| on a theta grid.
-
-    Evaluates f as an ordinary function on the circle (z* -> conjugate),
-    fully independent of the representation machinery.
-    """
-    if f.n != 1:
-        raise ValueError("the circle oracle only applies to n = 1")
-    best = 0.0
-    for t in range(points):
-        z = cmath.exp(2j * cmath.pi * t / points)
-        total = 0j
-        for word in sorted(f.terms, key=lambda w: (len(w), w)):
-            total += f.terms[word].evaluate(q_val) * _circle_word_value(word, z)
-        best = max(best, abs(total))
-    return best
-
-
 def _charge_matrices(F: MatPoly, rep: RepMatrices, indices: np.ndarray,
                      q_val: float) -> Tuple[np.ndarray, np.ndarray]:
     """The z1-charges d = #z1 - #z1' of F's words and, stacked, the
@@ -263,20 +275,20 @@ def boundary_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
     if rep.cutoff is not None:
         _check_trunc(N, L)
     charges, A = _charge_matrices(F, rep, certify_compression(rep, L), q_val)
-    if not len(charges):
-        return 0.0
     # omega_t^d = exp(2 pi i (t d mod M) / M): nested grids share exact phases
     phases = np.exp(2j * np.pi * (np.outer(np.arange(M), charges) % M) / M)
-    if max(A.shape[1:]) > _DENSE_LIMIT:
-        return max(operator_norm(np.tensordot(w, A, axes=1), tol)
-                   for w in phases)
-    chunk = max(1, _BATCH_BYTES // A[0].nbytes)
-    best = 0.0
-    for start in range(0, M, chunk):
-        blocks = np.einsum("md,dij->mij", phases[start:start + chunk], A)
-        top = np.linalg.svd(blocks, compute_uv=False)[:, 0]
-        best = max(best, float(top.max()))
-    return best
+    return operator_norm(A, tol, phases)
+
+
+def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> float:
+    """Max operator norm of (LHS - RHS) over the defining relations,
+    compressed to the certified subspace for two-letter words."""
+    if ctx.n != rep.n:
+        raise ValueError("context dimension mismatch")
+    indices = certify_compression(rep, 2)
+    return max((operator_norm(compress(residual, indices))
+                for residual in defining_relation_residuals(
+                    rep, q_val, ctx.mode == SPHERE)), default=0.0)
 
 
 # -- norm schedules ---------------------------------------------------
@@ -378,5 +390,6 @@ def pbw_gram_min_singular(n: int, max_degree: int, N: int, q_val: float) -> floa
         cols.append(rep_apply(NCPoly.from_word(n, word), rep, q_val)
                     .toarray().ravel())
     V = np.column_stack(cols)
-    gram = V.conj().T @ V
-    return float(np.linalg.svd(gram, compute_uv=False)[-1])
+    # sigma_min(V^H V) = sigma_min(V)^2, without squaring V's condition number
+    s = np.linalg.svd(V, compute_uv=False)
+    return float(s[-1] ** 2) if len(s) == V.shape[1] else 0.0

@@ -4,10 +4,9 @@ Two families are built:
 
 * the Fock representation on l^2(Z_+^n), truncated to total degree |m| <= N,
   where each generator acts as a weighted raising operator; and
-* the boundary family on l^2({m in Z_+^{n-1}}) (x) C^M, where the first
-  generator carries a diagonal q-weight tensored with the M-cycle shift
-  (all M-th roots of unity at once) and the remaining generators act
-  Fock-style on the m-part.
+* the boundary family, one character block per root of unity omega, on
+  l^2({m in Z_+^{n-1}}): the first generator acts as omega times a
+  diagonal q-weight and the remaining generators act Fock-style.
 
 Truncation control: products of at most L generator letters act exactly on
 basis vectors of level <= N - L, which yields certified lower bounds for
@@ -22,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .algebra import SPHERE, AlgebraContext, NCPoly, Word
+from .algebra import NCPoly
 
 
 class TruncationError(ValueError):
@@ -128,39 +127,6 @@ def fock_generators(cfg: FockConfig) -> RepMatrices:
                        levels=levels, cutoff=cfg.N)
 
 
-def cycle_matrix(M: int) -> sp.csr_matrix:
-    """The M-cycle permutation shift e_t -> e_{t+1 mod M}."""
-    rows = [(t + 1) % M for t in range(M)]
-    return sp.csr_matrix((np.ones(M, dtype=complex), (rows, range(M))),
-                         shape=(M, M))
-
-
-def boundary_generators(cfg: BoundaryConfig) -> RepMatrices:
-    """Boundary-family representation annihilating the sphere relation.
-
-    For n = 1 this is just the unitary M-cycle (exact, no truncation).
-    """
-    if cfg.n == 1:
-        mats = [cycle_matrix(cfg.M)]
-        return RepMatrices(n=1, mats=mats, dim=cfg.M,
-                           levels=np.zeros(cfg.M, dtype=int), cutoff=None)
-    basis = graded_lex_basis(cfg.n - 1, cfg.N)
-    index = {m: i for i, m in enumerate(basis)}
-    dim0 = len(basis)
-    weights = sp.diags([cfg.q_val ** sum(m) for m in basis], format="csr",
-                       dtype=complex)
-    mats = [sp.kron(weights, cycle_matrix(cfg.M), format="csr")]
-    eye_m = sp.identity(cfg.M, dtype=complex, format="csr")
-    for j in range(2, cfg.n + 1):
-        # Fock action in the variables (m_2, ..., m_n): generator j sits at
-        # slot j-1 of the (n-1)-index.
-        raising = _fock_raising(basis, index, j - 1, cfg.n - 1, cfg.N, cfg.q_val)
-        mats.append(sp.kron(raising, eye_m, format="csr"))
-    levels = np.repeat([sum(m) for m in basis], cfg.M)
-    return RepMatrices(n=cfg.n, mats=mats, dim=dim0 * cfg.M,
-                       levels=np.asarray(levels, dtype=int), cutoff=cfg.N)
-
-
 def boundary_block_generators(cfg: BoundaryConfig, omega: complex) -> RepMatrices:
     """One character block of the boundary representation.
 
@@ -220,8 +186,10 @@ def compress(mat: sp.spmatrix, indices: np.ndarray) -> np.ndarray:
     return mat.tocsr()[np.ix_(indices, indices)].toarray()
 
 
-def _defining_relation_residuals(rep: RepMatrices, q_val: float,
-                                 sphere: bool) -> List[sp.csr_matrix]:
+def defining_relation_residuals(rep: RepMatrices, q_val: float,
+                                sphere: bool) -> List[sp.csr_matrix]:
+    """LHS - RHS of each defining relation (and, if sphere, of
+    sum_k z_k z_k* = 1) evaluated in rep."""
     n = rep.n
     q = q_val
     out = []
@@ -245,18 +213,3 @@ def _defining_relation_residuals(rep: RepMatrices, q_val: float,
                     sp.csr_matrix((rep.dim, rep.dim), dtype=complex))
         out.append(eye - total)
     return out
-
-
-def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> float:
-    """Max operator norm of (LHS - RHS) over the defining relations,
-    compressed to the certified subspace for two-letter words."""
-    if ctx.n != rep.n:
-        raise ValueError("context dimension mismatch")
-    indices = certify_compression(rep, 2)
-    worst = 0.0
-    for residual in _defining_relation_residuals(rep, q_val,
-                                                 ctx.mode == SPHERE):
-        block = compress(residual, indices)
-        if block.size:
-            worst = max(worst, float(np.linalg.norm(block, 2)))
-    return worst

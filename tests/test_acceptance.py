@@ -14,20 +14,21 @@ from qball.norms import (
     max_principle_report,
     operator_norm,
     pbw_gram_min_singular,
+    relation_residual,
 )
 from qball.parsing import parse_expression
 from qball.representations import (
     BoundaryConfig,
     FockConfig,
-    boundary_generators,
     certify_compression,
     compress,
     fock_generators,
-    relation_residual,
     rep_apply,
 )
 from qball.rewrite import canonical_monomials, normalize, normalize_by_steps
 from qball.sampling import holomorphic_catalog, random_poly, random_poly_stream
+
+from oracles import boundary_generators
 
 Q = 0.5
 STREAM_SEED = 7

@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import qball.norms as norms
 from qball.algebra import MatPoly
@@ -17,7 +18,6 @@ from qball.norms import (
     ball_norm,
     boundary_certified_value,
     boundary_norm,
-    circle_grid_max,
     make_schedule,
     matrix_norm_level_k,
     max_principle_report,
@@ -31,6 +31,8 @@ from qball.representations import (
     rep_apply,
 )
 from qball.sampling import random_poly
+
+from oracles import circle_grid_max
 
 Q = 0.5
 TOL = 1e-12
@@ -71,25 +73,27 @@ def test_boundary_matrix_value_matches_per_omega_oracle(text, n):
         per_omega_value(F, Q, 6, 16), abs=TOL)
 
 
-@pytest.mark.parametrize("batch_bytes, dense_limit", [(1, 2048), (1 << 20, 3)])
+@pytest.mark.parametrize("batch_bytes, dense_limit", [(1, 2048), (1 << 20, 4)])
 def test_chunking_and_dense_limit_fallback(monkeypatch, batch_bytes,
                                            dense_limit):
-    """One block per chunk, and blocks above the dense limit going through
-    operator_norm one at a time, give the batched value."""
+    """One block per batch, and a component above the dense limit going
+    through svds once per omega, give the batched value."""
     f = parse_expression("z1 + z2*z1' + q*z2'*z2", 2)
     expected = boundary_certified_value(f, Q, 6, 16)
     calls = []
+    svds = scipy.sparse.linalg.svds
 
-    def lapack_norm(A, tol):
+    def counted_svds(A, *args, **kwargs):
         calls.append(A.shape)
-        return float(np.linalg.norm(A, 2))
+        return svds(A, *args, **kwargs)
 
     monkeypatch.setattr(norms, "_BATCH_BYTES", batch_bytes)
     monkeypatch.setattr(norms, "_DENSE_LIMIT", dense_limit)
-    monkeypatch.setattr(norms, "operator_norm", lapack_norm)
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", counted_svds)
     assert boundary_certified_value(f, Q, 6, 16) == pytest.approx(
         expected, abs=TOL)
-    assert len(calls) == (16 if dense_limit == 3 else 0)
+    # each of the 16 blocks is one 5 x 5 component (certified levels 0..4)
+    assert calls == ([] if dense_limit == 2048 else [(5, 5)] * 16)
 
 
 def test_n1_nested_grids_monotone_and_equal_circle_oracle():

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from qball import (SPHERE, AlgebraContext, BoundaryConfig, boundary_generators,
-                   relation_residual)
+from qball import SPHERE, AlgebraContext, BoundaryConfig, relation_residual
 from qball.cli import main
+
+from oracles import boundary_generators
 
 
 def run(capsys, *argv):

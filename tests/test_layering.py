@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -27,3 +30,15 @@ def _imported_modules(path):
 def test_symbolic_layer_imports_no_numerics(module):
     path = pathlib.Path(qball.__file__).with_name(f"{module}.py")
     assert not _imported_modules(path) & FORBIDDEN
+
+
+def test_cli_import_leaves_graph_and_arpack_modules_unloaded():
+    """csgraph and sparse.linalg are imported by operator_norm on first use;
+    loaded at import time they would add ~0.1 s to every CLI start."""
+    code = ("import sys, qball.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.sparse.csgraph', 'scipy.sparse.linalg')))")
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(qball.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

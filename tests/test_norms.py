@@ -9,7 +9,6 @@ from qball.norms import (
     MatPoly,
     ball_norm,
     boundary_norm,
-    circle_grid_max,
     make_schedule,
     matrix_norm_level_k,
     max_principle_report,
@@ -17,9 +16,11 @@ from qball.norms import (
     pbw_gram_min_singular,
 )
 from qball.parsing import parse_expression
-from qball.representations import TruncationError, cycle_matrix
+from qball.representations import TruncationError
 from qball.sampling import random_poly
 from qball.scalars import Scalar
+
+from oracles import circle_grid_max, cycle_matrix
 
 Q = 0.5
 

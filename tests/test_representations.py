@@ -10,17 +10,17 @@ from qball.representations import (
     FockConfig,
     TruncationError,
     boundary_block_generators,
-    boundary_generators,
     certify_compression,
     compress,
-    cycle_matrix,
     fock_generators,
     graded_lex_basis,
-    relation_residual,
     rep_apply,
 )
+from qball.norms import relation_residual
 from qball.rewrite import normalize
 from qball.sampling import random_poly
+
+from oracles import boundary_generators, cycle_matrix
 
 Q = 0.5
 
