@@ -21,6 +21,11 @@ pass/fail bound of a check.  The JSON report always has the same keys;
 "mode" and "seed" are null where the subcommand has no such flag.  A
 boundary relations-residual is evaluated on the omega = 1 character block,
 which has the residual of every block, so its point reports "M": null.
+norm, maxprinciple and ci-check reports add "omega": "invariant" says
+whether one boundary block gave the sup over the whole circle, and
+"circle_upper" holds, per point, an upper bound at that N on the value
+over the whole circle (null where none is proved; for maxprinciple and
+ci-check, of the boundary side).
 
 Exit codes: 0 success, 2 input error (including a flag the subcommand does
 not take), 3 numerical non-convergence, 4 acceptance-check failure.
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -94,7 +100,10 @@ def _command(subs, name: str, help: str, *flags: str) -> argparse.ArgumentParser
     return sub
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it and no flag has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="qball",
         description="q-deformed ball/sphere algebra toolkit")
@@ -266,6 +275,7 @@ def _cmd_norm(args) -> int:
     report["schedule"] = estimate.points
     report["result"] = estimate.final
     report["stabilized"] = estimate.stabilized
+    report["omega"] = estimate.omega
     report["tolerances"] = {"tol": args.tol}
     _emit(report, args)
     return EXIT_OK
@@ -286,6 +296,7 @@ def _gap_report(args, operation: str, parsed, text: str, tol: float) -> dict:
     report["stabilized"] = {"ball": gap.ball.stabilized,
                             "boundary": gap.boundary.stabilized}
     report["holomorphic"] = gap.holomorphic
+    report["omega"] = gap.boundary.omega
     report["tolerances"] = {"tol": tol}
     return report
 

@@ -13,10 +13,11 @@ Every top singular value comes from one kernel, operator_norm.  Each Fock
 basis vector is a weight vector of the gauge torus z_j -> lambda_j z_j, so
 a certified block is a permuted direct sum of small blocks: the kernel
 splits it into the connected components of its structural nonzeros
-(exact zeros only, no threshold) and takes the max of their norms.
-Components of up to _DENSE_LIMIT = 2048 rows (or columns) go through
-batched LAPACK SVDs of about 1 MB each, larger ones through
-scipy.sparse.linalg.svds.
+(exact zeros only, no threshold; labelled in numpy by hook and compress)
+and takes the max of their norms.  Components of up to _DENSE_LIMIT = 2048
+rows (or columns) go through batched LAPACK SVDs of about 1 MB each,
+larger ones through scipy.sparse.linalg.svds, the only scipy submodule
+imported after start-up.
 
 In the boundary character block of an M-th root of unity omega, z1 acts
 as omega * D and the other generators do not depend on omega, so a word of
@@ -28,6 +29,15 @@ the stack with its table of phases omega^d; the union sparsity pattern
 over d holds for every omega, so one split serves all M blocks.  n = 1 is
 the 1 x 1 case.  Maximum-principle reports compute the boundary value once
 per point and use it for both sides.
+
+The gauge torus also acts on the boundary side.  When omega_invariant(F)
+holds (an exact rank test on the charge vectors of F's words), every block
+is a phase times a unitary conjugate of the omega = 1 block, so that one
+block is evaluated and its value is the sup over the whole circle.  For
+any other input a schedule reports, per point, the whole-circle upper
+bound grid max / (1 - pi K / M) when M > pi K, where 2K is the spread of
+the z1-charges (Bernstein's inequality; every angle lies within pi / M of
+a node).  The bracket covers the omega discretisation at fixed N only.
 """
 
 from __future__ import annotations
@@ -84,19 +94,14 @@ def operator_norm(A: Union[np.ndarray, sp.spmatrix], tol: float = DEFAULT_TOL,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    # Imported here: csgraph and sparse.linalg add ~0.1 s to `import qball`.
-    from scipy.sparse.csgraph import connected_components
-
     stack = np.asarray(A.toarray() if sp.issparse(A) else A)
     if phases is None:
         stack, phases = stack[None], np.ones((1, 1))
     r, c = stack.shape[1:]
     rows, cols = np.nonzero(np.any(stack != 0, axis=0))
     vals = stack[:, rows, cols]
-    # row i -> column node r + j; np.nonzero lists rows in ascending order
-    count, labels = connected_components(sp.csr_matrix(
-        (np.ones(len(rows)), r + cols, np.searchsorted(rows, range(r + c + 1))),
-        shape=(r + c, r + c)), directed=False)
+    # row i is node i, column j is node r + j
+    count, labels = _components(r + c, rows, r + cols)
     # position of each row (column) among the rows (columns) of its component
     part = np.concatenate([labels[:r], count + labels[r:]])
     order = np.argsort(part, kind="stable")
@@ -127,6 +132,32 @@ def operator_norm(A: Union[np.ndarray, sp.spmatrix], tol: float = DEFAULT_TOL,
             top = np.linalg.svd(blocks, compute_uv=False)[..., 0]
             best = max(best, float(top.max()))
     return best
+
+
+def _components(nodes: int, u: np.ndarray, v: np.ndarray
+                ) -> Tuple[int, np.ndarray]:
+    """Connected components of the graph on range(nodes) with edges
+    (u[e], v[e]): their count and each node's label, numbered in the order
+    of their smallest node.
+
+    Hook and compress: each edge lowers the roots of both its ends to the
+    smaller of the two, pointer jumping then flattens every tree, until no
+    edge joins two roots.  A root only moves down, so each component ends
+    rooted at its smallest node.
+    """
+    root = np.arange(nodes)
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            break
+        low = np.minimum(ru, rv)
+        np.minimum.at(root, ru, low)
+        np.minimum.at(root, rv, low)
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+    smallest, labels = np.unique(root, return_inverse=True)
+    return len(smallest), labels
 
 
 def _svds_top(block: sp.csr_matrix, tol: float, best: float) -> float:
@@ -186,15 +217,20 @@ class NormEstimate:
     final: float
     tol: float
     stabilized: bool
+    # {"invariant": bool, "circle_upper": [float | None per point]}: whether
+    # one boundary block gave the whole circle, and an upper bound at each
+    # point on the value over the whole circle at that N
+    omega: Optional[dict] = None
 
     @staticmethod
     def from_values(params: Sequence[dict], values: Sequence[float],
-                    tol: float) -> "NormEstimate":
+                    tol: float, omega: Optional[dict] = None
+                    ) -> "NormEstimate":
         pts = [dict(p, value=float(v)) for p, v in zip(params, values)]
         final = float(values[-1])
         stabilized = len(values) >= 2 and abs(values[-1] - values[-2]) < tol
         return NormEstimate(points=pts, final=final, tol=tol,
-                            stabilized=stabilized)
+                            stabilized=stabilized, omega=omega)
 
     def values(self) -> List[float]:
         return [p["value"] for p in self.points]
@@ -239,6 +275,56 @@ def fock_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
     return operator_norm(block, tol)
 
 
+def _charge(word, j: int) -> int:
+    """The z_j-charge #z_j - #z_j' of a word."""
+    return sum(-1 if x.starred else 1 for x in word if x.index == j)
+
+
+def _rank(vectors: List[List[int]]) -> int:
+    """Rank over the rationals of integer vectors, by fraction-free
+    elimination in Python integers (exact)."""
+    basis: dict = {}            # pivot column -> row, zero at earlier pivots
+    for row in vectors:
+        for col, b in basis.items():
+            if row[col]:
+                row = [b[col] * x - row[col] * y for x, y in zip(row, b)]
+        pivot = next((k for k, x in enumerate(row) if x), None)
+        if pivot is not None:
+            basis[pivot] = row
+    return len(basis)
+
+
+def omega_invariant(f: Union[NCPoly, MatPoly]) -> bool:
+    """Whether every boundary block of f is a phase times a unitary
+    conjugate of the omega = 1 block, so that block alone gives the sup
+    over the whole circle.
+
+    A word w in entry (a, b) of F has v(w) = (c(w), e_a, -e_b), where
+    c_j(w) = #z_j - #z_j'.  F is invariant iff e_1 is not in the rational
+    span of the differences v(w) - v(w0): then an integer (x, alpha, beta)
+    with x_1 != 0 makes x.c(w) + alpha_a - beta_b one constant K.  With
+    mu^{x_1} = omega, conjugating by diag(prod_{j>=2} mu^{-x_j m_{j-1}})
+    (z_j -> mu^{-x_j} z_j for j >= 2) with row phases mu^{-alpha_a} and
+    column phases mu^{beta_b} maps block(1) to mu^{-K} block(omega); these
+    diagonal unitaries commute with the certified compression.  Decided by
+    comparing two exact integer ranks; n = 1 and scalars are the small
+    cases.
+    """
+    F = f if isinstance(f, MatPoly) else MatPoly([[f]])
+    k, l = F.shape
+    vectors = sorted({
+        tuple(_charge(word, j) for j in range(1, F.n + 1))
+        + tuple(int(i == a) for i in range(k))
+        + tuple(-int(i == b) for i in range(l))
+        for a, row in enumerate(F.entries) for b, p in enumerate(row)
+        for word in p.terms})
+    if not vectors:
+        return True
+    diffs = [[x - y for x, y in zip(v, vectors[0])] for v in vectors[1:]]
+    e1 = [1] + [0] * (len(vectors[0]) - 1)
+    return _rank(diffs + [e1]) > _rank(diffs)
+
+
 def _charge_matrices(F: MatPoly, rep: RepMatrices, indices: np.ndarray,
                      q_val: float) -> Tuple[np.ndarray, np.ndarray]:
     """The z1-charges d = #z1 - #z1' of F's words and, stacked, the
@@ -248,8 +334,8 @@ def _charge_matrices(F: MatPoly, rep: RepMatrices, indices: np.ndarray,
     for a, row in enumerate(F.entries):
         for b, p in enumerate(row):
             for word, coeff in p.terms.items():
-                d = sum(-1 if x.starred else 1 for x in word if x.index == 1)
-                parts.setdefault(d, {}).setdefault((a, b), {})[word] = coeff
+                parts.setdefault(_charge(word, 1), {}).setdefault(
+                    (a, b), {})[word] = coeff
     r = len(indices)
     charges = sorted(parts)
     A = np.zeros((len(charges), F.shape[0] * r, F.shape[1] * r), dtype=complex)
@@ -266,7 +352,8 @@ def boundary_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
 
     f is a polynomial (the 1 x 1 case) or a matrix of polynomials.  The
     value is the max of the block norms sum_d omega^d A_d over the M-th
-    roots of unity omega.
+    roots of unity omega; for an omega_invariant f every block has the
+    norm of the omega = 1 block, which alone is evaluated.
     """
     F = f if isinstance(f, MatPoly) else MatPoly([[f]])
     L = F.degree()
@@ -276,8 +363,32 @@ def boundary_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
         _check_trunc(N, L)
     charges, A = _charge_matrices(F, rep, certify_compression(rep, L), q_val)
     # omega_t^d = exp(2 pi i (t d mod M) / M): nested grids share exact phases
-    phases = np.exp(2j * np.pi * (np.outer(np.arange(M), charges) % M) / M)
+    grid = np.arange(1 if omega_invariant(F) else M)
+    phases = np.exp(2j * np.pi * (np.outer(grid, charges) % M) / M)
     return operator_norm(A, tol, phases)
+
+
+def _omega_bracket(F: MatPoly, pts: List[SchedulePoint],
+                   values: Sequence[float]) -> dict:
+    """Whether F is omega_invariant and, per schedule point, an upper bound
+    at that N on the sup over the whole circle of the boundary value whose
+    M-point grid max is values[i] (None where none is proved).
+
+    An invariant F's value is that sup.  Otherwise <P(omega) u, v> =
+    sum_d omega^d <A_d u, v> is, after the factor omega^{(d_max + d_min)/2},
+    of exponential type K = (d_max - d_min) / 2 in the angle, so by
+    Bernstein's inequality its derivative is at most K times its sup; every
+    angle lies within pi / M of a node, hence sup <= value / (1 - pi K / M)
+    when M > pi K.
+    """
+    if omega_invariant(F):
+        return {"invariant": True, "circle_upper": list(values)}
+    charges = [_charge(word, 1) for row in F.entries for p in row
+               for word in p.terms]
+    K = (max(charges) - min(charges)) / 2
+    return {"invariant": False, "circle_upper": [
+        v / (1 - np.pi * K / M) if M > np.pi * K else None
+        for (_, M), v in zip(pts, values)]}
 
 
 def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> float:
@@ -297,16 +408,21 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
                schedule: ScheduleLike, tol: float, ball: bool
                ) -> Tuple[Optional[NormEstimate], NormEstimate]:
     """Ball (if asked) and boundary schedules of f.  The boundary value is
-    computed once per point; the ball value is max(Fock, boundary)."""
+    computed once per point; the ball value is max(Fock, boundary), and its
+    whole-circle bound max(Fock, boundary bound)."""
     pts = _as_schedule(schedule)
     params = [{"N": N, "M": M} for N, M in pts]
     bdry = [boundary_certified_value(f, q_val, N, M, tol) for N, M in pts]
-    boundary = NormEstimate.from_values(params, bdry, tol)
+    omega = _omega_bracket(f if isinstance(f, MatPoly) else MatPoly([[f]]),
+                           pts, bdry)
+    boundary = NormEstimate.from_values(params, bdry, tol, omega)
     if not ball:
         return None, boundary
-    values = [max(fock_certified_value(f, q_val, N, tol), b)
-              for (N, _), b in zip(pts, bdry)]
-    return NormEstimate.from_values(params, values, tol), boundary
+    fock = [fock_certified_value(f, q_val, N, tol) for N, _ in pts]
+    values = [max(a, b) for a, b in zip(fock, bdry)]
+    omega = dict(omega, circle_upper=[None if u is None else max(a, u) for
+                                      a, u in zip(fock, omega["circle_upper"])])
+    return NormEstimate.from_values(params, values, tol, omega), boundary
 
 
 def ball_norm(f: Union[NCPoly, MatPoly], q_val: float, schedule: ScheduleLike,

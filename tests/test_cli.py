@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import qball
 from qball import SPHERE, AlgebraContext, BoundaryConfig, relation_residual
 from qball.cli import main
 
@@ -337,3 +342,57 @@ def test_theta_below_one_is_an_input_error(capsys, command, theta):
     assert code == 2
     assert "theta must be at least 1" in err
     assert "PASS" not in out
+
+
+@pytest.mark.parametrize("command, expr, n, invariant", [
+    ("norm", "z1+z2", 2, True),
+    ("norm", "1+z1", 1, False),
+    ("maxprinciple", "z1'*z2 + z3^2*z1 + z1^2", 3, True),
+    ("maxprinciple", "1 + z1 + z2", 2, False),
+    ("ci-check", "1/2*z3 + (1-i)*z2*z2 + (1-i)*z2*z1", 3, True),
+    ("ci-check", "z1 + z1^2", 1, False),
+])
+def test_reports_say_which_omega_case_applied(capsys, tmp_path, command,
+                                              expr, n, invariant):
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, command, "--n", str(n), "--expr", expr,
+                     "--trunc", "4,6", "--theta", "16", "--json", str(path))
+    assert code in (0, 4)
+    report = json.loads(path.read_text())
+    upper = report["omega"]["circle_upper"]
+    assert report["omega"]["invariant"] is invariant
+    assert len(upper) == len(report["schedule"]) == 2
+    # a gap report bounds its boundary side, whose final value it reports
+    values = ([p["value"] for p in report["schedule"]] if command == "norm"
+              else [report["result"]["boundary"]])
+    for value, bound in zip(values[::-1], upper[::-1]):
+        assert bound == value if invariant else bound > value
+
+
+# Two runs with different flags: every flag of the second either differs
+# from the first or is left at its default.
+_TWO_RUNS = [
+    ["norm", "--side", "boundary", "--n", "1", "--q", "2/3", "--expr",
+     "1+z1", "--trunc", "4,8", "--theta", "32", "--tol", "1e-6"],
+    ["norm", "--n", "2", "--expr", "z1+z2'*z1", "--trunc", "6"],
+    ["maxprinciple", "--n", "2", "--expr", "z1+z2", "--trunc", "4,6",
+     "--theta", "8"],
+    ["ci-check", "--n", "1", "--expr", "z1 + z1^2", "--level", "3",
+     "--threshold", "1", "--trunc", "4,6"],
+    ["maxprinciple", "--n", "1", "--expr", "1-z1", "--trunc", "4"],
+]
+
+
+def test_one_process_reports_equal_fresh_processes(capsys, tmp_path):
+    """The parser is built once per process; reusing it must not carry
+    anything from one call into the next."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qball.__file__).parents[1]))
+    for k, argv in enumerate(_TWO_RUNS):
+        fresh = tmp_path / f"fresh{k}.json"
+        subprocess.run([sys.executable, "-m", "qball.cli", *argv,
+                        "--json", str(fresh)], env=env, check=True,
+                       capture_output=True)
+        again = tmp_path / f"again{k}.json"
+        code, _, _ = run(capsys, *argv, "--json", str(again))
+        assert code == 0
+        assert again.read_bytes() == fresh.read_bytes()

@@ -32,13 +32,27 @@ def test_symbolic_layer_imports_no_numerics(module):
     assert not _imported_modules(path) & FORBIDDEN
 
 
-def test_cli_import_leaves_graph_and_arpack_modules_unloaded():
-    """csgraph and sparse.linalg are imported by operator_norm on first use;
-    loaded at import time they would add ~0.1 s to every CLI start."""
-    code = ("import sys, qball.cli; print(sorted(m for m in sys.modules if m in "
-            "('scipy.sparse.csgraph', 'scipy.sparse.linalg')))")
+def _graph_and_arpack_modules_after(statement):
+    """Which of scipy.sparse.csgraph and scipy.sparse.linalg a fresh
+    interpreter has loaded after running statement."""
+    code = (f"import sys; {statement}; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg')))")
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(qball.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_graph_and_arpack_modules_unloaded():
+    """Loaded at import time, csgraph and sparse.linalg would add ~0.1 s to
+    every CLI start."""
+    assert _graph_and_arpack_modules_after("import qball.cli") == "[]"
+
+
+def test_maxprinciple_run_leaves_graph_and_arpack_modules_unloaded():
+    """The kernel labels components in numpy and imports sparse.linalg only
+    for a component above _DENSE_LIMIT, so a desk-scale run loads neither."""
+    assert _graph_and_arpack_modules_after(
+        "from qball.cli import main; main(['maxprinciple', '--n', '2', "
+        "'--expr', 'z1+z2'])") == "[]"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,3 +172,25 @@ def test_zero_empty_and_tolerance():
     for tol in (0.0, -1e-8):
         with pytest.raises(ValueError):
             operator_norm(np.eye(2), tol=tol)
+
+
+@settings(max_examples=60)
+@given(r=st.integers(0, 30), c=st.integers(0, 30),
+       density=st.floats(0, 0.3), seed=st.integers(0, 2 ** 16))
+def test_component_labels_equal_csgraph(r, c, density, seed):
+    """csgraph is the oracle here only; the kernel labels in numpy."""
+    rows, cols = np.nonzero(
+        np.random.default_rng(seed).random((r, c)) < density)
+    count, labels = norms._components(r + c, rows, r + cols)
+    want_count, want = connected_components(sp.csr_matrix(
+        (np.ones(len(rows)), (rows, r + cols)), shape=(r + c, r + c)),
+        directed=False)
+    assert count == want_count
+    assert labels.tolist() == want.tolist()
+
+
+def test_component_labels_on_a_long_chain():
+    # edges listed from the far end, so roots must travel the whole chain
+    nodes = np.arange(5000)
+    count, labels = norms._components(5000, nodes[:0:-1], nodes[-2::-1])
+    assert count == 1 and not labels.any()
