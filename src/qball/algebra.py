@@ -2,13 +2,14 @@
 
 Elements are finite sums of free words with Scalar coefficients.  No
 commutation relations are applied at this layer; normal ordering lives in
-qball.rewrite.
+qball.rewrite.  compositions enumerates the multi-indices that label both
+canonical words and Fock basis vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .scalars import Scalar
 
@@ -41,6 +42,23 @@ class AlgebraContext:
             raise ContextError(f"need n >= 1 generators, got {self.n}")
         if self.mode not in (BALL, SPHERE):
             raise ContextError(f"unknown mode {self.mode!r}")
+
+
+def compositions(total: int, parts: int) -> List[Tuple[int, ...]]:
+    """All m in Z_+^parts with |m| = total, in lexicographic order."""
+    out: List[Tuple[int, ...]] = []
+    if parts == 0:
+        return [()] if total == 0 else out
+
+    def rec(prefix: Tuple[int, ...], left: int, slots: int) -> None:
+        if slots == 1:
+            out.append(prefix + (left,))
+            return
+        for v in range(left + 1):
+            rec(prefix + (v,), left - v, slots - 1)
+
+    rec((), total, parts)
+    return out
 
 
 def _check_word(word: Word, n: int) -> None:

@@ -50,7 +50,6 @@ from .norms import (
     ball_norm,
     boundary_norm,
     make_schedule,
-    matrix_norm_level_k,
     max_principle_report,
     pbw_gram_min_singular,
     relation_residual,
@@ -63,7 +62,7 @@ from .representations import (
     boundary_block_generators,
     fock_generators,
 )
-from .rewrite import normalize, normalize_by_steps
+from .rewrite import confluent, normalize
 from .sampling import random_poly_stream
 from .scalars import DomainError
 
@@ -264,13 +263,8 @@ def _cmd_norm(args) -> int:
     parsed = parse_expression(text, args.n)
     q = _parse_q(args.q)
     schedule = _norm_schedule(args)
-    if isinstance(parsed, MatPoly):
-        estimate = matrix_norm_level_k(parsed, args.side, float(q), schedule,
-                                       args.tol)
-    elif args.side == "ball":
-        estimate = ball_norm(parsed, float(q), schedule, args.tol)
-    else:
-        estimate = boundary_norm(parsed, float(q), schedule, args.tol)
+    norm = ball_norm if args.side == "ball" else boundary_norm
+    estimate = norm(parsed, float(q), schedule, args.tol)
     report = _base_report(args, f"norm-{args.side}", text)
     report["schedule"] = estimate.points
     report["result"] = estimate.final
@@ -358,17 +352,9 @@ def _cmd_confluence_fuzz(args) -> int:
         raise ContextError(f"--n must be at least 1, got {args.n}")
     if args.count < 0:
         raise ValueError(f"--count must be nonnegative, got {args.count}")
-    failures = 0
-    strategies = [("leftmost", None), ("rightmost", None),
-                  ("random", 0), ("random", 1), ("random", 2)]
-    for pn, p in random_poly_stream(args.seed, args.count, n_max=args.n):
-        ctx = AlgebraContext(pn, args.mode)
-        expected = normalize(p, ctx)
-        for name, seed in strategies:
-            got = normalize_by_steps(p, ctx, name, seed)
-            if got != expected:
-                failures += 1
-                break
+    failures = sum(not confluent(p, AlgebraContext(pn, args.mode))
+                   for pn, p in random_poly_stream(args.seed, args.count,
+                                                   n_max=args.n))
     report = _base_report(args, "confluence-fuzz", f"count={args.count}")
     report["result"] = {"checked": args.count, "failures": failures}
     return _verdict(report, args, failures > 0,

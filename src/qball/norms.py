@@ -48,7 +48,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .algebra import SPHERE, AlgebraContext, MatPoly, NCPoly, is_holomorphic
+from .algebra import AlgebraContext, MatPoly, NCPoly, is_holomorphic
 from .representations import (
     BoundaryConfig,
     FockConfig,
@@ -57,10 +57,10 @@ from .representations import (
     boundary_block_generators,
     certify_compression,
     compress,
-    defining_relation_residuals,
     fock_generators,
     rep_apply,
 )
+from .rewrite import canonical_monomials, defining_relations
 
 DEFAULT_TOL = 1e-8
 _DENSE_LIMIT = 2048
@@ -392,14 +392,14 @@ def _omega_bracket(F: MatPoly, pts: List[SchedulePoint],
 
 
 def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> float:
-    """Max operator norm of (LHS - RHS) over the defining relations,
-    compressed to the certified subspace for two-letter words."""
+    """Max operator norm of (LHS - RHS) over the defining relations of ctx
+    evaluated in rep, compressed to the certified subspace for two-letter
+    words."""
     if ctx.n != rep.n:
         raise ValueError("context dimension mismatch")
     indices = certify_compression(rep, 2)
-    return max((operator_norm(compress(residual, indices))
-                for residual in defining_relation_residuals(
-                    rep, q_val, ctx.mode == SPHERE)), default=0.0)
+    return max((operator_norm(compress(rep_apply(r, rep, q_val), indices))
+                for r in defining_relations(ctx)), default=0.0)
 
 
 # -- norm schedules ---------------------------------------------------
@@ -498,8 +498,6 @@ def max_principle_report(f: Union[NCPoly, MatPoly], q_val: float,
 def pbw_gram_min_singular(n: int, max_degree: int, N: int, q_val: float) -> float:
     """Smallest singular value of the Gram matrix of the canonical
     monomials (degree <= max_degree) realized as truncated Fock matrices."""
-    from .rewrite import canonical_monomials
-
     rep = _fock_rep(n, N, q_val)
     cols = []
     for word in canonical_monomials(n, max_degree):

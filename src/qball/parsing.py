@@ -258,8 +258,7 @@ def _mono_str(exponent: int, c: GaussianRational) -> Tuple[bool, Optional[str]]:
 
 def _scalar_sum_str(s: Scalar) -> str:
     parts = []
-    for k in sorted(dict(s.items())):
-        c = dict(s.items())[k]
+    for k, c in sorted(s.items()):
         sign, text = _mono_str(k, c)
         if text is None:
             text = "1"

@@ -6,11 +6,13 @@ Two families are built:
   where each generator acts as a weighted raising operator; and
 * the boundary family, one character block per root of unity omega, on
   l^2({m in Z_+^{n-1}}): the first generator acts as omega times a
-  diagonal q-weight and the remaining generators act Fock-style.
+  diagonal q-weight and the remaining generators are the Fock generators
+  of n - 1 variables.
 
 Truncation control: products of at most L generator letters act exactly on
 basis vectors of level <= N - L, which yields certified lower bounds for
-operator norms downstream.
+operator norms downstream.  rep_apply is the one evaluation of a
+polynomial, the defining relations (qball.rewrite) included.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .algebra import NCPoly
+from .algebra import NCPoly, compositions
 
 
 class TruncationError(ValueError):
@@ -81,20 +83,7 @@ class RepMatrices:
 
 def graded_lex_basis(n: int, N: int) -> List[Tuple[int, ...]]:
     """All m in Z_+^n with |m| <= N, sorted by (|m|, lex)."""
-    out: List[Tuple[int, ...]] = []
-    for total in range(N + 1):
-        tmp: List[Tuple[int, ...]] = []
-
-        def rec(prefix: Tuple[int, ...], used: int, slots: int):
-            if slots == 1:
-                tmp.append(prefix + (total - used,))
-                return
-            for v in range(total - used + 1):
-                rec(prefix + (v,), used + v, slots - 1)
-
-        rec((), 0, n)
-        out.extend(sorted(tmp))
-    return out
+    return [m for total in range(N + 1) for m in compositions(total, n)]
 
 
 def _fock_raising(basis: List[Tuple[int, ...]], index: Dict[Tuple[int, ...], int],
@@ -137,16 +126,12 @@ def boundary_block_generators(cfg: BoundaryConfig, omega: complex) -> RepMatrice
         mats = [sp.csr_matrix(np.array([[omega]], dtype=complex))]
         return RepMatrices(n=1, mats=mats, dim=1,
                            levels=np.zeros(1, dtype=int), cutoff=None)
-    basis = graded_lex_basis(cfg.n - 1, cfg.N)
-    index = {m: i for i, m in enumerate(basis)}
-    mats = [sp.diags([omega * cfg.q_val ** sum(m) for m in basis],
-                     format="csr", dtype=complex)]
-    for j in range(2, cfg.n + 1):
-        mats.append(_fock_raising(basis, index, j - 1, cfg.n - 1, cfg.N,
-                                  cfg.q_val))
-    levels = np.array([sum(m) for m in basis], dtype=int)
-    return RepMatrices(n=cfg.n, mats=mats, dim=len(basis),
-                       levels=levels, cutoff=cfg.N)
+    # z2..zn act on the first n - 1 indices as the Fock generators do
+    fock = fock_generators(FockConfig(cfg.n - 1, cfg.N, cfg.q_val))
+    weights = sp.diags([omega * cfg.q_val ** int(k) for k in fock.levels],
+                       format="csr", dtype=complex)
+    return RepMatrices(n=cfg.n, mats=[weights] + fock.mats, dim=fock.dim,
+                       levels=fock.levels, cutoff=cfg.N)
 
 
 def rep_apply(p: NCPoly, rep: RepMatrices, q_val: float) -> sp.csr_matrix:
@@ -184,32 +169,3 @@ def certify_compression(rep: RepMatrices, word_length_bound: int) -> np.ndarray:
 def compress(mat: sp.spmatrix, indices: np.ndarray) -> np.ndarray:
     """Dense compression of a sparse matrix to the certified subspace."""
     return mat.tocsr()[np.ix_(indices, indices)].toarray()
-
-
-def defining_relation_residuals(rep: RepMatrices, q_val: float,
-                                sphere: bool) -> List[sp.csr_matrix]:
-    """LHS - RHS of each defining relation (and, if sphere, of
-    sum_k z_k z_k* = 1) evaluated in rep."""
-    n = rep.n
-    q = q_val
-    out = []
-    Z = [rep.generator(j) for j in range(1, n + 1)]
-    Zs = [rep.generator(j, True) for j in range(1, n + 1)]
-    eye = rep.identity
-    for j in range(n):
-        for k in range(j + 1, n):
-            out.append(Z[j] @ Z[k] - q * Z[k] @ Z[j])
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                out.append(Zs[j] @ Z[k] - q * Z[k] @ Zs[j])
-    for j in range(n):
-        tail = sum((Z[k] @ Zs[k] for k in range(j + 1, n)),
-                   sp.csr_matrix((rep.dim, rep.dim), dtype=complex))
-        out.append(Zs[j] @ Z[j] - q * q * Z[j] @ Zs[j]
-                   - (1 - q * q) * (eye - tail))
-    if sphere:
-        total = sum((Z[k] @ Zs[k] for k in range(n)),
-                    sp.csr_matrix((rep.dim, rep.dim), dtype=complex))
-        out.append(eye - total)
-    return out

@@ -18,10 +18,11 @@ cached normal form of each word are integer Laurent polynomials
 {q-exponent: int}.  The user's Gaussian-rational coefficients are applied
 once, exactly, when normalize assembles the result.
 
-The single-step path (reduce_step, normalize_by_steps) also runs over
-Z[i][q, q^-1]: the input is lifted once to Gaussian-integer numerators over
-the common denominator D of its coefficients, each step multiplies and adds
-integers in that one state, and the result is divided by D once at the end.
+normalize and the single-step path (reduce_step, normalize_by_steps, and
+confluent, which compares their fixed points exactly) share one state over
+Z[i][q, q^-1]: Gaussian-integer numerators over the common denominator D of
+the input's coefficients, updated by one multiply-add and divided by D once.
+defining_relations gives the relations R1-R5 orient, as polynomials.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import random
 from math import lcm
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly, Word
+from .algebra import (BALL, SPHERE, AlgebraContext, Letter, NCPoly, Word,
+                      compositions)
 from .algebra import is_holomorphic  # noqa: F401  (re-exported)
 from .scalars import Scalar
 
@@ -73,9 +75,7 @@ def _expand_pair(a: Letter, b: Letter, n: int) -> Expansion:
     rule = _pair_rule(a, b)
     if rule == "R1":
         return [({-1: 1}, (b, a))]
-    if rule == "R2":
-        return [({1: 1}, (b, a))]
-    if rule == "R3":
+    if rule in ("R2", "R3"):
         return [({1: 1}, (b, a))]
     if rule == "R4":
         j = a.index
@@ -184,9 +184,10 @@ def _normalize_word(word: Word, ctx: AlgebraContext) -> Dict[Word, Laurent]:
     return result
 
 
-# Gaussian-integer numerators over one common denominator:
-# {word: {q-exponent: (re, im)}}, with no zero entry and no empty word.
-State = Dict[Word, Dict[int, Tuple[int, int]]]
+# Gaussian-integer numerators over one common denominator, as real and
+# imaginary integer Laurent maps {word: (re, im)}; rule coefficients are
+# real, so the parts never mix.  No map holds a zero, no word two empty maps.
+State = Dict[Word, Tuple[Laurent, Laurent]]
 
 
 def _lift(p: NCPoly) -> Tuple[State, int]:
@@ -195,19 +196,46 @@ def _lift(p: NCPoly) -> Tuple[State, int]:
     for coeff in p.terms.values():
         for _, c in coeff.items():
             den = lcm(den, c.re.denominator, c.im.denominator)
-    state = {word: {k: (c.re.numerator * (den // c.re.denominator),
-                        c.im.numerator * (den // c.im.denominator))
-                    for k, c in coeff.items()}
+    state = {word: ({k: c.re.numerator * (den // c.re.denominator)
+                     for k, c in coeff.items() if c.re},
+                    {k: c.im.numerator * (den // c.im.denominator)
+                     for k, c in coeff.items() if c.im})
              for word, coeff in p.terms.items()}
     return state, den
 
 
 def _lower(state: State, den: int, n: int) -> NCPoly:
     """The polynomial a lifted state stands for: one division per coefficient."""
-    return NCPoly(n, {w: Scalar.from_integers({k: a for k, (a, _) in lp.items()},
-                                              {k: b for k, (_, b) in lp.items()},
-                                              den)
-                      for w, lp in state.items()})
+    return NCPoly(n, {w: Scalar.from_integers(re, im, den)
+                      for w, (re, im) in state.items()})
+
+
+def _addmul(state: State, w: Word, lp: Laurent,
+            coeff: Tuple[Laurent, Laurent]) -> None:
+    """state[w] += lp * coeff in place, dropping zero entries."""
+    target = state.get(w)
+    if target is None:
+        target = state[w] = ({}, {})
+    for part, acc in zip(coeff, target):
+        for k1, a in part.items():
+            for k2, c in lp.items():
+                k = k1 + k2
+                v = acc.get(k, 0) + a * c
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+    if not (target[0] or target[1]):
+        del state[w]
+
+
+def _normal_state(state: State, ctx: AlgebraContext) -> State:
+    """The normal form of a lifted state, over the same denominator."""
+    out: State = {}
+    for word, coeff in state.items():
+        for w, lp in _normalize_word(word, ctx).items():
+            _addmul(out, w, lp, coeff)
+    return out
 
 
 def normalize(p: NCPoly, ctx: AlgebraContext) -> NCPoly:
@@ -220,21 +248,7 @@ def normalize(p: NCPoly, ctx: AlgebraContext) -> NCPoly:
     if p.n != ctx.n:
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
     state, den = _lift(p)
-    re_acc: Dict[Word, Laurent] = {}
-    im_acc: Dict[Word, Laurent] = {}
-    for word, coeff in state.items():
-        for w, lp in _normalize_word(word, ctx).items():
-            re_w = re_acc.setdefault(w, {})
-            im_w = im_acc.setdefault(w, {})
-            for k1, (a, b) in coeff.items():
-                for k2, c in lp.items():
-                    k = k1 + k2
-                    if a:
-                        re_w[k] = re_w.get(k, 0) + a * c
-                    if b:
-                        im_w[k] = im_w.get(k, 0) + b * c
-    return NCPoly(ctx.n, {w: Scalar.from_integers(re_acc[w], im_acc[w], den)
-                          for w in re_acc})
+    return _lower(_normal_state(state, ctx), den, ctx.n)
 
 
 # -- single-step reduction with pluggable strategy --------------------
@@ -294,18 +308,7 @@ def _step(state: State, ctx: AlgebraContext, strategy: str,
     else:
         expansion = apply_pair_rule(word, pos, ctx.n)
     for lp, w in expansion:
-        target = state.setdefault(w, {})
-        for k1, (a, b) in coeff.items():
-            for k2, c in lp.items():
-                k = k1 + k2
-                re, im = target.get(k, (0, 0))
-                re, im = re + a * c, im + b * c
-                if re or im:
-                    target[k] = (re, im)
-                else:
-                    del target[k]
-        if not target:
-            del state[w]
+        _addmul(state, w, lp, coeff)
     return True
 
 
@@ -320,11 +323,25 @@ def reduce_step(p: NCPoly, ctx: AlgebraContext,
     return _lower(state, den, ctx.n)
 
 
+_MAX_STEPS = 200000
+
+
+def _fixed_point(state: State, ctx: AlgebraContext, strategy: str,
+                 seed: Optional[int], max_steps: int) -> State:
+    """Step state in place until no rule applies, and return it."""
+    rng = random.Random(seed) if strategy == RANDOM else None
+    sites: Dict[Word, List[Optional[int]]] = {}
+    for _ in range(max_steps + 1):
+        if not _step(state, ctx, strategy, rng, sites):
+            return state
+    raise RuntimeError(f"no fixed point within {max_steps} steps")
+
+
 def normalize_by_steps(p: NCPoly, ctx: AlgebraContext,
                        strategy: str = LEFTMOST,
                        seed: Optional[int] = None,
-                       max_steps: int = 200000) -> NCPoly:
-    """Apply single rule steps until none applies (used by confluence fuzzing).
+                       max_steps: int = _MAX_STEPS) -> NCPoly:
+    """Apply single rule steps until none applies.
 
     The steps are those of repeated reduce_step calls, with one
     random.Random(seed) for the random strategy, which therefore needs a
@@ -332,13 +349,28 @@ def normalize_by_steps(p: NCPoly, ctx: AlgebraContext,
     if the fixed point needs more than max_steps rule applications.
     """
     _check_step_args(p, ctx, strategy, seed, "a seed")
-    rng = random.Random(seed) if strategy == RANDOM else None
     state, den = _lift(p)
-    sites: Dict[Word, List[Optional[int]]] = {}
-    for _ in range(max_steps + 1):
-        if not _step(state, ctx, strategy, rng, sites):
-            return _lower(state, den, ctx.n)
-    raise RuntimeError(f"no fixed point within {max_steps} steps")
+    return _lower(_fixed_point(state, ctx, strategy, seed, max_steps), den,
+                  ctx.n)
+
+
+# The (strategy, seed) runs that confluent compares with normalize.
+CONFLUENCE_RUNS = ((LEFTMOST, None), (RIGHTMOST, None),
+                   (RANDOM, 0), (RANDOM, 1), (RANDOM, 2))
+
+
+def confluent(p: NCPoly, ctx: AlgebraContext) -> bool:
+    """Whether every run of CONFLUENCE_RUNS reaches normalize's normal form,
+    compared exactly as lifted states over p's one denominator."""
+    if p.n != ctx.n:
+        raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
+    state, _ = _lift(p)
+    expected = _normal_state(state, ctx)
+    # _step updates the Laurent maps in place, so each run gets its own copy
+    return all(_fixed_point({w: (dict(re), dict(im))
+                             for w, (re, im) in state.items()}, ctx,
+                            strategy, seed, _MAX_STEPS) == expected
+               for strategy, seed in CONFLUENCE_RUNS)
 
 
 # -- misc -------------------------------------------------------------
@@ -348,20 +380,31 @@ def canonical_monomials(n: int, max_degree: int,
     """All canonical words of total degree <= max_degree, graded order."""
     if ctx is None:
         ctx = AlgebraContext(n, BALL)
-
-    def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     for degree in range(max_degree + 1):
         for da in range(degree + 1):
+            betas = compositions(degree - da, n)
             for alpha in compositions(da, n):
-                for beta in compositions(degree - da, n):
+                for beta in betas:
                     if ctx.mode == SPHERE and alpha[0] * beta[0] != 0:
                         continue
                     yield exponents_word(alpha, beta)
+
+
+def defining_relations(ctx: AlgebraContext) -> List[NCPoly]:
+    """LHS - RHS of the relations R1-R5 orient, so each normalizes to 0:
+    z_j z_k - q z_k z_j (j < k), z_j* z_k - q z_k z_j* (j != k), R4 read as
+    an identity, and in sphere mode 1 - sum_k z_k z_k*."""
+    n = ctx.n
+    z = [NCPoly.generator(n, j) for j in range(1, n + 1)]
+    zs = [NCPoly.generator(n, j, True) for j in range(1, n + 1)]
+    # rest[j] = 1 - sum_{k >= j} z_k z_k*, 0-based
+    rest = [sum((-z[k] * zs[k] for k in range(j, n)), NCPoly.one(n))
+            for j in range(n + 1)]
+    q = Scalar.q()
+    out = [z[j] * z[k] - (z[k] * z[j]).scale(q)
+           for j in range(n) for k in range(j + 1, n)]
+    out += [zs[j] * z[k] - (z[k] * zs[j]).scale(q)
+            for j in range(n) for k in range(n) if j != k]
+    out += [zs[j] * z[j] - (z[j] * zs[j]).scale(Scalar.q(2))
+            - rest[j + 1].scale(Scalar.one_minus_q2()) for j in range(n)]
+    return out + [rest[0]] if ctx.mode == SPHERE else out

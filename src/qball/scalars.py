@@ -145,9 +145,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def is_one(self) -> bool:
-        return self._coeffs == {0: _GR_ONE}
-
     def monomial(self) -> Tuple[int, GaussianRational] | None:
         """The (exponent, coefficient) pair if this is a single term."""
         if len(self._coeffs) == 1:
@@ -183,10 +180,6 @@ class Scalar:
                 else:
                     out[k] = s
         return Scalar(out)
-
-    def shift(self, exponent: int) -> "Scalar":
-        """Multiply by q^exponent."""
-        return Scalar({k + exponent: c for k, c in self._coeffs.items()})
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation; q is real, so exponents are fixed."""
