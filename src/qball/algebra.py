@@ -3,12 +3,15 @@
 Elements are finite sums of free words with Scalar coefficients.  No
 commutation relations are applied at this layer; normal ordering lives in
 qball.rewrite.  compositions enumerates the multi-indices that label both
-canonical words and Fock basis vectors.
+canonical words and Fock basis vectors.  lift writes a polynomial's
+coefficients as Gaussian-integer numerators over one common denominator,
+the state the rewriter and the printer work in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from .scalars import Scalar
@@ -242,6 +245,29 @@ class MatPoly:
 
     def is_holomorphic(self) -> bool:
         return all(is_holomorphic(p) for r in self.entries for p in r)
+
+
+# An integer Laurent polynomial in q: {exponent: nonzero int}.
+Laurent = Dict[int, int]
+
+# Gaussian-integer numerators over one common denominator, as real and
+# imaginary integer Laurent maps {word: (re, im)}.  No map holds a zero, no
+# word two empty maps.
+State = Dict[Word, Tuple[Laurent, Laurent]]
+
+
+def lift(p: NCPoly) -> Tuple[State, int]:
+    """p as Gaussian-integer numerators over the lcm D of its denominators."""
+    den = 1
+    for coeff in p.terms.values():
+        for _, c in coeff.items():
+            den = lcm(den, c.re.denominator, c.im.denominator)
+    state = {word: ({k: c.re.numerator * (den // c.re.denominator)
+                     for k, c in coeff.items() if c.re},
+                    {k: c.im.numerator * (den // c.im.denominator)
+                     for k, c in coeff.items() if c.im})
+             for word, coeff in p.terms.items()}
+    return state, den
 
 
 def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:

@@ -54,7 +54,7 @@ from .norms import (
     pbw_gram_min_singular,
     relation_residual,
 )
-from .parsing import ParseError, parse_expression, print_matrix, print_poly
+from .parsing import ParseError, parse_expression, print_matrix, print_state
 from .representations import (
     BoundaryConfig,
     FockConfig,
@@ -62,7 +62,7 @@ from .representations import (
     boundary_block_generators,
     fock_generators,
 )
-from .rewrite import confluent, normalize
+from .rewrite import confluent, normalize_lifted
 from .sampling import random_poly_stream
 from .scalars import DomainError
 
@@ -244,12 +244,14 @@ def _cmd_normal_form(args) -> int:
     parsed = parse_expression(text, args.n)
     ctx = AlgebraContext(args.n, args.mode)
     report = _base_report(args, "normal-form", text)
+
+    def normal_text(p: NCPoly) -> str:
+        return print_state(*normalize_lifted(p, ctx))
+
     if isinstance(parsed, MatPoly):
-        result = MatPoly([[normalize(p, ctx) for p in row]
-                          for row in parsed.entries])
-        report["result"] = print_matrix(result)
+        report["result"] = print_matrix(parsed, normal_text)
     else:
-        report["result"] = print_poly(normalize(parsed, ctx))
+        report["result"] = normal_text(parsed)
     _emit(report, args)
     return EXIT_OK
 

@@ -17,10 +17,11 @@ Generator powers must be nonnegative; q may carry any integer power.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from math import gcd
+from typing import Callable, List, Optional, Tuple, Union
 
-from .algebra import ContextError, Letter, MatPoly, NCPoly, Word
-from .scalars import GaussianRational, Scalar
+from .algebra import ContextError, Letter, MatPoly, NCPoly, State, Word, lift
+from .scalars import Scalar
 
 
 class ParseError(ValueError):
@@ -213,67 +214,45 @@ def parse_expression(text: str, n: int) -> Union[NCPoly, MatPoly]:
 
 # -- pretty printer ---------------------------------------------------
 
-def _rat_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _rat_str(num: int, den: int) -> str:
+    """num/den in lowest terms, for den > 0."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 def _q_str(exponent: int) -> str:
     return "q" if exponent == 1 else f"q^{exponent}"
 
 
-def _gauss_str(c: GaussianRational) -> str:
-    """Both parts nonzero: 'a/b+c/d*i' (goes inside parentheses)."""
-    im_mag = abs(c.im)
-    im_txt = "i" if im_mag == 1 else f"{_rat_str(im_mag)}*i"
-    joiner = "+" if c.im > 0 else "-"
-    return f"{_rat_str(c.re)}{joiner}{im_txt}"
-
-
-def _mono_str(exponent: int, c: GaussianRational) -> Tuple[bool, Optional[str]]:
-    """(sign, text) for a single q-term; text None means the factor 1."""
-    if c.im == 0:
-        sign = c.re < 0
-        mag = abs(c.re)
-        pieces = []
-        if mag != 1:
-            pieces.append(_rat_str(mag))
+def _mono_str(exponent: int, re: int, im: int,
+              den: int) -> Tuple[bool, Optional[str]]:
+    """(sign, text) for (re + i*im)/den * q^exponent; text None means 1."""
+    if re and im:
+        im_txt = "i" if abs(im) == den else f"{_rat_str(abs(im), den)}*i"
+        text = f"({_rat_str(re, den)}{'+' if im > 0 else '-'}{im_txt})"
         if exponent:
-            pieces.append(_q_str(exponent))
-        return sign, "*".join(pieces) or None
-    if c.re == 0:
-        sign = c.im < 0
-        mag = abs(c.im)
-        pieces = [] if mag == 1 else [_rat_str(mag)]
+            text += f"*{_q_str(exponent)}"
+        return False, text
+    mag = abs(re or im)
+    pieces = [] if mag == den else [_rat_str(mag, den)]
+    if im:
         pieces.append("i")
-        if exponent:
-            pieces.append(_q_str(exponent))
-        return sign, "*".join(pieces)
-    text = f"({_gauss_str(c)})"
     if exponent:
-        text += f"*{_q_str(exponent)}"
-    return False, text
+        pieces.append(_q_str(exponent))
+    return (re or im) < 0, "*".join(pieces) or None
 
 
-def _scalar_sum_str(s: Scalar) -> str:
-    parts = []
-    for k, c in sorted(s.items()):
-        sign, text = _mono_str(k, c)
-        if text is None:
-            text = "1"
-        if not parts:
-            parts.append(("-" if sign else "") + text)
+def _signed_sum(parts: List[Tuple[bool, str]]) -> str:
+    """'a - b + c' from (negative, text) pairs."""
+    out: List[str] = []
+    for sign, text in parts:
+        if out:
+            out.append(("- " if sign else "+ ") + text)
         else:
-            parts.append(("- " if sign else "+ ") + text)
-    return " ".join(parts)
-
-
-def _scalar_factor(s: Scalar) -> Tuple[bool, Optional[str]]:
-    mono = s.monomial()
-    if mono is not None:
-        return _mono_str(*mono)
-    return False, f"({_scalar_sum_str(s)})"
+            out.append(("-" if sign else "") + text)
+    return " ".join(out)
 
 
 def _word_str(word: Word) -> Optional[str]:
@@ -288,22 +267,31 @@ def _word_str(word: Word) -> Optional[str]:
     return "*".join(str(l) if e == 1 else f"{l}^{e}" for l, e in runs)
 
 
+def print_state(state: State, den: int) -> str:
+    """Render the polynomial of a lifted state (algebra.lift), reading its
+    Gaussian-integer numerators over the one denominator den."""
+    parts = []
+    for word in sorted(state, key=lambda w: (len(w), w)):
+        re, im = state[word]
+        monos = [_mono_str(k, re.get(k, 0), im.get(k, 0), den)
+                 for k in sorted(re.keys() | im.keys())]
+        if len(monos) == 1:
+            sign, stxt = monos[0]
+        else:
+            sign = False
+            stxt = "(" + _signed_sum([(s, t or "1") for s, t in monos]) + ")"
+        parts.append((sign, "*".join(t for t in (stxt, _word_str(word)) if t)
+                      or "1"))
+    return _signed_sum(parts) or "0"
+
+
 def print_poly(p: NCPoly) -> str:
     """Render a polynomial; parse_expression inverts this exactly."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for word in sorted(p.terms, key=lambda w: (len(w), w)):
-        sign, stxt = _scalar_factor(p.terms[word])
-        wtxt = _word_str(word)
-        text = "*".join(t for t in (stxt, wtxt) if t) or "1"
-        if not parts:
-            parts.append(("-" if sign else "") + text)
-        else:
-            parts.append(("- " if sign else "+ ") + text)
-    return " ".join(parts)
+    return print_state(*lift(p))
 
 
-def print_matrix(F: MatPoly) -> str:
+def print_matrix(F: MatPoly,
+                 text: Callable[[NCPoly], str] = print_poly) -> str:
+    """Render a matrix, each entry p as text(p)."""
     return "[" + "; ".join(
-        ", ".join(print_poly(p) for p in row) for row in F.entries) + "]"
+        ", ".join(text(p) for p in row) for row in F.entries) + "]"

@@ -15,29 +15,31 @@ alpha_1 * beta_1 = 0.
 
 Every rule coefficient lies in Z[q, q^-1], so rule replacements and the
 cached normal form of each word are integer Laurent polynomials
-{q-exponent: int}.  The user's Gaussian-rational coefficients are applied
-once, exactly, when normalize assembles the result.
+{q-exponent: int}.  Words are normalized prefix first, one letter at a
+time, so the one word cache holds the normal forms of prefixes and the
+products canonical word * letter: the PBW product table.  The user's
+Gaussian-rational coefficients are applied once, exactly, when normalize
+assembles the result.
 
 normalize and the single-step path (reduce_step, normalize_by_steps, and
 confluent, which compares their fixed points exactly) share one state over
-Z[i][q, q^-1]: Gaussian-integer numerators over the common denominator D of
-the input's coefficients, updated by one multiply-add and divided by D once.
+Z[i][q, q^-1] (algebra.lift): Gaussian-integer numerators over the common
+denominator D of the input's coefficients, updated by one multiply-add and
+divided by D once.  normalize_lifted stops before that division, for
+printers that read the numerators.
 defining_relations gives the relations R1-R5 orient, as polynomials.
 """
 
 from __future__ import annotations
 
 import random
-from math import lcm
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebra import (BALL, SPHERE, AlgebraContext, Letter, NCPoly, Word,
-                      compositions)
+from .algebra import (BALL, SPHERE, AlgebraContext, Laurent, Letter, NCPoly,
+                      State, Word, compositions, lift)
 from .algebra import is_holomorphic  # noqa: F401  (re-exported)
 from .scalars import Scalar
 
-# An integer Laurent polynomial in q: {exponent: nonzero int}.
-Laurent = Dict[int, int]
 Expansion = List[Tuple[Laurent, Word]]
 
 _ONE_MINUS_Q2: Laurent = {0: 1, 2: -1}
@@ -147,20 +149,30 @@ def is_canonical_word(word: Word, ctx: AlgebraContext) -> bool:
     return not r5_applicable(word, ctx)
 
 
-# -- full normalization (leftmost, memoized) --------------------------
+# -- full normalization (prefix first, memoized) ---------------------
 
 _NF_CACHE: Dict[Tuple[int, str, Word], Dict[Word, Laurent]] = {}
 
 
 def _normalize_word(word: Word, ctx: AlgebraContext) -> Dict[Word, Laurent]:
-    """Normal form of one word, over Z[q, q^-1]; the result is shared."""
+    """Normal form of one word, over Z[q, q^-1]; the result is shared.
+
+    The word is normalized prefix first: NF(w) is the sum of lp_u NF(u w[-1])
+    over the terms lp_u u of NF(w[:-1]).  Once the prefix is canonical, a
+    pair rule can apply only where it meets the last letter, and otherwise
+    R5 to the whole word, so the cache holds prefix normal forms and the
+    products canonical word * letter.
+    """
     key = (ctx.n, ctx.mode, word)
     cached = _NF_CACHE.get(key)
     if cached is not None:
         return cached
-    pos = find_violation(word)
-    if pos is not None:
-        expansion = apply_pair_rule(word, pos, ctx.n)
+    head = word[:-1]
+    head_nf = _normalize_word(head, ctx) if head else {head: {0: 1}}
+    if head not in head_nf:
+        expansion = [(lp, u + word[-1:]) for u, lp in head_nf.items()]
+    elif head and _pair_rule(word[-2], word[-1]) is not None:
+        expansion = apply_pair_rule(word, len(word) - 2, ctx.n)
     elif r5_applicable(word, ctx):
         expansion = apply_r5(word, ctx.n)
     else:
@@ -184,26 +196,6 @@ def _normalize_word(word: Word, ctx: AlgebraContext) -> Dict[Word, Laurent]:
     return result
 
 
-# Gaussian-integer numerators over one common denominator, as real and
-# imaginary integer Laurent maps {word: (re, im)}; rule coefficients are
-# real, so the parts never mix.  No map holds a zero, no word two empty maps.
-State = Dict[Word, Tuple[Laurent, Laurent]]
-
-
-def _lift(p: NCPoly) -> Tuple[State, int]:
-    """p as Gaussian-integer numerators over the lcm D of its denominators."""
-    den = 1
-    for coeff in p.terms.values():
-        for _, c in coeff.items():
-            den = lcm(den, c.re.denominator, c.im.denominator)
-    state = {word: ({k: c.re.numerator * (den // c.re.denominator)
-                     for k, c in coeff.items() if c.re},
-                    {k: c.im.numerator * (den // c.im.denominator)
-                     for k, c in coeff.items() if c.im})
-             for word, coeff in p.terms.items()}
-    return state, den
-
-
 def _lower(state: State, den: int, n: int) -> NCPoly:
     """The polynomial a lifted state stands for: one division per coefficient."""
     return NCPoly(n, {w: Scalar.from_integers(re, im, den)
@@ -212,7 +204,8 @@ def _lower(state: State, den: int, n: int) -> NCPoly:
 
 def _addmul(state: State, w: Word, lp: Laurent,
             coeff: Tuple[Laurent, Laurent]) -> None:
-    """state[w] += lp * coeff in place, dropping zero entries."""
+    """state[w] += lp * coeff in place, dropping zero entries; rule
+    coefficients are real, so the parts never mix."""
     target = state.get(w)
     if target is None:
         target = state[w] = ({}, {})
@@ -238,17 +231,25 @@ def _normal_state(state: State, ctx: AlgebraContext) -> State:
     return out
 
 
-def normalize(p: NCPoly, ctx: AlgebraContext) -> NCPoly:
-    """Unique normal form: every word canonical for the given context.
+def normalize_lifted(p: NCPoly, ctx: AlgebraContext) -> Tuple[State, int]:
+    """The normal form of p as a lifted state over p's denominator D.
 
-    The coefficients of p are brought to one common denominator D, the
-    Gaussian-integer numerators are accumulated per (canonical word,
-    q-exponent), and each output coefficient is formed by one division by D.
+    The coefficients of p are brought to D, and the Gaussian-integer
+    numerators are accumulated per (canonical word, q-exponent).
     """
     if p.n != ctx.n:
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
-    state, den = _lift(p)
-    return _lower(_normal_state(state, ctx), den, ctx.n)
+    state, den = lift(p)
+    return _normal_state(state, ctx), den
+
+
+def normalize(p: NCPoly, ctx: AlgebraContext) -> NCPoly:
+    """Unique normal form: every word canonical for the given context.
+
+    Each output coefficient of normalize_lifted is formed by one division
+    by the common denominator.
+    """
+    return _lower(*normalize_lifted(p, ctx), ctx.n)
 
 
 # -- single-step reduction with pluggable strategy --------------------
@@ -317,7 +318,7 @@ def reduce_step(p: NCPoly, ctx: AlgebraContext,
                 rng: Optional[random.Random] = None) -> NCPoly:
     """Apply exactly one rule instance to one word; fixed points unchanged."""
     _check_step_args(p, ctx, strategy, rng, "an rng")
-    state, den = _lift(p)
+    state, den = lift(p)
     if not _step(state, ctx, strategy, rng, {}):
         return p
     return _lower(state, den, ctx.n)
@@ -349,7 +350,7 @@ def normalize_by_steps(p: NCPoly, ctx: AlgebraContext,
     if the fixed point needs more than max_steps rule applications.
     """
     _check_step_args(p, ctx, strategy, seed, "a seed")
-    state, den = _lift(p)
+    state, den = lift(p)
     return _lower(_fixed_point(state, ctx, strategy, seed, max_steps), den,
                   ctx.n)
 
@@ -364,7 +365,7 @@ def confluent(p: NCPoly, ctx: AlgebraContext) -> bool:
     compared exactly as lifted states over p's one denominator."""
     if p.n != ctx.n:
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
-    state, _ = _lift(p)
+    state, _ = lift(p)
     expected = _normal_state(state, ctx)
     # _step updates the Laurent maps in place, so each run gets its own copy
     return all(_fixed_point({w: (dict(re), dict(im))

@@ -9,19 +9,26 @@ These are oracles only; no library code calls them.
   character block per omega instead (boundary_block_generators).
 * circle_grid_max evaluates an n = 1 polynomial as an ordinary function on
   the circle.
+* fraction_print_poly renders a polynomial from its Fraction coefficients,
+  one Gaussian rational at a time.  The library prints from Gaussian-integer
+  numerators over one common denominator instead (parsing.print_state).
 """
 
 import cmath
+from fractions import Fraction
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from qball.algebra import Letter, NCPoly, Word
 from qball.representations import (
     BoundaryConfig,
     RepMatrices,
     _fock_raising,
     graded_lex_basis,
 )
+from qball.scalars import GaussianRational, Scalar
 
 
 def cycle_matrix(M: int) -> sp.csr_matrix:
@@ -80,3 +87,96 @@ def circle_grid_max(f, q_val: float, points: int) -> float:
             total += f.terms[word].evaluate(q_val) * _circle_word_value(word, z)
         best = max(best, abs(total))
     return best
+
+
+# -- the Fraction printer ---------------------------------------------
+
+def _rat_str(value: Fraction) -> str:
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def _q_str(exponent: int) -> str:
+    return "q" if exponent == 1 else f"q^{exponent}"
+
+
+def _gauss_str(c: GaussianRational) -> str:
+    """Both parts nonzero: 'a/b+c/d*i' (goes inside parentheses)."""
+    im_mag = abs(c.im)
+    im_txt = "i" if im_mag == 1 else f"{_rat_str(im_mag)}*i"
+    joiner = "+" if c.im > 0 else "-"
+    return f"{_rat_str(c.re)}{joiner}{im_txt}"
+
+
+def _mono_str(exponent: int, c: GaussianRational) -> Tuple[bool, Optional[str]]:
+    """(sign, text) for a single q-term; text None means the factor 1."""
+    if c.im == 0:
+        sign = c.re < 0
+        mag = abs(c.re)
+        pieces = []
+        if mag != 1:
+            pieces.append(_rat_str(mag))
+        if exponent:
+            pieces.append(_q_str(exponent))
+        return sign, "*".join(pieces) or None
+    if c.re == 0:
+        sign = c.im < 0
+        mag = abs(c.im)
+        pieces = [] if mag == 1 else [_rat_str(mag)]
+        pieces.append("i")
+        if exponent:
+            pieces.append(_q_str(exponent))
+        return sign, "*".join(pieces)
+    text = f"({_gauss_str(c)})"
+    if exponent:
+        text += f"*{_q_str(exponent)}"
+    return False, text
+
+
+def _scalar_sum_str(s: Scalar) -> str:
+    parts = []
+    for k, c in sorted(s.items()):
+        sign, text = _mono_str(k, c)
+        if text is None:
+            text = "1"
+        if not parts:
+            parts.append(("-" if sign else "") + text)
+        else:
+            parts.append(("- " if sign else "+ ") + text)
+    return " ".join(parts)
+
+
+def _scalar_factor(s: Scalar) -> Tuple[bool, Optional[str]]:
+    mono = s.monomial()
+    if mono is not None:
+        return _mono_str(*mono)
+    return False, f"({_scalar_sum_str(s)})"
+
+
+def _word_str(word: Word) -> Optional[str]:
+    if not word:
+        return None
+    runs: List[Tuple[Letter, int]] = []
+    for letter in word:
+        if runs and runs[-1][0] == letter:
+            runs[-1] = (letter, runs[-1][1] + 1)
+        else:
+            runs.append((letter, 1))
+    return "*".join(str(l) if e == 1 else f"{l}^{e}" for l, e in runs)
+
+
+def fraction_print_poly(p: NCPoly) -> str:
+    """Render a polynomial; parse_expression inverts this exactly."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for word in sorted(p.terms, key=lambda w: (len(w), w)):
+        sign, stxt = _scalar_factor(p.terms[word])
+        wtxt = _word_str(word)
+        text = "*".join(t for t in (stxt, wtxt) if t) or "1"
+        if not parts:
+            parts.append(("-" if sign else "") + text)
+        else:
+            parts.append(("- " if sign else "+ ") + text)
+    return " ".join(parts)

@@ -197,3 +197,14 @@ def test_word_cache_holds_integer_laurent_polynomials():
             for laurent in nf.values():
                 assert laurent
                 assert all(type(c) is int for c in laurent.values())
+
+
+@pytest.mark.parametrize("mode", [BALL, SPHERE])
+def test_word_cache_is_filled_prefix_first(mode):
+    # Prefix first, the cache holds prefix normal forms and canonical word *
+    # letter products: 6 288 (ball) and 5 481 (sphere) entries here, where
+    # rewriting the leftmost violation caches 12 486 and 12 790 words.
+    p = parse_expression("(z1'+z2'+z3')^3*(z1+z2+z3)^4", 3)
+    _NF_CACHE.clear()
+    normalize(p, AlgebraContext(3, mode))
+    assert len(_NF_CACHE) <= 6500
