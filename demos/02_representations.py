@@ -11,6 +11,7 @@ from qball import (
     AlgebraContext,
     BoundaryConfig,
     FockConfig,
+    NCPoly,
     SPHERE,
     boundary_block_generators,
     certify_compression,
@@ -19,13 +20,12 @@ from qball import (
     relation_residual,
     rep_apply,
 )
-from qball.representations import compress
 
 q = 0.5
 
 print("== Fock representation, n=1, N=6 ==")
 rep = fock_generators(FockConfig(1, 6, q))
-weights = rep.mats[0].toarray().diagonal(-1).real
+weights = rep_apply(NCPoly.generator(1, 1), rep, q).diagonal(-1).real
 print("  raising weights sqrt(1-q^(2(m+1))):", np.round(weights, 6))
 
 print()
@@ -45,9 +45,8 @@ print()
 print("== certified compression ==")
 rep2 = fock_generators(FockConfig(2, 8, q))
 f = parse_expression("1 - z1*z1' - z2*z2'", 2)
-A = rep_apply(f, rep2, q)
 idx = certify_compression(rep2, 2)
-block = compress(A, idx)
+block = rep_apply(f, rep2, q, idx)   # only the certified columns are computed
 diag = np.real(np.diag(block))
 print("  1 - sum z_k z_k' acts diagonally with entries q^(2|m|):")
 print("  first levels:", np.round(sorted(set(np.round(diag, 10)), reverse=True), 6))

@@ -16,8 +16,8 @@ splits it into the connected components of its structural nonzeros
 (exact zeros only, no threshold; labelled in numpy by hook and compress)
 and takes the max of their norms.  Components of up to _DENSE_LIMIT = 2048
 rows (or columns) go through batched LAPACK SVDs of about 1 MB each,
-larger ones through scipy.sparse.linalg.svds, the only scipy submodule
-imported after start-up.
+larger ones through scipy.sparse.linalg.svds; scipy (scipy.sparse and its
+linalg) is imported only for such a component.
 
 In the boundary character block of an M-th root of unity omega, z1 acts
 as omega * D and the other generators do not depend on omega, so a word of
@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import AlgebraContext, MatPoly, NCPoly, is_holomorphic
 from .representations import (
@@ -56,7 +55,6 @@ from .representations import (
     TruncationError,
     boundary_block_generators,
     certify_compression,
-    compress,
     fock_generators,
     rep_apply,
 )
@@ -75,7 +73,7 @@ class NormConvergenceError(RuntimeError):
         self.last_value = last_value
 
 
-def operator_norm(A: Union[np.ndarray, sp.spmatrix], tol: float = DEFAULT_TOL,
+def operator_norm(A, tol: float = DEFAULT_TOL,
                   phases: Optional[np.ndarray] = None) -> float:
     """Largest singular value of the block A, deterministic.
 
@@ -89,12 +87,12 @@ def operator_norm(A: Union[np.ndarray, sp.spmatrix], tol: float = DEFAULT_TOL,
     The components of one shape, over as many t as fit in _BATCH_BYTES
     (at least one), go to one stacked LAPACK SVD; a component with more
     than _DENSE_LIMIT rows and columns goes to ARPACK (svds, k = 1) from
-    the all-ones vector.  A zero or empty block gives 0; a sparse A is
-    densified.
+    the all-ones vector.  A zero or empty block gives 0; a scipy sparse A
+    is read through its toarray().
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    stack = np.asarray(A.toarray() if sp.issparse(A) else A)
+    stack = np.asarray(A.toarray() if hasattr(A, "toarray") else A)
     if phases is None:
         stack, phases = stack[None], np.ones((1, 1))
     r, c = stack.shape[1:]
@@ -119,9 +117,8 @@ def operator_norm(A: Union[np.ndarray, sp.spmatrix], tol: float = DEFAULT_TOL,
             for k in np.nonzero(group)[0]:
                 mine = comp == k
                 for w in phases:
-                    block = sp.csr_matrix(
-                        (w @ vals[:, mine], (i[mine], j[mine])), shape=(a, b))
-                    best = max(best, _svds_top(block, tol, best))
+                    best = max(best, _svds_top(w @ vals[:, mine], i[mine],
+                                               j[mine], (a, b), tol, best))
             continue
         slot, edges, size = np.cumsum(group) - 1, group[comp], group.sum()
         sub = np.zeros((len(vals), size, a, b), dtype=complex)
@@ -160,11 +157,14 @@ def _components(nodes: int, u: np.ndarray, v: np.ndarray
     return len(smallest), labels
 
 
-def _svds_top(block: sp.csr_matrix, tol: float, best: float) -> float:
-    """Top singular value of one large component, by ARPACK from the
-    all-ones vector."""
+def _svds_top(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+              shape: Tuple[int, int], tol: float, best: float) -> float:
+    """Top singular value of one large component, given by its nonzeros,
+    by ARPACK from the all-ones vector."""
+    from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import ArpackNoConvergence, svds
 
+    block = csr_matrix((vals, (rows, cols)), shape=shape)
     try:
         return float(svds(block, k=1, tol=tol, v0=np.ones(min(block.shape)),
                           return_singular_vectors=False)[0])
@@ -268,10 +268,10 @@ def fock_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
     rep = _fock_rep(f.n, N, q_val)
     indices = certify_compression(rep, degree)
     if isinstance(f, MatPoly):
-        block = np.block([[compress(rep_apply(p, rep, q_val), indices)
-                           for p in row] for row in f.entries])
+        block = np.block([[rep_apply(p, rep, q_val, indices) for p in row]
+                          for row in f.entries])
     else:
-        block = compress(rep_apply(f, rep, q_val), indices)
+        block = rep_apply(f, rep, q_val, indices)
     return operator_norm(block, tol)
 
 
@@ -341,8 +341,8 @@ def _charge_matrices(F: MatPoly, rep: RepMatrices, indices: np.ndarray,
     A = np.zeros((len(charges), F.shape[0] * r, F.shape[1] * r), dtype=complex)
     for i, d in enumerate(charges):
         for (a, b), terms in parts[d].items():
-            A[i, a * r:(a + 1) * r, b * r:(b + 1) * r] = compress(
-                rep_apply(NCPoly(F.n, terms), rep, q_val), indices)
+            A[i, a * r:(a + 1) * r, b * r:(b + 1) * r] = rep_apply(
+                NCPoly(F.n, terms), rep, q_val, indices)
     return np.array(charges, dtype=int), A
 
 
@@ -398,7 +398,7 @@ def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> fl
     if ctx.n != rep.n:
         raise ValueError("context dimension mismatch")
     indices = certify_compression(rep, 2)
-    return max((operator_norm(compress(rep_apply(r, rep, q_val), indices))
+    return max((operator_norm(rep_apply(r, rep, q_val, indices))
                 for r in defining_relations(ctx)), default=0.0)
 
 
@@ -499,11 +499,8 @@ def pbw_gram_min_singular(n: int, max_degree: int, N: int, q_val: float) -> floa
     """Smallest singular value of the Gram matrix of the canonical
     monomials (degree <= max_degree) realized as truncated Fock matrices."""
     rep = _fock_rep(n, N, q_val)
-    cols = []
-    for word in canonical_monomials(n, max_degree):
-        cols.append(rep_apply(NCPoly.from_word(n, word), rep, q_val)
-                    .toarray().ravel())
-    V = np.column_stack(cols)
+    V = np.column_stack([rep_apply(NCPoly.from_word(n, word), rep, q_val).ravel()
+                         for word in canonical_monomials(n, max_degree)])
     # sigma_min(V^H V) = sigma_min(V)^2, without squaring V's condition number
     s = np.linalg.svd(V, compute_uv=False)
     return float(s[-1] ** 2) if len(s) == V.shape[1] else 0.0

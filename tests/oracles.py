@@ -5,8 +5,10 @@ These are oracles only; no library code calls them.
 * cycle_matrix and boundary_generators build the whole boundary
   representation on l^2({m in Z_+^{n-1}}) (x) C^M as Kronecker products:
   the first generator is a diagonal q-weight tensored with the M-cycle
-  shift (all M-th roots of unity at once).  The library evaluates one
-  character block per omega instead (boundary_block_generators).
+  shift (all M-th roots of unity at once), and only then turns each
+  generator into the weighted index map the library evaluates (matrix_map).
+  The library evaluates one character block per omega instead
+  (boundary_block_generators).
 * circle_grid_max evaluates an n = 1 polynomial as an ordinary function on
   the circle.
 * fraction_print_poly renders a polynomial from its Fraction coefficients,
@@ -38,15 +40,39 @@ def cycle_matrix(M: int) -> sp.csr_matrix:
                          shape=(M, M))
 
 
+def matrix_map(mat: sp.spmatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """A square matrix with at most one nonzero per column, and no two in
+    one row, as a weighted index map (target, weight); a zero column goes
+    to the sink dim."""
+    csc = sp.csc_matrix(mat)
+    csc.eliminate_zeros()
+    counts = np.diff(csc.indptr)
+    assert counts.max(initial=0) <= 1, "a column with two nonzeros"
+    assert len(set(csc.indices)) == len(csc.indices), "a row with two nonzeros"
+    dim = csc.shape[0]
+    cols = np.nonzero(counts)[0]
+    target = np.full(dim + 1, dim)
+    weight = np.zeros(dim + 1, dtype=complex)
+    target[cols], weight[cols] = csc.indices, csc.data
+    return target, weight
+
+
+def map_matrix(target: np.ndarray, weight: np.ndarray) -> sp.csr_matrix:
+    """The matrix of a weighted index map, its sink dropped."""
+    dim = len(target) - 1
+    cols = np.nonzero(target[:dim] != dim)[0]
+    return sp.csr_matrix((weight[cols], (target[cols], cols)), shape=(dim, dim))
+
+
 def boundary_generators(cfg: BoundaryConfig) -> RepMatrices:
     """Boundary-family representation annihilating the sphere relation.
 
     For n = 1 this is just the unitary M-cycle (exact, no truncation).
     """
     if cfg.n == 1:
-        mats = [cycle_matrix(cfg.M)]
-        return RepMatrices(n=1, mats=mats, dim=cfg.M,
-                           levels=np.zeros(cfg.M, dtype=int), cutoff=None)
+        return RepMatrices(n=1, maps=[matrix_map(cycle_matrix(cfg.M))],
+                           dim=cfg.M, levels=np.zeros(cfg.M, dtype=int),
+                           cutoff=None)
     basis = graded_lex_basis(cfg.n - 1, cfg.N)
     index = {m: i for i, m in enumerate(basis)}
     dim0 = len(basis)
@@ -57,10 +83,12 @@ def boundary_generators(cfg: BoundaryConfig) -> RepMatrices:
     for j in range(2, cfg.n + 1):
         # Fock action in the variables (m_2, ..., m_n): generator j sits at
         # slot j-1 of the (n-1)-index.
-        raising = _fock_raising(basis, index, j - 1, cfg.n - 1, cfg.N, cfg.q_val)
+        raising = map_matrix(*_fock_raising(basis, index, j - 1, cfg.n - 1,
+                                            cfg.N, cfg.q_val))
         mats.append(sp.kron(raising, eye_m, format="csr"))
     levels = np.repeat([sum(m) for m in basis], cfg.M)
-    return RepMatrices(n=cfg.n, mats=mats, dim=dim0 * cfg.M,
+    return RepMatrices(n=cfg.n, maps=[matrix_map(m) for m in mats],
+                       dim=dim0 * cfg.M,
                        levels=np.asarray(levels, dtype=int), cutoff=cfg.N)
 
 

@@ -33,7 +33,6 @@ from qball.representations import (
     BoundaryConfig,
     boundary_block_generators,
     certify_compression,
-    compress,
     rep_apply,
 )
 from qball.sampling import random_poly
@@ -54,7 +53,7 @@ def per_omega_value(f, q_val, N, M):
     for t in range(M):
         rep = boundary_block_generators(cfg, cmath.exp(2j * cmath.pi * t / M))
         indices = certify_compression(rep, L)
-        block = np.block([[compress(rep_apply(p, rep, q_val), indices)
+        block = np.block([[rep_apply(p, rep, q_val, indices)
                            for p in row] for row in F.entries])
         best = max(best, float(np.linalg.norm(block, 2)))
     return best

@@ -32,16 +32,27 @@ def test_symbolic_layer_imports_no_numerics(module):
     assert not _imported_modules(path) & FORBIDDEN
 
 
-def _graph_and_arpack_modules_after(statement):
-    """Which of scipy.sparse.csgraph and scipy.sparse.linalg a fresh
-    interpreter has loaded after running statement."""
-    code = (f"import sys; {statement}; print(sorted(m for m in sys.modules "
-            "if m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg')))")
+def _modules_after(statement):
+    """Names of the modules a fresh interpreter has loaded after running
+    statement."""
+    code = f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(qball.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return out.strip().splitlines()[-1]
+    return out.strip().splitlines()[-1].split()
+
+
+def _graph_and_arpack_modules_after(statement):
+    """Which of scipy.sparse.csgraph and scipy.sparse.linalg a fresh
+    interpreter has loaded after running statement."""
+    return str([m for m in _modules_after(statement)
+                if m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg')])
+
+
+def _scipy_modules_after(statement):
+    return [m for m in _modules_after(statement)
+            if m == "scipy" or m.startswith("scipy.")]
 
 
 def test_cli_import_leaves_graph_and_arpack_modules_unloaded():
@@ -56,3 +67,16 @@ def test_maxprinciple_run_leaves_graph_and_arpack_modules_unloaded():
     assert _graph_and_arpack_modules_after(
         "from qball.cli import main; main(['maxprinciple', '--n', '2', "
         "'--expr', 'z1+z2'])") == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    """The generators are index maps in numpy; scipy would add ~0.25 s to
+    every CLI start."""
+    assert _scipy_modules_after("import qball.cli") == []
+
+
+def test_maxprinciple_run_loads_no_scipy():
+    """scipy.sparse is imported only for a component above _DENSE_LIMIT."""
+    assert _scipy_modules_after(
+        "from qball.cli import main; main(['maxprinciple', '--n', '2', "
+        "'--expr', 'z1+z2'])") == []

@@ -29,7 +29,6 @@ from qball.representations import (
     FockConfig,
     boundary_block_generators,
     certify_compression,
-    compress,
     fock_generators,
     rep_apply,
 )
@@ -67,7 +66,7 @@ def inputs(draw):
 def dense_block(F, rep, L):
     """The certified block of F in rep, unsplit."""
     indices = certify_compression(rep, L)
-    return np.block([[compress(rep_apply(p, rep, Q), indices) for p in row]
+    return np.block([[rep_apply(p, rep, Q, indices) for p in row]
                      for row in F.entries])
 
 
