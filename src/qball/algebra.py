@@ -5,14 +5,17 @@ commutation relations are applied at this layer; normal ordering lives in
 qball.rewrite.  compositions enumerates the multi-indices that label both
 canonical words and Fock basis vectors.  lift writes a polynomial's
 coefficients as Gaussian-integer numerators over one common denominator,
-the state the rewriter and the printer work in.
+the state the parser, the rewriter and the printer work in; add_lifted and
+mul_lifted are its ring operations, the product taking the product of two
+words as a parameter (free_product here, the PBW product in qball.rewrite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Sequence,
+                    Tuple, Union)
 
 from .scalars import Scalar
 
@@ -165,18 +168,6 @@ class NCPoly:
             s = Scalar.from_rational(s)
         return NCPoly(self.n, {w: s * c for w, c in self.terms.items()})
 
-    def __pow__(self, exponent: int) -> "NCPoly":
-        if exponent < 0:
-            # only scalar monomials are invertible in the free algebra
-            if list(self.terms.keys()) == [()]:
-                inv = NCPoly.from_scalar(self.n, self.terms[()].inverse())
-                return inv ** (-exponent)
-            raise ContextError("negative powers only allowed for scalars c*q^k")
-        out = NCPoly.one(self.n)
-        for _ in range(exponent):
-            out = out * self
-        return out
-
     def adjoint(self) -> "NCPoly":
         """The involution: reverse words, star letters, conjugate coefficients."""
         out: Dict[Word, Scalar] = {}
@@ -268,6 +259,90 @@ def lift(p: NCPoly) -> Tuple[State, int]:
                      for k, c in coeff.items() if c.im})
              for word, coeff in p.terms.items()}
     return state, den
+
+
+# A state over its denominator: the value sum_w state[w] * w / den, den > 0.
+Lifted = Tuple[State, int]
+
+# The product of two words as (word, integer Laurent coefficient) terms.
+WordProduct = Callable[[Word, Word], Iterable[Tuple[Word, Laurent]]]
+
+
+def free_product(u: Word, v: Word) -> Iterable[Tuple[Word, Laurent]]:
+    """Concatenation: the product of the free algebra."""
+    return ((u + v, {0: 1}),)
+
+
+def _addmul(state: State, w: Word, lp: Laurent,
+            coeff: Tuple[Laurent, Laurent]) -> None:
+    """state[w] += lp * coeff in place for a real lp, dropping zero
+    entries; the real and imaginary parts never mix."""
+    target = state.get(w)
+    if target is None:
+        target = state[w] = ({}, {})
+    for part, acc in zip(coeff, target):
+        for k1, a in part.items():
+            for k2, c in lp.items():
+                k = k1 + k2
+                v = acc.get(k, 0) + a * c
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+    if not (target[0] or target[1]):
+        del state[w]
+
+
+def _gauss_mul(x: Tuple[Laurent, Laurent],
+               y: Tuple[Laurent, Laurent]) -> Tuple[Laurent, Laurent]:
+    """The product of two Gaussian-integer Laurent coefficients."""
+    (xr, xi), (yr, yi) = x, y
+    re: Laurent = {}
+    im: Laurent = {}
+    for acc, sign, a, b in ((re, 1, xr, yr), (re, -1, xi, yi),
+                            (im, 1, xr, yi), (im, 1, xi, yr)):
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                v = acc.get(k, 0) + sign * c1 * c2
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+    return re, im
+
+
+def add_lifted(a: Lifted, b: Lifted, sign: int = 1) -> Lifted:
+    """a + sign * b over the lcm of the denominators; a and b are read only,
+    and the terms keep a's order, then b's new words."""
+    (sa, da), (sb, db) = a, b
+    den = lcm(da, db)
+    ka, kb = den // da, {0: sign * (den // db)}
+    out: State = {w: ({k: c * ka for k, c in re.items()},
+                      {k: c * ka for k, c in im.items()})
+                  for w, (re, im) in sa.items()}
+    for w, coeff in sb.items():
+        _addmul(out, w, kb, coeff)
+    return out, den
+
+
+def mul_lifted(a: Lifted, b: Lifted, product: WordProduct) -> Lifted:
+    """a * b over the product of the denominators, bilinear in the word
+    product; a and b are read only."""
+    (sa, da), (sb, db) = a, b
+    out: State = {}
+    for u, cu in sa.items():
+        for v, cv in sb.items():
+            coeff = _gauss_mul(cu, cv)
+            for w, lp in product(u, v):
+                _addmul(out, w, lp, coeff)
+    return out, da * db
+
+
+def _lower(state: State, den: int, n: int) -> NCPoly:
+    """The polynomial a lifted state stands for: one division per coefficient."""
+    return NCPoly(n, {w: Scalar.from_integers(re, im, den)
+                      for w, (re, im) in state.items()})
 
 
 def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:

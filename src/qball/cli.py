@@ -4,6 +4,12 @@ PBW rank probe.  Every run emits a human-readable summary and, on request,
 a machine-readable JSON report and (for subcommands with a schedule) a CSV
 schedule table.
 
+normal-form evaluates its input in the quotient: every product of the
+parsed expression is reduced to normal form as soon as it is parsed
+(rewrite.pbw_product), which is exact because the rules are confluent and
+generate a two-sided ideal, so the free expansion is never built.  The
+numeric subcommands take the parsed NCPoly as written.
+
 Each subcommand takes --n and exactly the flags its handler reads:
 
   normal-form         --mode --expr/--expr-file --json
@@ -54,7 +60,8 @@ from .norms import (
     pbw_gram_min_singular,
     relation_residual,
 )
-from .parsing import ParseError, parse_expression, print_matrix, print_state
+from .parsing import (ParseError, parse_expression, parse_lifted, print_matrix,
+                      print_state)
 from .representations import (
     BoundaryConfig,
     FockConfig,
@@ -62,7 +69,7 @@ from .representations import (
     boundary_block_generators,
     fock_generators,
 )
-from .rewrite import confluent, normalize_lifted
+from .rewrite import confluent, pbw_product
 from .sampling import random_poly_stream
 from .scalars import DomainError
 
@@ -241,17 +248,13 @@ def _verdict(report: dict, args, failed: bool, failure: str) -> int:
 
 def _cmd_normal_form(args) -> int:
     text = _load_expr(args)
-    parsed = parse_expression(text, args.n)
     ctx = AlgebraContext(args.n, args.mode)
+    parsed = parse_lifted(text, args.n, pbw_product(ctx))
     report = _base_report(args, "normal-form", text)
-
-    def normal_text(p: NCPoly) -> str:
-        return print_state(*normalize_lifted(p, ctx))
-
-    if isinstance(parsed, MatPoly):
-        report["result"] = print_matrix(parsed, normal_text)
+    if isinstance(parsed, list):
+        report["result"] = print_matrix(parsed, lambda e: print_state(*e))
     else:
-        report["result"] = normal_text(parsed)
+        report["result"] = print_state(*parsed)
     _emit(report, args)
     return EXIT_OK
 

@@ -11,17 +11,30 @@ Grammar (whitespace insignificant):
     rational := digits ('/' digits)?
 
 The postfix prime denotes the adjoint ('*' is taken by multiplication).
-Generator powers must be nonnegative; q may carry any integer power.
+Generator powers must be nonnegative; a negative power needs a nonzero
+scalar c*q^k.
+
+The parser evaluates as it parses, over lifted states (algebra.Lifted):
+Gaussian-integer Laurent numerators over one denominator.  Sums bring two
+states to the lcm of their denominators, products multiply them, so no
+Fraction is built.  A product multiplies words with the word product it is
+given.  parse_expression uses concatenation and lowers the result to an
+NCPoly once, at the end.  qball normal-form passes rewrite.pbw_product,
+which multiplies in the quotient: the rewrite rules generate a two-sided
+ideal and are confluent (Bergman's diamond lemma), so NF(ab) =
+NF(NF(a) NF(b)), and reducing each product as soon as it is parsed gives
+the normal form of the free expansion, which is never built.  Whether a
+negative power is allowed is decided on the free value in both cases.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
-from .algebra import ContextError, Letter, MatPoly, NCPoly, State, Word, lift
-from .scalars import Scalar
+from .algebra import (ContextError, Laurent, Letter, Lifted, MatPoly, NCPoly,
+                      State, Word, WordProduct, _lower, add_lifted,
+                      free_product, lift, mul_lifted)
 
 
 class ParseError(ValueError):
@@ -93,10 +106,16 @@ def _tokenize(text: str) -> List[_Token]:
 # -- parser -----------------------------------------------------------
 
 class _Parser:
-    def __init__(self, text: str, n: int):
-        self.tokens = _tokenize(text)
+    """The grammar, evaluated over lifted states with one word product:
+    free_product for the free algebra, rewrite.pbw_product for its
+    quotient."""
+
+    def __init__(self, tokens: List[_Token], n: int, product: WordProduct,
+                 at: int = 0):
+        self.tokens = tokens
         self.n = n
-        self.at = 0
+        self.product = product
+        self.at = at
 
     def peek(self) -> _Token:
         return self.tokens[self.at]
@@ -112,7 +131,7 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.kind!r}", tok.pos)
         return tok
 
-    def parse_input(self) -> Union[NCPoly, MatPoly]:
+    def parse_input(self) -> Union[Lifted, List[List[Lifted]]]:
         if self.peek().kind == "[":
             result = self.parse_matrix()
         else:
@@ -122,7 +141,7 @@ class _Parser:
             raise ParseError(f"trailing input {end.kind!r}", end.pos)
         return result
 
-    def parse_matrix(self) -> MatPoly:
+    def parse_matrix(self) -> List[List[Lifted]]:
         open_tok = self.expect("[")
         rows = [self.parse_row()]
         while self.peek().kind == ";":
@@ -131,35 +150,35 @@ class _Parser:
         self.expect("]")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ParseError("matrix rows have unequal lengths", open_tok.pos)
-        return MatPoly(rows)
+        return rows
 
-    def parse_row(self) -> List[NCPoly]:
+    def parse_row(self) -> List[Lifted]:
         row = [self.parse_expr()]
         while self.peek().kind == ",":
             self.next()
             row.append(self.parse_expr())
         return row
 
-    def parse_expr(self) -> NCPoly:
+    def parse_expr(self) -> Lifted:
         if self.peek().kind == "-":
             self.next()
-            acc = -self.parse_term()
+            acc = add_lifted(({}, 1), self.parse_term(), -1)
         else:
             acc = self.parse_term()
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
-            term = self.parse_term()
-            acc = acc + term if op == "+" else acc - term
+            acc = add_lifted(acc, self.parse_term(), 1 if op == "+" else -1)
         return acc
 
-    def parse_term(self) -> NCPoly:
+    def parse_term(self) -> Lifted:
         acc = self.parse_factor()
         while self.peek().kind == "*":
             self.next()
-            acc = acc * self.parse_factor()
+            acc = mul_lifted(acc, self.parse_factor(), self.product)
         return acc
 
-    def parse_factor(self) -> NCPoly:
+    def parse_factor(self) -> Lifted:
+        start = self.at
         atom_tok = self.peek()
         atom = self.parse_atom()
         if self.peek().kind != "^":
@@ -171,14 +190,43 @@ class _Parser:
             negative = True
         exp_tok = self.expect("num")
         exponent = -exp_tok.value if negative else exp_tok.value
-        try:
-            return atom ** exponent
-        except (ContextError, ZeroDivisionError):
-            raise ParseError(
-                "negative powers are only allowed for scalar factors",
-                atom_tok.pos) from None
+        if exponent < 0:
+            atom = self.inverse(atom, start, atom_tok.pos)
+        if exponent == 0:
+            return self.scalar({0: 1}, {})
+        out = atom
+        for _ in range(abs(exponent) - 1):
+            out = mul_lifted(out, atom, self.product)
+        return out
 
-    def parse_atom(self) -> NCPoly:
+    def inverse(self, atom: Lifted, start: int, pos: int) -> Lifted:
+        """The inverse of a scalar c*q^k.  Whether the atom is one is read
+        from its free value, so both products accept the same inputs; where
+        it is one, it is its own normal form."""
+        if self.product is not free_product:
+            atom = _Parser(self.tokens, self.n, free_product,
+                           start).parse_atom()
+        state, den = atom
+        if not state:
+            raise ParseError("zero has no inverse", pos)
+        re, im = state.get((), ({}, {}))
+        exponents = re.keys() | im.keys()
+        if len(state) != 1 or len(exponents) != 1:
+            raise ParseError(
+                "negative powers are only allowed for scalar factors", pos)
+        (k,) = exponents
+        a, b = re.get(k, 0), im.get(k, 0)
+        # 1 / ((a + ib)/den q^k) = den (a - ib) / (a^2 + b^2) q^-k
+        return self.scalar({-k: den * a} if a else {},
+                           {-k: -den * b} if b else {}, a * a + b * b)
+
+    def scalar(self, re: Laurent, im: Laurent, den: int = 1) -> Lifted:
+        """The constant (re + i*im)/den; like an NCPoly, it needs n >= 1."""
+        if self.n < 1:
+            raise ContextError(f"need n >= 1, got {self.n}")
+        return ({(): (re, im)} if re or im else {}), den
+
+    def parse_atom(self) -> Lifted:
         tok = self.next()
         if tok.kind == "z":
             index, starred = tok.value
@@ -186,20 +234,20 @@ class _Parser:
                 raise ParseError(
                     f"generator index {index} out of range for n={self.n}",
                     tok.pos)
-            return NCPoly.generator(self.n, index, starred)
+            return {(Letter(index, starred),): ({0: 1}, {})}, 1
         if tok.kind == "q":
-            return NCPoly.from_scalar(self.n, Scalar.q())
+            return self.scalar({1: 1}, {})
         if tok.kind == "i":
-            return NCPoly.from_scalar(self.n, Scalar.i())
+            return self.scalar({}, {0: 1})
         if tok.kind == "num":
-            value = Fraction(tok.value)
+            den = 1
             if self.peek().kind == "/":
                 self.next()
-                den = self.expect("num")
-                if den.value == 0:
-                    raise ParseError("zero denominator", den.pos)
-                value /= den.value
-            return NCPoly.from_scalar(self.n, Scalar.from_rational(value))
+                den_tok = self.expect("num")
+                if den_tok.value == 0:
+                    raise ParseError("zero denominator", den_tok.pos)
+                den = den_tok.value
+            return self.scalar({0: tok.value} if tok.value else {}, {}, den)
         if tok.kind == "(":
             inner = self.parse_expr()
             self.expect(")")
@@ -207,9 +255,20 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.kind!r}", tok.pos)
 
 
+def parse_lifted(text: str, n: int, product: WordProduct = free_product
+                 ) -> Union[Lifted, List[List[Lifted]]]:
+    """Evaluate concrete syntax to a lifted state (state, den), or to rows
+    of them for '[...]' input, multiplying words with product."""
+    return _Parser(_tokenize(text), n, product).parse_input()
+
+
 def parse_expression(text: str, n: int) -> Union[NCPoly, MatPoly]:
     """Parse concrete syntax to an NCPoly, or a MatPoly for '[...]' input."""
-    return _Parser(text, n).parse_input()
+    parsed = parse_lifted(text, n)
+    if isinstance(parsed, list):
+        return MatPoly([[_lower(*entry, n) for entry in row]
+                        for row in parsed])
+    return _lower(*parsed, n)
 
 
 # -- pretty printer ---------------------------------------------------
@@ -290,8 +349,12 @@ def print_poly(p: NCPoly) -> str:
     return print_state(*lift(p))
 
 
-def print_matrix(F: MatPoly,
-                 text: Callable[[NCPoly], str] = print_poly) -> str:
-    """Render a matrix, each entry p as text(p)."""
+T = TypeVar("T")
+
+
+def print_matrix(F: Union[MatPoly, Sequence[Sequence[T]]],
+                 text: Callable[[T], str] = print_poly) -> str:
+    """Render a matrix, a MatPoly or its rows, each entry p as text(p)."""
+    rows = F.entries if isinstance(F, MatPoly) else F
     return "[" + "; ".join(
-        ", ".join(text(p) for p in row) for row in F.entries) + "]"
+        ", ".join(text(p) for p in row) for row in rows) + "]"

@@ -26,7 +26,9 @@ confluent, which compares their fixed points exactly) share one state over
 Z[i][q, q^-1] (algebra.lift): Gaussian-integer numerators over the common
 denominator D of the input's coefficients, updated by one multiply-add and
 divided by D once.  normalize_lifted stops before that division, for
-printers that read the numerators.
+printers that read the numerators.  pbw_product exposes the word cache as
+the product of the quotient, u, v -> NF(uv); qball normal-form parses with
+it, so its input is never expanded in the free algebra.
 defining_relations gives the relations R1-R5 orient, as polynomials.
 """
 
@@ -36,7 +38,8 @@ import random
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import (BALL, SPHERE, AlgebraContext, Laurent, Letter, NCPoly,
-                      State, Word, compositions, lift)
+                      State, Word, WordProduct, _addmul, _lower,
+                      compositions, lift)
 from .algebra import is_holomorphic  # noqa: F401  (re-exported)
 from .scalars import Scalar
 
@@ -196,30 +199,14 @@ def _normalize_word(word: Word, ctx: AlgebraContext) -> Dict[Word, Laurent]:
     return result
 
 
-def _lower(state: State, den: int, n: int) -> NCPoly:
-    """The polynomial a lifted state stands for: one division per coefficient."""
-    return NCPoly(n, {w: Scalar.from_integers(re, im, den)
-                      for w, (re, im) in state.items()})
-
-
-def _addmul(state: State, w: Word, lp: Laurent,
-            coeff: Tuple[Laurent, Laurent]) -> None:
-    """state[w] += lp * coeff in place, dropping zero entries; rule
-    coefficients are real, so the parts never mix."""
-    target = state.get(w)
-    if target is None:
-        target = state[w] = ({}, {})
-    for part, acc in zip(coeff, target):
-        for k1, a in part.items():
-            for k2, c in lp.items():
-                k = k1 + k2
-                v = acc.get(k, 0) + a * c
-                if v:
-                    acc[k] = v
-                else:
-                    del acc[k]
-    if not (target[0] or target[1]):
-        del state[w]
+def pbw_product(ctx: AlgebraContext) -> WordProduct:
+    """The product of the quotient on words: u, v -> the terms of NF(uv),
+    read from the word cache.  For canonical u and v this is the PBW
+    product, so algebra.mul_lifted of two normal states is the normal state
+    of their product."""
+    def product(u: Word, v: Word):
+        return _normalize_word(u + v, ctx).items()
+    return product
 
 
 def _normal_state(state: State, ctx: AlgebraContext) -> State:

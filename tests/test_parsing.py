@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qball import cli
 from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly
 from qball.norms import MatPoly
 from qball.parsing import (
@@ -106,3 +107,30 @@ def test_roundtrip_complex_coefficients():
     p = NCPoly.generator(2, 1).scale(Scalar.from_gaussian("-1/2", "2/3"))
     p = p + NCPoly.from_scalar(2, Scalar.i() * Scalar.q(-2))
     assert parse_expression(print_poly(p), 2) == p
+
+
+_SCALAR_ONLY = "negative powers are only allowed for scalar factors"
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("0^-1", "zero has no inverse", 0),
+    ("z1 + (q - q)^-2", "zero has no inverse", 5),
+    ("z1^-1", _SCALAR_ONLY, 0),
+    ("(q+1)^-1", _SCALAR_ONLY, 0),
+    # 1 in the quotient, but not a scalar in the free algebra
+    ("2*(z1'*z1 - q^2*z1*z1' + q^2)^-1", _SCALAR_ONLY, 2),
+])
+@pytest.mark.parametrize("mode", [BALL, SPHERE])
+def test_negative_power_errors(capsys, text, message, position, mode):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, 1)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+    assert cli.main(["normal-form", "--n", "1", "--mode", mode,
+                     "--expr", text]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_negative_powers_of_scalars():
+    assert parse_expression("(2*i*q^3)^-2 - 0^0 + z1^-0", 1) == \
+        NCPoly.from_scalar(1, Scalar.from_gaussian("-1/4") * Scalar.q(-6))

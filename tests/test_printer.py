@@ -74,3 +74,30 @@ def test_printed_normal_state_matches_printed_normal_form(case, mode):
     ctx = AlgebraContext(n, mode)
     assert print_state(*normalize_lifted(p, ctx)) == \
         fraction_print_poly(normalize(p, ctx))
+
+
+laurents = st.dictionaries(st.integers(-3, 3),
+                           st.integers(-40, 40).filter(bool), max_size=3)
+
+
+@st.composite
+def states(draw):
+    """A lifted state over a denominator that need not be the least one."""
+    n = draw(st.integers(1, 3))
+    letter = st.builds(Letter, st.integers(1, n), st.booleans())
+    coeffs = st.tuples(laurents, laurents).filter(lambda c: c[0] or c[1])
+    state = draw(st.dictionaries(st.lists(letter, max_size=3).map(tuple),
+                                 coeffs, max_size=4))
+    return state, draw(st.integers(1, 60))
+
+
+@settings(max_examples=100)
+@given(states(), st.integers(2, 50))
+def test_print_state_does_not_depend_on_the_denominator(lifted, k):
+    """The parser multiplies denominators without reducing them, so the
+    text must be that of any common denominator."""
+    state, den = lifted
+    scaled = {w: ({e: k * c for e, c in re.items()},
+                  {e: k * c for e, c in im.items()})
+              for w, (re, im) in state.items()}
+    assert print_state(scaled, k * den) == print_state(state, den)
