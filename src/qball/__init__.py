@@ -2,7 +2,7 @@
 quotient, and the numerical harness that checks the maximum principle on
 truncated matrix representations."""
 
-from .scalars import DomainError, GaussianRational, Scalar, scalar_eval
+from .scalars import DomainError
 from .algebra import (
     BALL,
     SPHERE,
@@ -12,8 +12,6 @@ from .algebra import (
     MatPoly,
     NCPoly,
     is_holomorphic,
-    poly_adjoint,
-    poly_mul,
 )
 from .rewrite import (
     canonical_monomials,
@@ -51,14 +49,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraContext", "BALL", "SPHERE", "BoundaryConfig", "ContextError",
-    "DomainError", "FockConfig", "GapReport", "GaussianRational", "Letter",
-    "MatPoly", "NCPoly", "NormConvergenceError", "NormEstimate", "ParseError",
-    "RepMatrices", "Scalar", "TruncationError", "ball_norm",
-    "boundary_block_generators", "boundary_norm", "canonical_monomials",
-    "certify_compression", "fock_generators", "is_canonical_word",
-    "is_holomorphic", "make_schedule", "matrix_norm_level_k",
-    "max_principle_report", "normalize", "normalize_by_steps",
-    "operator_norm", "parse_expression", "pbw_gram_min_singular",
-    "poly_adjoint", "poly_mul", "print_matrix", "print_poly", "reduce_step",
-    "relation_residual", "rep_apply", "scalar_eval",
+    "DomainError", "FockConfig", "GapReport", "Letter", "MatPoly", "NCPoly",
+    "NormConvergenceError", "NormEstimate", "ParseError", "RepMatrices",
+    "TruncationError", "ball_norm", "boundary_block_generators",
+    "boundary_norm", "canonical_monomials", "certify_compression",
+    "fock_generators", "is_canonical_word", "is_holomorphic",
+    "make_schedule", "matrix_norm_level_k", "max_principle_report",
+    "normalize", "normalize_by_steps", "operator_norm", "parse_expression",
+    "pbw_gram_min_singular", "print_matrix", "print_poly", "reduce_step",
+    "relation_residual", "rep_apply",
 ]

@@ -1,23 +1,22 @@
-"""The free *-algebra on generators z_1, ..., z_n.
+"""The free *-algebra on generators z_1, ..., z_n, with exact coefficients.
 
-Elements are finite sums of free words with Scalar coefficients.  No
-commutation relations are applied at this layer; normal ordering lives in
-qball.rewrite.  compositions enumerates the multi-indices that label both
-canonical words and Fock basis vectors.  lift writes a polynomial's
-coefficients as Gaussian-integer numerators over one common denominator,
-the state the parser, the rewriter and the printer work in; add_lifted and
-mul_lifted are its ring operations, the product taking the product of two
-words as a parameter (free_product here, the PBW product in qball.rewrite).
+An NCPoly is a finite sum of free words whose coefficients are Laurent
+polynomials in q over the Gaussian rationals, held as one lifted state:
+Gaussian-integer Laurent numerators per word over one common denominator,
+in lowest terms.  add_lifted and mul_lifted are the ring operations on
+lifted states, the product taking the product of two words as a parameter
+(free_product here, the PBW product in qball.rewrite); NCPoly's +, - and *
+are these operations with free_product.  No commutation relations are
+applied at this layer; normal ordering lives in qball.rewrite.
+compositions enumerates the multi-indices that label both canonical words
+and Fock basis vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
-from typing import (Callable, Dict, Iterable, List, NamedTuple, Sequence,
-                    Tuple, Union)
-
-from .scalars import Scalar
+from math import gcd, lcm
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 
 class ContextError(ValueError):
@@ -74,170 +73,6 @@ def _check_word(word: Word, n: int) -> None:
                 f"letter {letter} out of range for n={n}")
 
 
-class NCPoly:
-    """Finite sum of free *-words with exact Scalar coefficients.
-
-    Immutable; the term map stores no zero coefficients, so == is exact
-    structural equality of canonical sparse forms.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Dict[Word, Scalar] | None = None):
-        if n < 1:
-            raise ContextError(f"need n >= 1, got {n}")
-        clean: Dict[Word, Scalar] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if coeff.is_zero():
-                    continue
-                word = tuple(word)
-                _check_word(word, n)
-                clean[word] = coeff
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NCPoly is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero(n: int) -> "NCPoly":
-        return NCPoly(n)
-
-    @staticmethod
-    def one(n: int) -> "NCPoly":
-        return NCPoly(n, {(): Scalar.one()})
-
-    @staticmethod
-    def from_scalar(n: int, s: Scalar) -> "NCPoly":
-        return NCPoly(n, {(): s})
-
-    @staticmethod
-    def generator(n: int, index: int, starred: bool = False) -> "NCPoly":
-        return NCPoly(n, {(Letter(index, starred),): Scalar.one()})
-
-    @staticmethod
-    def from_word(n: int, word: Word, coeff: Scalar | None = None) -> "NCPoly":
-        return NCPoly(n, {tuple(word): coeff if coeff is not None else Scalar.one()})
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _require_same_context(self, other: "NCPoly") -> None:
-        if self.n != other.n:
-            raise ContextError(
-                f"mixed contexts: n={self.n} vs n={other.n}")
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        self._require_same_context(other)
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            s = out.get(word)
-            s = coeff if s is None else s + coeff
-            if s.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = s
-        return NCPoly(self.n, out)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(self.n, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other: "NCPoly") -> "NCPoly":
-        """Free (concatenation) product; bilinear, no relations applied."""
-        self._require_same_context(other)
-        out: Dict[Word, Scalar] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        return NCPoly(self.n, out)
-
-    def scale(self, s: Union[Scalar, int]) -> "NCPoly":
-        if isinstance(s, int):
-            s = Scalar.from_rational(s)
-        return NCPoly(self.n, {w: s * c for w, c in self.terms.items()})
-
-    def adjoint(self) -> "NCPoly":
-        """The involution: reverse words, star letters, conjugate coefficients."""
-        out: Dict[Word, Scalar] = {}
-        for word, coeff in self.terms.items():
-            starred = tuple(
-                Letter(l.index, not l.starred) for l in reversed(word))
-            out[starred] = coeff.conjugate()
-        return NCPoly(self.n, out)
-
-    # -- inspection ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        """Length of the longest word (0 for scalars and for 0)."""
-        if not self.terms:
-            return 0
-        return max(len(w) for w in self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"NCPoly(n={self.n}, 0)"
-        parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            wtxt = "*".join(str(l) for l in word) or "1"
-            parts.append(f"{self.terms[word]!r}·{wtxt}")
-        return f"NCPoly(n={self.n}, " + " + ".join(parts) + ")"
-
-
-def is_holomorphic(p: NCPoly) -> bool:
-    """True iff no word of p contains a starred letter."""
-    return all(not letter.starred for word in p.terms for letter in word)
-
-
-class MatPoly:
-    """A matrix with NCPoly entries (one matrix level of the algebra).
-
-    Rectangular shapes are allowed (rows and columns of zeros do not change
-    the operator norm, so a row matrix needs no padding).
-    """
-
-    def __init__(self, entries: Sequence[Sequence[NCPoly]]):
-        rows = [list(r) for r in entries]
-        if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("matrix rows must be nonempty and equally long")
-        n = rows[0][0].n
-        for r in rows:
-            for p in r:
-                if p.n != n:
-                    raise ValueError("entries must share the same n")
-        self.entries = rows
-        self.shape = (len(rows), len(rows[0]))
-        self.n = n
-
-    def degree(self) -> int:
-        return max(p.degree() for r in self.entries for p in r)
-
-    def is_holomorphic(self) -> bool:
-        return all(is_holomorphic(p) for r in self.entries for p in r)
-
-
 # An integer Laurent polynomial in q: {exponent: nonzero int}.
 Laurent = Dict[int, int]
 
@@ -245,21 +80,6 @@ Laurent = Dict[int, int]
 # imaginary integer Laurent maps {word: (re, im)}.  No map holds a zero, no
 # word two empty maps.
 State = Dict[Word, Tuple[Laurent, Laurent]]
-
-
-def lift(p: NCPoly) -> Tuple[State, int]:
-    """p as Gaussian-integer numerators over the lcm D of its denominators."""
-    den = 1
-    for coeff in p.terms.values():
-        for _, c in coeff.items():
-            den = lcm(den, c.re.denominator, c.im.denominator)
-    state = {word: ({k: c.re.numerator * (den // c.re.denominator)
-                     for k, c in coeff.items() if c.re},
-                    {k: c.im.numerator * (den // c.im.denominator)
-                     for k, c in coeff.items() if c.im})
-             for word, coeff in p.terms.items()}
-    return state, den
-
 
 # A state over its denominator: the value sum_w state[w] * w / den, den > 0.
 Lifted = Tuple[State, int]
@@ -339,17 +159,155 @@ def mul_lifted(a: Lifted, b: Lifted, product: WordProduct) -> Lifted:
     return out, da * db
 
 
-def _lower(state: State, den: int, n: int) -> NCPoly:
-    """The polynomial a lifted state stands for: one division per coefficient."""
-    return NCPoly(n, {w: Scalar.from_integers(re, im, den)
-                      for w, (re, im) in state.items()})
+class NCPoly:
+    """Finite sum of free *-words with coefficients in Q(i)[q, q^-1].
+
+    terms maps each word to its Gaussian-integer Laurent numerators
+    (re, im) and den > 0 is their one denominator, in lowest terms: no map
+    holds a zero, no word two empty maps, gcd(den, every numerator) = 1,
+    and 0 has den 1.  So == is exact structural equality.  Immutable: the
+    constructor copies terms, and callers only read them.
+    """
+
+    __slots__ = ("n", "terms", "den")
+
+    def __init__(self, n: int, terms: State | None = None, den: int = 1):
+        if n < 1:
+            raise ContextError(f"need n >= 1, got {n}")
+        if den < 1:
+            raise ValueError(f"need a denominator >= 1, got {den}")
+        clean: State = {}
+        g = den
+        for word, (re, im) in (terms or {}).items():
+            re = {k: c for k, c in re.items() if c}
+            im = {k: c for k, c in im.items() if c}
+            if re or im:
+                _check_word(word, n)
+                clean[word] = re, im
+                g = gcd(g, *re.values(), *im.values())
+        if g > 1:
+            clean = {w: ({k: c // g for k, c in re.items()},
+                         {k: c // g for k, c in im.items()})
+                     for w, (re, im) in clean.items()}
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "den", den // g)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NCPoly is immutable")
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def zero(n: int) -> "NCPoly":
+        return NCPoly(n)
+
+    @staticmethod
+    def one(n: int) -> "NCPoly":
+        return NCPoly.constant(n, {0: 1})
+
+    @staticmethod
+    def constant(n: int, re: Laurent, im: Laurent | None = None,
+                 den: int = 1) -> "NCPoly":
+        """The scalar (re + i*im)/den for integer Laurent maps
+        {exponent: int}; scale a polynomial by multiplying with one."""
+        return NCPoly(n, {(): (re, im or {})}, den)
+
+    @staticmethod
+    def generator(n: int, index: int, starred: bool = False) -> "NCPoly":
+        return NCPoly.from_word(n, (Letter(index, starred),))
+
+    @staticmethod
+    def from_word(n: int, word: Word) -> "NCPoly":
+        return NCPoly(n, {tuple(word): ({0: 1}, {})})
+
+    # -- arithmetic ---------------------------------------------------
+
+    def _require_same_context(self, other: "NCPoly") -> None:
+        if self.n != other.n:
+            raise ContextError(
+                f"mixed contexts: n={self.n} vs n={other.n}")
+
+    def __add__(self, other: "NCPoly") -> "NCPoly":
+        self._require_same_context(other)
+        return NCPoly(self.n, *add_lifted((self.terms, self.den),
+                                          (other.terms, other.den)))
+
+    def __sub__(self, other: "NCPoly") -> "NCPoly":
+        self._require_same_context(other)
+        return NCPoly(self.n, *add_lifted((self.terms, self.den),
+                                          (other.terms, other.den), -1))
+
+    def __neg__(self) -> "NCPoly":
+        return NCPoly.zero(self.n) - self
+
+    def __mul__(self, other: "NCPoly") -> "NCPoly":
+        """Free (concatenation) product; bilinear, no relations applied."""
+        self._require_same_context(other)
+        return NCPoly(self.n, *mul_lifted((self.terms, self.den),
+                                          (other.terms, other.den),
+                                          free_product))
+
+    def adjoint(self) -> "NCPoly":
+        """The involution: reverse words, star letters, conjugate coefficients."""
+        return NCPoly(self.n, {
+            tuple(Letter(l.index, not l.starred) for l in reversed(word)):
+            (re, {k: -c for k, c in im.items()})
+            for word, (re, im) in self.terms.items()}, self.den)
+
+    # -- inspection ---------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        """Length of the longest word (0 for scalars and for 0)."""
+        if not self.terms:
+            return 0
+        return max(len(w) for w in self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, NCPoly):
+            return NotImplemented
+        return (self.n == other.n and self.den == other.den
+                and self.terms == other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.den, frozenset(
+            (word, frozenset(re.items()), frozenset(im.items()))
+            for word, (re, im) in self.terms.items())))
+
+    def __repr__(self) -> str:
+        return f"NCPoly(n={self.n}, {self.terms!r}, den={self.den})"
 
 
-def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:
-    """Free-algebra product (no relations)."""
-    return a * b
+def is_holomorphic(p: NCPoly) -> bool:
+    """True iff no word of p contains a starred letter."""
+    return all(not letter.starred for word in p.terms for letter in word)
 
 
-def poly_adjoint(a: NCPoly) -> NCPoly:
-    """The *-involution."""
-    return a.adjoint()
+class MatPoly:
+    """A matrix with NCPoly entries (one matrix level of the algebra).
+
+    Rectangular shapes are allowed (rows and columns of zeros do not change
+    the operator norm, so a row matrix needs no padding).
+    """
+
+    def __init__(self, entries: Sequence[Sequence[NCPoly]]):
+        rows = [list(r) for r in entries]
+        if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("matrix rows must be nonempty and equally long")
+        n = rows[0][0].n
+        for r in rows:
+            for p in r:
+                if p.n != n:
+                    raise ValueError("entries must share the same n")
+        self.entries = rows
+        self.shape = (len(rows), len(rows[0]))
+        self.n = n
+
+    def degree(self) -> int:
+        return max(p.degree() for r in self.entries for p in r)
+
+    def is_holomorphic(self) -> bool:
+        return all(is_holomorphic(p) for r in self.entries for p in r)

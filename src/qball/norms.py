@@ -342,7 +342,7 @@ def _charge_matrices(F: MatPoly, rep: RepMatrices, indices: np.ndarray,
     for i, d in enumerate(charges):
         for (a, b), terms in parts[d].items():
             A[i, a * r:(a + 1) * r, b * r:(b + 1) * r] = rep_apply(
-                NCPoly(F.n, terms), rep, q_val, indices)
+                NCPoly(F.n, terms, F.entries[a][b].den), rep, q_val, indices)
     return np.array(charges, dtype=int), A
 
 

@@ -15,16 +15,17 @@ Generator powers must be nonnegative; a negative power needs a nonzero
 scalar c*q^k.
 
 The parser evaluates as it parses, over lifted states (algebra.Lifted):
-Gaussian-integer Laurent numerators over one denominator.  Sums bring two
-states to the lcm of their denominators, products multiply them, so no
-Fraction is built.  A product multiplies words with the word product it is
-given.  parse_expression uses concatenation and lowers the result to an
-NCPoly once, at the end.  qball normal-form passes rewrite.pbw_product,
-which multiplies in the quotient: the rewrite rules generate a two-sided
-ideal and are confluent (Bergman's diamond lemma), so NF(ab) =
-NF(NF(a) NF(b)), and reducing each product as soon as it is parsed gives
-the normal form of the free expansion, which is never built.  Whether a
-negative power is allowed is decided on the free value in both cases.
+Gaussian-integer Laurent numerators over one denominator, the form an
+NCPoly holds.  Sums bring two states to the lcm of their denominators and
+products multiply them, without reducing.  A product multiplies words with
+the word product it is given.  parse_expression uses concatenation and
+wraps the result in an NCPoly, which brings it to lowest terms, once at the
+end.  qball normal-form passes rewrite.pbw_product, which multiplies in the
+quotient: the rewrite rules generate a two-sided ideal and are confluent
+(Bergman's diamond lemma), so NF(ab) = NF(NF(a) NF(b)), and reducing each
+product as soon as it is parsed gives the normal form of the free
+expansion, which is never built.  Whether a negative power is allowed is
+decided on the free value in both cases.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .algebra import (ContextError, Laurent, Letter, Lifted, MatPoly, NCPoly,
-                      State, Word, WordProduct, _lower, add_lifted,
-                      free_product, lift, mul_lifted)
+                      State, Word, WordProduct, add_lifted, free_product,
+                      mul_lifted)
 
 
 class ParseError(ValueError):
@@ -266,9 +267,9 @@ def parse_expression(text: str, n: int) -> Union[NCPoly, MatPoly]:
     """Parse concrete syntax to an NCPoly, or a MatPoly for '[...]' input."""
     parsed = parse_lifted(text, n)
     if isinstance(parsed, list):
-        return MatPoly([[_lower(*entry, n) for entry in row]
+        return MatPoly([[NCPoly(n, *entry) for entry in row]
                         for row in parsed])
-    return _lower(*parsed, n)
+    return NCPoly(n, *parsed)
 
 
 # -- pretty printer ---------------------------------------------------
@@ -327,8 +328,8 @@ def _word_str(word: Word) -> Optional[str]:
 
 
 def print_state(state: State, den: int) -> str:
-    """Render the polynomial of a lifted state (algebra.lift), reading its
-    Gaussian-integer numerators over the one denominator den."""
+    """Render the polynomial of a lifted state, reading its Gaussian-integer
+    numerators over the one denominator den, which need not be the least."""
     parts = []
     for word in sorted(state, key=lambda w: (len(w), w)):
         re, im = state[word]
@@ -346,7 +347,7 @@ def print_state(state: State, den: int) -> str:
 
 def print_poly(p: NCPoly) -> str:
     """Render a polynomial; parse_expression inverts this exactly."""
-    return print_state(*lift(p))
+    return print_state(p.terms, p.den)
 
 
 T = TypeVar("T")

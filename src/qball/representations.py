@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .algebra import NCPoly, compositions
+from .scalars import coefficient_value
 
 
 class TruncationError(ValueError):
@@ -159,7 +160,8 @@ def rep_apply(p: NCPoly, rep: RepMatrices, q_val: float,
             target, weight = t[target], w[target] * weight
         rows = pos[target]
         keep = np.nonzero(rows >= 0)[0]
-        out[rows[keep], keep] += p.terms[word].evaluate(q_val) * weight[keep]
+        value = coefficient_value(p.terms[word], p.den, q_val)
+        out[rows[keep], keep] += value * weight[keep]
     return out
 
 

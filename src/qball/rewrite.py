@@ -22,13 +22,14 @@ Gaussian-rational coefficients are applied once, exactly, when normalize
 assembles the result.
 
 normalize and the single-step path (reduce_step, normalize_by_steps, and
-confluent, which compares their fixed points exactly) share one state over
-Z[i][q, q^-1] (algebra.lift): Gaussian-integer numerators over the common
-denominator D of the input's coefficients, updated by one multiply-add and
-divided by D once.  normalize_lifted stops before that division, for
-printers that read the numerators.  pbw_product exposes the word cache as
-the product of the quotient, u, v -> NF(uv); qball normal-form parses with
-it, so its input is never expanded in the free algebra.
+confluent, which compares their fixed points exactly) work on the input's
+own lifted state over Z[i][q, q^-1] (NCPoly.terms over NCPoly.den), updated
+by one multiply-add; the steppers update a copy in place, so the input is
+never changed.  normalize_lifted returns the normal state before it is
+brought to lowest terms, for printers that read the numerators.
+pbw_product exposes the word cache as the product of the quotient,
+u, v -> NF(uv); qball normal-form parses with it, so its input is never
+expanded in the free algebra.
 defining_relations gives the relations R1-R5 orient, as polynomials.
 """
 
@@ -38,10 +39,7 @@ import random
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import (BALL, SPHERE, AlgebraContext, Laurent, Letter, NCPoly,
-                      State, Word, WordProduct, _addmul, _lower,
-                      compositions, lift)
-from .algebra import is_holomorphic  # noqa: F401  (re-exported)
-from .scalars import Scalar
+                      State, Word, WordProduct, _addmul, compositions)
 
 Expansion = List[Tuple[Laurent, Word]]
 
@@ -219,24 +217,17 @@ def _normal_state(state: State, ctx: AlgebraContext) -> State:
 
 
 def normalize_lifted(p: NCPoly, ctx: AlgebraContext) -> Tuple[State, int]:
-    """The normal form of p as a lifted state over p's denominator D.
-
-    The coefficients of p are brought to D, and the Gaussian-integer
-    numerators are accumulated per (canonical word, q-exponent).
-    """
+    """The normal form of p as a lifted state over p's denominator: its
+    Gaussian-integer numerators accumulated per (canonical word,
+    q-exponent), not yet brought to lowest terms."""
     if p.n != ctx.n:
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
-    state, den = lift(p)
-    return _normal_state(state, ctx), den
+    return _normal_state(p.terms, ctx), p.den
 
 
 def normalize(p: NCPoly, ctx: AlgebraContext) -> NCPoly:
-    """Unique normal form: every word canonical for the given context.
-
-    Each output coefficient of normalize_lifted is formed by one division
-    by the common denominator.
-    """
-    return _lower(*normalize_lifted(p, ctx), ctx.n)
+    """Unique normal form: every word canonical for the given context."""
+    return NCPoly(ctx.n, *normalize_lifted(p, ctx))
 
 
 # -- single-step reduction with pluggable strategy --------------------
@@ -267,6 +258,12 @@ def _rule_sites(word: Word, ctx: AlgebraContext,
             out.append(None)
         sites[word] = out
     return out
+
+
+def _copy(state: State) -> State:
+    """A state whose Laurent maps _step may update without touching the
+    original's."""
+    return {w: (dict(re), dict(im)) for w, (re, im) in state.items()}
 
 
 def _step(state: State, ctx: AlgebraContext, strategy: str,
@@ -305,10 +302,10 @@ def reduce_step(p: NCPoly, ctx: AlgebraContext,
                 rng: Optional[random.Random] = None) -> NCPoly:
     """Apply exactly one rule instance to one word; fixed points unchanged."""
     _check_step_args(p, ctx, strategy, rng, "an rng")
-    state, den = lift(p)
+    state = _copy(p.terms)
     if not _step(state, ctx, strategy, rng, {}):
         return p
-    return _lower(state, den, ctx.n)
+    return NCPoly(ctx.n, state, p.den)
 
 
 _MAX_STEPS = 200000
@@ -333,13 +330,13 @@ def normalize_by_steps(p: NCPoly, ctx: AlgebraContext,
 
     The steps are those of repeated reduce_step calls, with one
     random.Random(seed) for the random strategy, which therefore needs a
-    seed.  One lifted state is updated in place, and RuntimeError is raised
-    if the fixed point needs more than max_steps rule applications.
+    seed.  A copy of p's lifted state is updated in place, and RuntimeError
+    is raised if the fixed point needs more than max_steps rule
+    applications.
     """
     _check_step_args(p, ctx, strategy, seed, "a seed")
-    state, den = lift(p)
-    return _lower(_fixed_point(state, ctx, strategy, seed, max_steps), den,
-                  ctx.n)
+    return NCPoly(ctx.n, _fixed_point(_copy(p.terms), ctx, strategy, seed,
+                                      max_steps), p.den)
 
 
 # The (strategy, seed) runs that confluent compares with normalize.
@@ -352,12 +349,9 @@ def confluent(p: NCPoly, ctx: AlgebraContext) -> bool:
     compared exactly as lifted states over p's one denominator."""
     if p.n != ctx.n:
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
-    state, _ = lift(p)
-    expected = _normal_state(state, ctx)
-    # _step updates the Laurent maps in place, so each run gets its own copy
-    return all(_fixed_point({w: (dict(re), dict(im))
-                             for w, (re, im) in state.items()}, ctx,
-                            strategy, seed, _MAX_STEPS) == expected
+    expected = _normal_state(p.terms, ctx)
+    return all(_fixed_point(_copy(p.terms), ctx, strategy, seed,
+                            _MAX_STEPS) == expected
                for strategy, seed in CONFLUENCE_RUNS)
 
 
@@ -388,11 +382,11 @@ def defining_relations(ctx: AlgebraContext) -> List[NCPoly]:
     # rest[j] = 1 - sum_{k >= j} z_k z_k*, 0-based
     rest = [sum((-z[k] * zs[k] for k in range(j, n)), NCPoly.one(n))
             for j in range(n + 1)]
-    q = Scalar.q()
-    out = [z[j] * z[k] - (z[k] * z[j]).scale(q)
+    q, q2 = NCPoly.constant(n, {1: 1}), NCPoly.constant(n, {2: 1})
+    out = [z[j] * z[k] - q * z[k] * z[j]
            for j in range(n) for k in range(j + 1, n)]
-    out += [zs[j] * z[k] - (z[k] * zs[j]).scale(q)
+    out += [zs[j] * z[k] - q * z[k] * zs[j]
             for j in range(n) for k in range(n) if j != k]
-    out += [zs[j] * z[j] - (z[j] * zs[j]).scale(Scalar.q(2))
-            - rest[j + 1].scale(Scalar.one_minus_q2()) for j in range(n)]
+    out += [zs[j] * z[j] - q2 * z[j] * zs[j]
+            - (NCPoly.one(n) - q2) * rest[j + 1] for j in range(n)]
     return out + [rest[0]] if ctx.mode == SPHERE else out

@@ -3,22 +3,20 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from .algebra import Letter, NCPoly, Word
-from .scalars import GaussianRational, Scalar
+from .algebra import Letter, Lifted, NCPoly, Word, add_lifted
 
 
-def random_scalar(rng: random.Random, complex_parts: bool = True) -> Scalar:
-    """A nonzero single-term scalar c * q^k with small exact parts."""
+def random_term(rng: random.Random, word: Word) -> Lifted:
+    """(a/b + c*i) q^k * word with small nonzero a/b + c*i, as a lifted
+    state over b."""
     while True:
-        re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        im = Fraction(rng.randint(-2, 2)) if complex_parts else Fraction(0)
-        if re != 0 or im != 0:
+        a, b, c = rng.randint(-3, 3), rng.randint(1, 3), rng.randint(-2, 2)
+        if a or c:
             break
     k = rng.randint(-2, 2)
-    return Scalar({k: GaussianRational(re, im)})
+    return {word: ({k: a} if a else {}, {k: b * c} if c else {})}, b
 
 
 def random_word(rng: random.Random, n: int, max_degree: int,
@@ -31,12 +29,11 @@ def random_word(rng: random.Random, n: int, max_degree: int,
 
 def random_poly(rng: random.Random, n: int, max_degree: int = 4,
                 max_terms: int = 4, star_free: bool = False) -> NCPoly:
-    terms: Dict[Word, Scalar] = {}
+    acc: Lifted = ({}, 1)
     for _ in range(rng.randint(1, max_terms)):
         word = random_word(rng, n, max_degree, star_free)
-        coeff = random_scalar(rng)
-        terms[word] = terms.get(word, Scalar.zero()) + coeff
-    return NCPoly(n, terms)
+        acc = add_lifted(acc, random_term(rng, word))
+    return NCPoly(n, *acc)
 
 
 def random_poly_stream(seed: int, count: int, n_max: int = 3,

@@ -27,7 +27,7 @@ from qball.representations import (
 from qball.rewrite import canonical_monomials, normalize, normalize_by_steps
 from qball.sampling import holomorphic_catalog, random_poly, random_poly_stream
 
-from oracles import boundary_generators
+from oracles import boundary_generators, fraction_terms, fraction_value
 
 Q = 0.5
 STREAM_SEED = 7
@@ -142,8 +142,8 @@ def _grid_max(f: NCPoly, points: int) -> float:
     for t in range(points):
         z = cmath.exp(2j * cmath.pi * t / points)
         total = 0j
-        for word, coeff in f.terms.items():
-            value = coeff.evaluate(Q)
+        for word, coeff in fraction_terms(f).items():
+            value = fraction_value(coeff, Q)
             for letter in word:
                 value *= z.conjugate() if letter.starred else z
             total += value

@@ -36,9 +36,8 @@ from qball.representations import (
     rep_apply,
 )
 from qball.sampling import random_poly
-from qball.scalars import GaussianRational, Scalar
 
-from oracles import circle_grid_max
+from oracles import circle_grid_max, fraction_constant
 
 Q = 0.5
 TOL = 1e-12
@@ -186,10 +185,11 @@ def gauge_inputs(draw):
         else:
             cells = [(w * 7 % k, w * 5 % l)]
         for a, b in cells:
-            coeff = Scalar({draw(st.integers(-1, 1)): GaussianRational(
+            coeff = fraction_constant(n, (
+                draw(st.integers(-1, 1)),
                 Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
-                Fraction(draw(st.integers(-2, 2))))})
-            entries[a][b] = entries[a][b] + NCPoly.from_word(n, word, coeff)
+                draw(st.integers(-2, 2))))
+            entries[a][b] = entries[a][b] + NCPoly.from_word(n, word) * coeff
     f = entries[0][0] if (k, l) == (1, 1) else MatPoly(entries)
     return f, built_invariant
 

@@ -8,7 +8,7 @@ import pytest
 
 import qball
 
-SYMBOLIC = ["scalars", "algebra", "rewrite", "parsing"]
+SYMBOLIC = ["scalars", "algebra", "rewrite", "parsing", "sampling"]
 FORBIDDEN = {"numpy", "scipy", "norms", "representations"}
 
 
@@ -30,6 +30,14 @@ def _imported_modules(path):
 def test_symbolic_layer_imports_no_numerics(module):
     path = pathlib.Path(qball.__file__).with_name(f"{module}.py")
     assert not _imported_modules(path) & FORBIDDEN
+
+
+@pytest.mark.parametrize("module", SYMBOLIC)
+def test_symbolic_layer_imports_no_fractions(module):
+    """Coefficients are Gaussian-integer numerators over one denominator;
+    a Fraction round trip would hold each coefficient in a second form."""
+    path = pathlib.Path(qball.__file__).with_name(f"{module}.py")
+    assert "fractions" not in _imported_modules(path)
 
 
 def _modules_after(statement):

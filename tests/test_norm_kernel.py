@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qball.norms as norms
+from oracles import fraction_constant
 from qball.algebra import Letter, MatPoly, NCPoly
 from qball.norms import (
     NormConvergenceError,
@@ -32,7 +33,6 @@ from qball.representations import (
     fock_generators,
     rep_apply,
 )
-from qball.scalars import GaussianRational, Scalar
 
 Q = 0.5
 TOL = 1e-12
@@ -45,10 +45,11 @@ def polys(draw, n, min_terms=1):
     for _ in range(draw(st.integers(min_terms, 3))):
         word = draw(st.lists(st.builds(Letter, st.integers(1, n), st.booleans()),
                              max_size=3))
-        coeff = Scalar({draw(st.integers(-1, 1)): GaussianRational(
+        coeff = fraction_constant(n, (
+            draw(st.integers(-1, 1)),
             Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
-            Fraction(draw(st.integers(-2, 2))))})
-        p = p + NCPoly.from_word(n, tuple(word), coeff)
+            draw(st.integers(-2, 2))))
+        p = p + NCPoly.from_word(n, tuple(word)) * coeff
     return p
 
 

@@ -12,7 +12,6 @@ from qball import cli, rewrite
 from qball.algebra import BALL, SPHERE, AlgebraContext, MatPoly, NCPoly
 from qball.parsing import parse_expression, print_matrix, print_state
 from qball.rewrite import normalize, normalize_lifted
-from qball.scalars import Scalar
 
 # Bounds on the free expansion of a drawn expression: its number of words
 # and its degree, so the free path stays quick.
@@ -132,13 +131,11 @@ def test_normal_form_equals_normalized_free_expansion(case):
 
 def test_normal_form_never_expands_freely(monkeypatch):
     """(z1'+z2'+z3')^4 * (z1+z2+z3)^4 has 3^8 free words; in the quotient
-    each product is one of canonical words, and no NCPoly or Scalar is
-    multiplied."""
+    each product is one of canonical words, and no NCPoly is multiplied."""
     def refuse(*args):
-        raise AssertionError("free or Fraction product on the normal-form path")
+        raise AssertionError("free product on the normal-form path")
 
     monkeypatch.setattr(NCPoly, "__mul__", refuse)
-    monkeypatch.setattr(Scalar, "__mul__", refuse)
     monkeypatch.setattr(rewrite, "_NF_CACHE", {})
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["normal-form", "--n", "3", "--expr",

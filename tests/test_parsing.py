@@ -13,18 +13,19 @@ from qball.parsing import (
 )
 from qball.rewrite import normalize
 from qball.sampling import random_poly
-from qball.scalars import Scalar
+
+ONE = ({0: 1}, {})
 
 
 def test_parse_starred_word():
     p = parse_expression("z1'*z2", 2)
-    assert p.terms == {(Letter(1, True), Letter(2, False)): Scalar.one()}
+    assert p.terms == {(Letter(1, True), Letter(2, False)): ONE}
 
 
 def test_parse_scalar_combination():
     p = parse_expression("q^2*z1 - (1-q^2)", 1)
-    expected = (NCPoly.generator(1, 1).scale(Scalar.q(2))
-                - NCPoly.from_scalar(1, Scalar.one_minus_q2()))
+    expected = (NCPoly.constant(1, {2: 1}) * NCPoly.generator(1, 1)
+                - NCPoly.constant(1, {0: 1, 2: -1}))
     assert p == expected
 
 
@@ -46,12 +47,12 @@ def test_parse_negative_generator_power_rejected():
 
 def test_parse_q_negative_power():
     p = parse_expression("q^-3", 1)
-    assert p == NCPoly.from_scalar(1, Scalar.q(-3))
+    assert p == NCPoly.constant(1, {-3: 1})
 
 
 def test_parse_rational_and_imaginary():
     p = parse_expression("3/4*i*z1", 1)
-    assert p == NCPoly.generator(1, 1).scale(Scalar.from_gaussian(0, "3/4"))
+    assert p == NCPoly.constant(1, {}, {0: 3}, 4) * NCPoly.generator(1, 1)
 
 
 def test_parse_powers_and_primes():
@@ -104,8 +105,8 @@ def test_roundtrip_on_normal_forms(mode):
 
 
 def test_roundtrip_complex_coefficients():
-    p = NCPoly.generator(2, 1).scale(Scalar.from_gaussian("-1/2", "2/3"))
-    p = p + NCPoly.from_scalar(2, Scalar.i() * Scalar.q(-2))
+    p = NCPoly.constant(2, {0: -3}, {0: 4}, 6) * NCPoly.generator(2, 1)
+    p = p + NCPoly.constant(2, {}, {-2: 1})
     assert parse_expression(print_poly(p), 2) == p
 
 
@@ -133,4 +134,4 @@ def test_negative_power_errors(capsys, text, message, position, mode):
 
 def test_negative_powers_of_scalars():
     assert parse_expression("(2*i*q^3)^-2 - 0^0 + z1^-0", 1) == \
-        NCPoly.from_scalar(1, Scalar.from_gaussian("-1/4") * Scalar.q(-6))
+        NCPoly.constant(1, {-6: -1}, {}, 4)

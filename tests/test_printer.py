@@ -6,11 +6,10 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_print_poly
+from oracles import fraction_poly, fraction_print_poly
 from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly
 from qball.parsing import parse_expression, print_poly, print_state
 from qball.rewrite import normalize, normalize_lifted
-from qball.scalars import GaussianRational, Scalar
 
 # 0, +-1 and fractions over unlike denominators.
 parts = st.one_of(st.sampled_from([0, 1, -1]),
@@ -22,8 +21,9 @@ def scalars(draw):
     """Up to three q-terms, negative exponents included."""
     exponents = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3,
                               unique=True))
-    return Scalar({k: GaussianRational(draw(parts), draw(parts))
-                   for k in exponents})
+    coeff = {k: (Fraction(draw(parts)), Fraction(draw(parts)))
+             for k in exponents}
+    return {k: c for k, c in coeff.items() if c[0] or c[1]}
 
 
 @st.composite
@@ -32,7 +32,7 @@ def polys(draw, n):
     letter = st.builds(Letter, st.integers(1, n), st.booleans())
     terms = draw(st.dictionaries(st.lists(letter, max_size=4).map(tuple),
                                  scalars(), max_size=4))
-    return NCPoly(n, terms)
+    return fraction_poly(n, terms)
 
 
 @st.composite
@@ -42,9 +42,8 @@ def cases(draw):
 
 
 def _scalar(*terms):
-    """Scalar from (exponent, re, im) triples."""
-    return Scalar({k: GaussianRational(Fraction(re), Fraction(im))
-                   for k, re, im in terms})
+    """A reference coefficient from (exponent, re, im) triples."""
+    return {k: (Fraction(re), Fraction(im)) for k, re, im in terms}
 
 
 _Z1 = (Letter(1, False),)
@@ -54,12 +53,12 @@ _Z1 = (Letter(1, False),)
 @given(cases())
 @example((2, NCPoly.zero(2)))
 @example((2, NCPoly.one(2)))
-@example((1, NCPoly(1, {(): _scalar((0, -1, 0)),
-                        _Z1: _scalar((0, 0, -1))})))
-@example((1, NCPoly(1, {_Z1: _scalar((-2, "1/2", "-1/3"), (1, "-3/4", 0),
-                                     (3, 0, "5/6"))})))
-@example((1, NCPoly(1, {_Z1: _scalar((-1, "2/4", "-1")),
-                        _Z1 * 2: _scalar((0, "-7/3", "1"))})))
+@example((1, fraction_poly(1, {(): _scalar((0, -1, 0)),
+                               _Z1: _scalar((0, 0, -1))})))
+@example((1, fraction_poly(1, {_Z1: _scalar((-2, "1/2", "-1/3"),
+                                            (1, "-3/4", 0), (3, 0, "5/6"))})))
+@example((1, fraction_poly(1, {_Z1: _scalar((-1, "2/4", "-1")),
+                               _Z1 * 2: _scalar((0, "-7/3", "1"))})))
 def test_print_poly_matches_fraction_printer_and_parses_back(case):
     n, p = case
     text = print_poly(p)

@@ -13,7 +13,6 @@ from qball.algebra import (
     AlgebraContext,
     Letter,
     NCPoly,
-    poly_adjoint,
 )
 from qball.parsing import parse_expression
 from qball.representations import (
@@ -29,9 +28,9 @@ from qball.representations import (
 from qball.norms import relation_residual
 from qball.rewrite import normalize
 from qball.sampling import random_poly
-from qball.scalars import GaussianRational, Scalar
 
-from oracles import boundary_generators, cycle_matrix
+from oracles import (boundary_generators, cycle_matrix, fraction_constant,
+                     fraction_terms, fraction_value)
 
 Q = 0.5
 
@@ -200,7 +199,7 @@ def test_star_compatibility_numeric():
         n = rng.randint(1, 2)
         p = random_poly(rng, n)
         rep = fock_generators(FockConfig(n, 6, Q))
-        a = rep_apply(poly_adjoint(p), rep, Q)
+        a = rep_apply(p.adjoint(), rep, Q)
         b = rep_apply(p, rep, Q).conj().T
         assert np.abs(a - b).max() < 1e-14
 
@@ -211,7 +210,7 @@ def test_positivity():
         n = rng.randint(1, 2)
         p = random_poly(rng, n, max_degree=2)
         rep = fock_generators(FockConfig(n, 8, Q))
-        gram = poly_adjoint(p) * p
+        gram = p.adjoint() * p
         idx = certify_compression(rep, gram.degree())
         block = rep_apply(gram, rep, Q, idx)
         eigs = np.linalg.eigvalsh((block + block.conj().T) / 2)
@@ -261,10 +260,11 @@ def starred_polys(draw, n):
     for _ in range(draw(st.integers(1, 4))):
         word = draw(st.lists(st.builds(Letter, st.integers(1, n), st.booleans()),
                              max_size=4))
-        coeff = Scalar({draw(st.integers(-1, 1)): GaussianRational(
+        coeff = fraction_constant(n, (
+            draw(st.integers(-1, 1)),
             Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
-            Fraction(draw(st.integers(-2, 2))))})
-        p = p + NCPoly.from_word(n, tuple(word), coeff)
+            draw(st.integers(-2, 2))))
+        p = p + NCPoly.from_word(n, tuple(word)) * coeff
     return p
 
 
@@ -283,12 +283,12 @@ def test_rep_apply_equals_dense_generator_products(data):
     idx = np.array(sorted(data.draw(st.sets(st.integers(0, rep.dim - 1)))),
                    dtype=int)
     want = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for word, coeff in p.terms.items():
+    for word, coeff in fraction_terms(p).items():
         mat = np.eye(rep.dim)
         for letter in word:
             G = gens[letter.index - 1]
             mat = mat @ (G.conj().T if letter.starred else G)
-        want += coeff.evaluate(Q) * mat
+        want += fraction_value(coeff, Q) * mat
     got = rep_apply(p, rep, Q, idx)
     assert got.shape == (len(idx), len(idx))
     assert np.abs(got - want[np.ix_(idx, idx)]).max(initial=0.0) < 1e-13

@@ -5,24 +5,28 @@ over powers of 3, so normalize's common denominator is a true lcm and not
 just one of the input denominators.
 """
 
+import copy
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_constant
 from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly
-from qball.rewrite import normalize, normalize_by_steps
-from qball.scalars import GaussianRational, Scalar
+from qball.rewrite import (CONFLUENCE_RUNS, confluent, normalize,
+                           normalize_by_steps, reduce_step)
+from qball.sampling import random_poly
 
 MAX_WORD = 5
 
 
 @st.composite
-def scalars(draw):
+def scalars(draw, n):
     re = Fraction(2 * draw(st.integers(-3, 2)) + 1, 2 ** draw(st.integers(0, 3)))
     im = Fraction(3 * draw(st.integers(-2, 1)) + draw(st.sampled_from([1, 2])),
                   3 ** draw(st.integers(0, 2)))
-    return Scalar({draw(st.integers(-2, 2)): GaussianRational(re, im)})
+    return fraction_constant(n, (draw(st.integers(-2, 2)), re, im))
 
 
 def words(n, max_size=MAX_WORD):
@@ -37,7 +41,7 @@ def cases(draw, max_terms=3):
     ctx = AlgebraContext(n, draw(st.sampled_from([BALL, SPHERE])))
     p = NCPoly.zero(n)
     for _ in range(draw(st.integers(1, max_terms))):
-        p = p + NCPoly.from_word(n, draw(words(n)), draw(scalars()))
+        p = p + NCPoly.from_word(n, draw(words(n))) * draw(scalars(n))
     return ctx, p
 
 
@@ -58,9 +62,10 @@ def relation(ctx, j):
                           for k in range(1, n + 1)), NCPoly.zero(n))
     tail = sum((_gen(n, k) * _gen(n, k, True) for k in range(j + 1, n + 1)),
                NCPoly.zero(n))
+    q2 = NCPoly.constant(n, {2: 1})
     return (_gen(n, j, True) * _gen(n, j)
-            - (_gen(n, j) * _gen(n, j, True)).scale(Scalar.q(2))
-            - (one - tail).scale(Scalar.one_minus_q2()))
+            - q2 * _gen(n, j) * _gen(n, j, True)
+            - (one - q2) * (one - tail))
 
 
 @st.composite
@@ -71,7 +76,7 @@ def cancelling_cases(draw):
     u = NCPoly.from_word(n, draw(words(n, 2)))
     v = NCPoly.from_word(n, draw(words(n, 2)))
     rel = relation(ctx, draw(st.integers(1, n)))
-    return ctx, (u * rel * v).scale(draw(scalars()))
+    return ctx, draw(scalars(n)) * u * rel * v
 
 
 @settings(max_examples=40)
@@ -107,10 +112,11 @@ def test_normalize_commutes_with_adjoint(case):
 
 
 @settings(max_examples=60)
-@given(st.one_of(cases(), cancelling_cases()), scalars())
-def test_normalize_linear(case, s):
+@given(st.one_of(cases(), cancelling_cases()), st.data())
+def test_normalize_linear(case, data):
     ctx, p = case
-    assert normalize(p.scale(s), ctx) == normalize(p, ctx).scale(s)
+    s = data.draw(scalars(ctx.n))
+    assert normalize(s * p, ctx) == s * normalize(p, ctx)
 
 
 @settings(max_examples=30)
@@ -119,3 +125,27 @@ def test_relations_cancel_exactly(case):
     ctx, p = case
     assert not p.is_zero()
     assert normalize(p, ctx).is_zero()
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([BALL, SPHERE]))
+def test_rewriting_leaves_the_input_unchanged(seed, mode):
+    """The steppers update Laurent maps in place, so each works on a copy
+    of the input's state."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    p, ctx = random_poly(rng, n), AlgebraContext(n, mode)
+    before = copy.deepcopy(p.terms), p.den, hash(p)
+
+    def unchanged():
+        return (p.terms, p.den, hash(p)) == before
+
+    normalize(p, ctx)
+    assert unchanged()
+    for strategy, run_seed in CONFLUENCE_RUNS:
+        reduce_step(p, ctx, strategy, random.Random(run_seed))
+        assert unchanged()
+        normalize_by_steps(p, ctx, strategy, run_seed)
+        assert unchanged()
+    confluent(p, ctx)
+    assert unchanged()

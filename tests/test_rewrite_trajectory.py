@@ -1,72 +1,35 @@
-"""The single-step rewriter against a reference stepper over NCPoly/Scalar.
+"""The single-step rewriter against a reference stepper over Fractions.
 
-reference_step applies one rule instance with exact Scalar arithmetic and
-rebuilds the polynomial, the way the rewriter did before it kept a lifted
-integer state.  It is kept here only as an oracle: reduce_step must match it
-at every step, with the same random draws, and normalize_by_steps must need
-exactly as many rule applications.
+oracles.reference_step applies one rule instance with exact Fraction
+arithmetic and rebuilds the polynomial.  reduce_step must match it at every
+step, with the same random draws, and normalize_by_steps must need exactly
+as many rule applications.
 """
 
 import random
 from fractions import Fraction
-from typing import Dict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly, Word
-from qball.rewrite import (_adjacent_violations, apply_pair_rule, apply_r5,
-                           normalize, normalize_by_steps, r5_applicable,
-                           reduce_step)
-from qball.scalars import GaussianRational, Scalar
+from oracles import fraction_constant, reference_step
+from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly
+from qball.rewrite import normalize, normalize_by_steps, reduce_step
 
 # (strategy, seed) pairs run by confluence-fuzz.
 CLI_STRATEGIES = [("leftmost", None), ("rightmost", None),
                   ("random", 0), ("random", 1), ("random", 2)]
 
 
-def reference_step(p, ctx, strategy, rng):
-    """One rule instance applied to one word of p; p itself at a fixed point."""
-    candidates = []
-    for word in sorted(p.terms, key=lambda w: (len(w), w)):
-        for pos in _adjacent_violations(word):
-            candidates.append((word, pos))
-        if r5_applicable(word, ctx):
-            candidates.append((word, None))
-    if not candidates:
-        return p
-    if strategy == "leftmost":
-        word, pos = candidates[0]
-    elif strategy == "rightmost":
-        word, pos = candidates[-1]
-    else:
-        word, pos = rng.choice(candidates)
-    coeff = p.terms[word]
-    if pos is None:
-        expansion = apply_r5(word, ctx.n)
-    else:
-        expansion = apply_pair_rule(word, pos, ctx.n)
-    delta: Dict[Word, Scalar] = {word: -coeff}
-    for c, w in expansion:
-        term = coeff * Scalar.from_integers(c)
-        s = delta.get(w)
-        s = term if s is None else s + term
-        if s.is_zero():
-            delta.pop(w, None)
-        else:
-            delta[w] = s
-    return p + NCPoly(ctx.n, delta)
-
-
 @st.composite
-def gaussian(draw):
+def gaussian(draw, n):
     """Nonzero c*q^k whose real and imaginary parts have unrelated denominators."""
     re = Fraction(draw(st.sampled_from([1, -1, 2, -3, 4])),
                   draw(st.sampled_from([1, 2, 4, 5, 6, 9])))
     im = Fraction(draw(st.integers(-3, 3)),
                   draw(st.sampled_from([1, 3, 7, 10])))
-    return Scalar({draw(st.integers(-2, 2)): GaussianRational(re, im)})
+    return fraction_constant(n, (draw(st.integers(-2, 2)), re, im))
 
 
 @st.composite
@@ -78,7 +41,7 @@ def cases(draw):
     p = NCPoly.zero(n)
     for _ in range(draw(st.integers(1, 4))):
         word = tuple(draw(st.lists(letter, max_size=5)))
-        p = p + NCPoly.from_word(n, word, draw(gaussian()))
+        p = p + NCPoly.from_word(n, word) * draw(gaussian(n))
     strategy, seed = draw(st.sampled_from(CLI_STRATEGIES))
     return ctx, p, strategy, seed
 
