@@ -13,11 +13,11 @@ q = 0.5
 
 def show(text, n, schedule):
     f = parse_expression(text, n)
-    report = max_principle_report(f, q, schedule, expression=text)
+    report = max_principle_report(f, q, schedule)
     print(f"  {text!r}  (n={n}, holomorphic={report.holomorphic})")
-    for point, b, d in zip(report.schedule, report.ball.values(),
-                           report.boundary.values()):
-        print(f"    N={point['N']:3d} M={point['M']:5d}  "
+    for (N, M), b, d in zip(schedule, report.ball.values(),
+                            report.boundary.values()):
+        print(f"    N={N:3d} M={M:5d}  "
               f"ball={b:.9f}  boundary={d:.9f}  gap={abs(b - d):.2e}")
 
 

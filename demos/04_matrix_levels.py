@@ -12,7 +12,7 @@ schedule = make_schedule([6, 9, 12], 64)
 
 for text in ["[z1, z2; 0, z1]", "[z1, z2]", "[z1, 0; 0, z2]"]:
     F = parse_expression(text, 2)
-    report = max_principle_report(F, q, schedule, expression=text)
+    report = max_principle_report(F, q, schedule)
     print(f"{text}:")
     print(f"  ball     = {report.ball.final:.9f}")
     print(f"  boundary = {report.boundary.final:.9f}")

@@ -37,7 +37,6 @@ from .norms import (
     ball_norm,
     boundary_norm,
     make_schedule,
-    matrix_norm_level_k,
     max_principle_report,
     operator_norm,
     pbw_gram_min_singular,
@@ -54,7 +53,7 @@ __all__ = [
     "TruncationError", "ball_norm", "boundary_block_generators",
     "boundary_norm", "canonical_monomials", "certify_compression",
     "fock_generators", "is_canonical_word", "is_holomorphic",
-    "make_schedule", "matrix_norm_level_k", "max_principle_report",
+    "make_schedule", "max_principle_report",
     "normalize", "normalize_by_steps", "operator_norm", "parse_expression",
     "pbw_gram_min_singular", "print_matrix", "print_poly", "reduce_step",
     "relation_residual", "rep_apply",

@@ -283,13 +283,10 @@ def _cmd_norm(args) -> int:
 def _gap_report(args, operation: str, parsed, text: str, tol: float) -> dict:
     q = _parse_q(args.q)
     schedule = _norm_schedule(args)
-    gap = max_principle_report(parsed, float(q), schedule, tol, expression=text)
+    gap = max_principle_report(parsed, float(q), schedule, tol)
     report = _base_report(args, operation, text)
-    report["schedule"] = [
-        dict(point, value=abs(b - d))
-        for point, b, d in zip(gap.schedule, gap.ball.values(),
-                               gap.boundary.values())
-    ]
+    report["schedule"] = [dict(point, value=g)
+                          for point, g in zip(gap.ball.points, gap.gaps())]
     report["result"] = {"ball": gap.ball.final, "boundary": gap.boundary.final}
     report["gap"] = gap.gap
     report["stabilized"] = {"ball": gap.ball.stabilized,

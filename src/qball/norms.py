@@ -23,12 +23,10 @@ In the boundary character block of an M-th root of unity omega, z1 acts
 as omega * D and the other generators do not depend on omega, so a word of
 z1-charge d = #z1 - #z1' contributes omega^d times its omega = 1 matrix.  A
 polynomial, or a k x l matrix of polynomials, is one trigonometric
-polynomial sum_d omega^d A_d: per schedule point the omega = 1 block is
-built once, one compressed A_d is formed per charge, and the kernel takes
-the stack with its table of phases omega^d; the union sparsity pattern
-over d holds for every omega, so one split serves all M blocks.  n = 1 is
-the 1 x 1 case.  Maximum-principle reports compute the boundary value once
-per point and use it for both sides.
+polynomial sum_d omega^d A_d; the union sparsity pattern over d holds for
+every omega, so one split of the stack serves all M blocks.  A polynomial
+is the 1 x 1 case throughout: ball_norm and boundary_norm take either, so
+matrix levels are these same calls on a MatPoly.
 
 The gauge torus also acts on the boundary side.  When omega_invariant(F)
 holds (an exact rank test on the charge vectors of F's words), every block
@@ -38,16 +36,23 @@ any other input a schedule reports, per point, the whole-circle upper
 bound grid max / (1 - pi K / M) when M > pi K, where 2K is the spread of
 the z1-charges (Bernstein's inequality; every angle lies within pi / M of
 a node).  The bracket covers the omega discretisation at fixed N only.
+
+Every schedule is one pass (_schedules).  Once per input it finds F's
+degree, omega_invariant(F) and the split of F's words by z1-charge; per
+point (N, M) it builds the omega = 1 block once, forms one compressed A_d
+per charge, and takes the boundary value, its whole-circle bound and, for
+the ball side, the Fock value.  A maximum-principle report is that one
+pass with both sides; a single-point value is a one-point schedule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .algebra import AlgebraContext, MatPoly, NCPoly, is_holomorphic
+from .algebra import AlgebraContext, MatPoly, NCPoly
 from .representations import (
     BoundaryConfig,
     FockConfig,
@@ -177,7 +182,6 @@ def _svds_top(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 # -- schedules and estimates ------------------------------------------
 
 SchedulePoint = Tuple[int, int]          # (N, M)
-ScheduleLike = Sequence[Union[int, SchedulePoint]]
 
 DEFAULT_THETA = 1024
 
@@ -203,19 +207,12 @@ def make_schedule(trunc: Sequence[int], theta: Optional[int] = None) -> List[Sch
             for i, N in enumerate(trunc)]
 
 
-def _as_schedule(schedule: ScheduleLike) -> List[SchedulePoint]:
-    if all(isinstance(s, int) for s in schedule):
-        return make_schedule(list(schedule))
-    return [(int(N), int(M)) for N, M in schedule]
-
-
 @dataclass
 class NormEstimate:
     """Monotone sequence of certified lower bounds on a C*-norm."""
 
     points: List[dict]          # {"N": int, "M": int|None, "value": float}
     final: float
-    tol: float
     stabilized: bool
     # {"invariant": bool, "circle_upper": [float | None per point]}: whether
     # one boundary block gave the whole circle, and an upper bound at each
@@ -229,8 +226,8 @@ class NormEstimate:
         pts = [dict(p, value=float(v)) for p, v in zip(params, values)]
         final = float(values[-1])
         stabilized = len(values) >= 2 and abs(values[-1] - values[-2]) < tol
-        return NormEstimate(points=pts, final=final, tol=tol,
-                            stabilized=stabilized, omega=omega)
+        return NormEstimate(points=pts, final=final, stabilized=stabilized,
+                            omega=omega)
 
     def values(self) -> List[float]:
         return [p["value"] for p in self.points]
@@ -260,19 +257,24 @@ def _check_trunc(N: int, degree: int) -> None:
             f"truncation too small: N={N} < deg+1={degree + 1}")
 
 
+def _as_matrix(f: Union[NCPoly, MatPoly]) -> MatPoly:
+    """f as a matrix of polynomials; a polynomial is the 1 x 1 case."""
+    return f if isinstance(f, MatPoly) else MatPoly([[f]])
+
+
 def fock_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
                          tol: float = DEFAULT_TOL) -> float:
     """Certified lower bound for the Fock-representation norm of f."""
-    degree = f.degree()
+    F = _as_matrix(f)
+    degree = F.degree()
     _check_trunc(N, degree)
-    rep = _fock_rep(f.n, N, q_val)
+    rep = _fock_rep(F.n, N, q_val)
     indices = certify_compression(rep, degree)
-    if isinstance(f, MatPoly):
-        block = np.block([[rep_apply(p, rep, q_val, indices) for p in row]
-                          for row in f.entries])
-    else:
-        block = rep_apply(f, rep, q_val, indices)
-    return operator_norm(block, tol)
+    blocks = [[rep_apply(p, rep, q_val, indices) for p in row]
+              for row in F.entries]
+    # np.block copies, which would double the peak memory of a large block
+    return operator_norm(blocks[0][0] if F.shape == (1, 1)
+                         else np.block(blocks), tol)
 
 
 def _charge(word, j: int) -> int:
@@ -310,7 +312,7 @@ def omega_invariant(f: Union[NCPoly, MatPoly]) -> bool:
     comparing two exact integer ranks; n = 1 and scalars are the small
     cases.
     """
-    F = f if isinstance(f, MatPoly) else MatPoly([[f]])
+    F = _as_matrix(f)
     k, l = F.shape
     vectors = sorted({
         tuple(_charge(word, j) for j in range(1, F.n + 1))
@@ -323,72 +325,6 @@ def omega_invariant(f: Union[NCPoly, MatPoly]) -> bool:
     diffs = [[x - y for x, y in zip(v, vectors[0])] for v in vectors[1:]]
     e1 = [1] + [0] * (len(vectors[0]) - 1)
     return _rank(diffs + [e1]) > _rank(diffs)
-
-
-def _charge_matrices(F: MatPoly, rep: RepMatrices, indices: np.ndarray,
-                     q_val: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The z1-charges d = #z1 - #z1' of F's words and, stacked, the
-    compressed omega = 1 matrix A_d of each charge part (entry (a, b) at
-    rows a*r.., cols b*r..)."""
-    parts: dict = {}
-    for a, row in enumerate(F.entries):
-        for b, p in enumerate(row):
-            for word, coeff in p.terms.items():
-                parts.setdefault(_charge(word, 1), {}).setdefault(
-                    (a, b), {})[word] = coeff
-    r = len(indices)
-    charges = sorted(parts)
-    A = np.zeros((len(charges), F.shape[0] * r, F.shape[1] * r), dtype=complex)
-    for i, d in enumerate(charges):
-        for (a, b), terms in parts[d].items():
-            A[i, a * r:(a + 1) * r, b * r:(b + 1) * r] = rep_apply(
-                NCPoly(F.n, terms, F.entries[a][b].den), rep, q_val, indices)
-    return np.array(charges, dtype=int), A
-
-
-def boundary_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
-                             M: int, tol: float = DEFAULT_TOL) -> float:
-    """Certified lower bound for the boundary-family norm of f.
-
-    f is a polynomial (the 1 x 1 case) or a matrix of polynomials.  The
-    value is the max of the block norms sum_d omega^d A_d over the M-th
-    roots of unity omega; for an omega_invariant f every block has the
-    norm of the omega = 1 block, which alone is evaluated.
-    """
-    F = f if isinstance(f, MatPoly) else MatPoly([[f]])
-    L = F.degree()
-    rep = boundary_block_generators(
-        BoundaryConfig(n=F.n, N=N, M=M, q_val=q_val), 1.0)
-    if rep.cutoff is not None:
-        _check_trunc(N, L)
-    charges, A = _charge_matrices(F, rep, certify_compression(rep, L), q_val)
-    # omega_t^d = exp(2 pi i (t d mod M) / M): nested grids share exact phases
-    grid = np.arange(1 if omega_invariant(F) else M)
-    phases = np.exp(2j * np.pi * (np.outer(grid, charges) % M) / M)
-    return operator_norm(A, tol, phases)
-
-
-def _omega_bracket(F: MatPoly, pts: List[SchedulePoint],
-                   values: Sequence[float]) -> dict:
-    """Whether F is omega_invariant and, per schedule point, an upper bound
-    at that N on the sup over the whole circle of the boundary value whose
-    M-point grid max is values[i] (None where none is proved).
-
-    An invariant F's value is that sup.  Otherwise <P(omega) u, v> =
-    sum_d omega^d <A_d u, v> is, after the factor omega^{(d_max + d_min)/2},
-    of exponential type K = (d_max - d_min) / 2 in the angle, so by
-    Bernstein's inequality its derivative is at most K times its sup; every
-    angle lies within pi / M of a node, hence sup <= value / (1 - pi K / M)
-    when M > pi K.
-    """
-    if omega_invariant(F):
-        return {"invariant": True, "circle_upper": list(values)}
-    charges = [_charge(word, 1) for row in F.entries for p in row
-               for word in p.terms]
-    K = (max(charges) - min(charges)) / 2
-    return {"invariant": False, "circle_upper": [
-        v / (1 - np.pi * K / M) if M > np.pi * K else None
-        for (_, M), v in zip(pts, values)]}
 
 
 def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> float:
@@ -405,27 +341,73 @@ def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> fl
 # -- norm schedules ---------------------------------------------------
 
 def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
-               schedule: ScheduleLike, tol: float, ball: bool
+               schedule: Sequence[SchedulePoint], tol: float, ball: bool
                ) -> Tuple[Optional[NormEstimate], NormEstimate]:
-    """Ball (if asked) and boundary schedules of f.  The boundary value is
-    computed once per point; the ball value is max(Fock, boundary), and its
-    whole-circle bound max(Fock, boundary bound)."""
-    pts = _as_schedule(schedule)
-    params = [{"N": N, "M": M} for N, M in pts]
-    bdry = [boundary_certified_value(f, q_val, N, M, tol) for N, M in pts]
-    omega = _omega_bracket(f if isinstance(f, MatPoly) else MatPoly([[f]]),
-                           pts, bdry)
-    boundary = NormEstimate.from_values(params, bdry, tol, omega)
+    """Ball (if asked) and boundary schedules of f, in one pass (see the
+    module docstring).  Entry (a, b) of A_d sits at rows a*r.., cols
+    b*r..; the ball value is max(Fock, boundary), its whole-circle bound
+    max(Fock, boundary bound).
+
+    An invariant F's boundary value is the sup over the whole circle.
+    Otherwise <P(omega) u, v> = sum_d omega^d <A_d u, v> is, after the
+    factor omega^{(d_max + d_min)/2}, of exponential type
+    K = (d_max - d_min) / 2 in the angle, so by Bernstein's inequality its
+    derivative is at most K times its sup; every angle lies within pi / M
+    of a node, hence sup <= value / (1 - pi K / M) when M > pi K (None
+    where no bound is proved).
+    """
+    if not schedule:
+        raise ValueError("empty schedule")
+    F = _as_matrix(f)
+    L = F.degree()
+    invariant = omega_invariant(F)
+    split: dict = {}
+    for a, row in enumerate(F.entries):
+        for b, p in enumerate(row):
+            for word, coeff in p.terms.items():
+                split.setdefault(_charge(word, 1), {}).setdefault(
+                    (a, b), {})[word] = coeff
+    order = sorted(split)
+    parts = [[(a, b, NCPoly(F.n, terms, F.entries[a][b].den))
+              for (a, b), terms in split[d].items()] for d in order]
+    charges = np.array(order, dtype=int)
+    K = (order[-1] - order[0]) / 2 if order else 0
+    bdry, upper, fock = [], [], []
+    for N, M in schedule:
+        rep = boundary_block_generators(
+            BoundaryConfig(n=F.n, N=N, M=M, q_val=q_val), 1.0)
+        if rep.cutoff is not None:
+            _check_trunc(N, L)
+        indices = certify_compression(rep, L)
+        r = len(indices)
+        A = np.zeros((len(parts), F.shape[0] * r, F.shape[1] * r),
+                     dtype=complex)
+        for i, part in enumerate(parts):
+            for a, b, p in part:
+                A[i, a * r:(a + 1) * r, b * r:(b + 1) * r] = rep_apply(
+                    p, rep, q_val, indices)
+        # exp(2 pi i (t d mod M) / M): nested grids share exact phases
+        grid = np.arange(1 if invariant else M)
+        phases = np.exp(2j * np.pi * (np.outer(grid, charges) % M) / M)
+        value = operator_norm(A, tol, phases)
+        bdry.append(value)
+        bound = value / (1 - np.pi * K / M) if M > np.pi * K else None
+        upper.append(value if invariant else bound)
+        if ball:
+            fock.append(fock_certified_value(F, q_val, N, tol))
+    params = [{"N": N, "M": M} for N, M in schedule]
+    boundary = NormEstimate.from_values(
+        params, bdry, tol, {"invariant": invariant, "circle_upper": upper})
     if not ball:
         return None, boundary
-    fock = [fock_certified_value(f, q_val, N, tol) for N, _ in pts]
     values = [max(a, b) for a, b in zip(fock, bdry)]
-    omega = dict(omega, circle_upper=[None if u is None else max(a, u) for
-                                      a, u in zip(fock, omega["circle_upper"])])
+    omega = {"invariant": invariant, "circle_upper": [
+        None if u is None else max(a, u) for a, u in zip(fock, upper)]}
     return NormEstimate.from_values(params, values, tol, omega), boundary
 
 
-def ball_norm(f: Union[NCPoly, MatPoly], q_val: float, schedule: ScheduleLike,
+def ball_norm(f: Union[NCPoly, MatPoly], q_val: float,
+              schedule: Sequence[SchedulePoint],
               tol: float = DEFAULT_TOL) -> NormEstimate:
     """Certified lower bounds for the ball norm of f.
 
@@ -437,22 +419,18 @@ def ball_norm(f: Union[NCPoly, MatPoly], q_val: float, schedule: ScheduleLike,
 
 
 def boundary_norm(f: Union[NCPoly, MatPoly], q_val: float,
-                  schedule: ScheduleLike,
+                  schedule: Sequence[SchedulePoint],
                   tol: float = DEFAULT_TOL) -> NormEstimate:
     """Certified lower bounds for the quotient (sphere) norm of f."""
     return _schedules(f, q_val, schedule, tol, ball=False)[1]
 
 
-# -- matrix levels ----------------------------------------------------
-
-def matrix_norm_level_k(F: MatPoly, side: str, q_val: float,
-                        schedule: ScheduleLike,
-                        tol: float = DEFAULT_TOL) -> NormEstimate:
-    """Norm schedule for a k x k matrix over the algebra."""
-    if side not in ("ball", "boundary"):
-        raise ValueError(f"side must be 'ball' or 'boundary', got {side!r}")
-    norm = ball_norm if side == "ball" else boundary_norm
-    return norm(F, q_val, schedule, tol)
+def boundary_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
+                             M: int, tol: float = DEFAULT_TOL) -> float:
+    """Certified lower bound for the boundary-family norm of f: the max of
+    the block norms sum_d omega^d A_d over the M-th roots of unity omega
+    (the omega = 1 block alone for an omega_invariant f)."""
+    return boundary_norm(f, q_val, [(N, M)], tol).final
 
 
 # -- maximum-principle reports ----------------------------------------
@@ -461,12 +439,10 @@ def matrix_norm_level_k(F: MatPoly, side: str, q_val: float,
 class GapReport:
     """Side-by-side ball/boundary norm schedules and their gap."""
 
-    expression: str
     ball: NormEstimate
     boundary: NormEstimate
     gap: float
     holomorphic: bool
-    schedule: List[dict] = field(default_factory=list)
 
     def gaps(self) -> List[float]:
         return [abs(a - b) for a, b in
@@ -474,23 +450,17 @@ class GapReport:
 
 
 def max_principle_report(f: Union[NCPoly, MatPoly], q_val: float,
-                         schedule: ScheduleLike, tol: float = DEFAULT_TOL,
-                         expression: str = "") -> GapReport:
+                         schedule: Sequence[SchedulePoint],
+                         tol: float = DEFAULT_TOL) -> GapReport:
     """Run both sides on the same schedule and report the norm gap.
 
     One pass: each schedule point computes the boundary value once and the
     Fock value once; the ball value is their max.
     """
     ball, boundary = _schedules(f, q_val, schedule, tol, ball=True)
-    return GapReport(
-        expression=expression,
-        ball=ball,
-        boundary=boundary,
-        gap=abs(ball.final - boundary.final),
-        holomorphic=(f.is_holomorphic() if isinstance(f, MatPoly)
-                     else is_holomorphic(f)),
-        schedule=[{"N": N, "M": M} for N, M in _as_schedule(schedule)],
-    )
+    return GapReport(ball=ball, boundary=boundary,
+                     gap=abs(ball.final - boundary.final),
+                     holomorphic=_as_matrix(f).is_holomorphic())
 
 
 # -- linear-independence probe ----------------------------------------

@@ -9,6 +9,7 @@ Grammar (whitespace insignificant):
     factor   := atom ('^' int)?
     atom     := 'z' digits ["'"] | 'q' | 'i' | rational | '(' expr ')'
     rational := digits ('/' digits)?
+    digits   := [0-9]+                        (ASCII digits only)
 
 The postfix prime denotes the adjoint ('*' is taken by multiplication).
 Generator powers must be nonnegative; a negative power needs a nonzero
@@ -47,6 +48,7 @@ class ParseError(ValueError):
 # -- lexer ------------------------------------------------------------
 
 _SYMBOLS = set("+-*^/()[],;")
+_DIGITS = set("0123456789")     # str.isdigit also takes superscripts and others
 
 
 class _Token:
@@ -56,6 +58,13 @@ class _Token:
         self.kind = kind        # 'z' | 'q' | 'i' | 'num' | symbol | 'end'
         self.value = value
         self.pos = pos
+
+
+def _digits_end(text: str, pos: int) -> int:
+    """End of the run of ASCII digits that starts at pos."""
+    while pos < len(text) and text[pos] in _DIGITS:
+        pos += 1
+    return pos
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -71,25 +80,19 @@ def _tokenize(text: str) -> List[_Token]:
             tokens.append(_Token(ch, ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
-            start = pos
-            while pos < size and text[pos].isdigit():
-                pos += 1
+        if ch in _DIGITS:
+            start, pos = pos, _digits_end(text, pos)
             tokens.append(_Token("num", int(text[start:pos]), start))
             continue
         if ch == "z":
-            start = pos
-            pos += 1
-            digits = ""
-            while pos < size and text[pos].isdigit():
-                digits += text[pos]
-                pos += 1
-            if not digits:
+            start, pos = pos, _digits_end(text, pos + 1)
+            if pos == start + 1:
                 raise ParseError("generator needs an index, e.g. z1", start)
+            index = int(text[start + 1:pos])
             starred = pos < size and text[pos] == "'"
             if starred:
                 pos += 1
-            tokens.append(_Token("z", (int(digits), starred), start))
+            tokens.append(_Token("z", (index, starred), start))
             continue
         if ch == "q":
             tokens.append(_Token("q", "q", pos))

@@ -114,7 +114,7 @@ def test_criterion_5_max_principle_desk_scale():
     for text, n, f in holomorphic_catalog():
         schedule = N1_SCHEDULE if n == 1 else N2_SCHEDULE
         threshold = 1e-3 if n == 1 else 1e-2
-        rep = max_principle_report(f, Q, schedule, expression=text)
+        rep = max_principle_report(f, Q, schedule)
         gaps = rep.gaps()
         monotone = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
         entry_ok = rep.holomorphic and rep.gap <= threshold and monotone
@@ -129,7 +129,7 @@ def test_criterion_6_complete_isometry_level_2():
     details = []
     for text in ("[z1, z2; 0, z1]", "[z1, z2]", "[z1, 0; 0, z2]"):
         F = parse_expression(text, 2)
-        rep = max_principle_report(F, Q, N2_SCHEDULE, expression=text)
+        rep = max_principle_report(F, Q, N2_SCHEDULE)
         entry_ok = rep.holomorphic and rep.gap <= 2e-2
         ok = ok and entry_ok
         details.append(f"{text!r}: gap={rep.gap:.2e}")

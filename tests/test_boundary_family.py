@@ -24,7 +24,6 @@ from qball.norms import (
     boundary_norm,
     fock_certified_value,
     make_schedule,
-    matrix_norm_level_k,
     max_principle_report,
     omega_invariant,
 )
@@ -123,12 +122,19 @@ def test_max_principle_report_builds_boundary_once_per_point(monkeypatch,
                                                              text, n):
     f = parse_expression(text, n)
     sched = make_schedule([4, 6, 8], 16)
-    if isinstance(f, MatPoly):
-        ball = matrix_norm_level_k(f, "ball", Q, sched)
-        bdry = matrix_norm_level_k(f, "boundary", Q, sched)
-    else:
-        ball = ball_norm(f, Q, sched)
-        bdry = boundary_norm(f, Q, sched)
+    invariance_tests = []
+    invariant = norms.omega_invariant
+
+    def counted_invariant(F):
+        invariance_tests.append(F)
+        return invariant(F)
+
+    # omega_invariant runs once per schedule call, not once per point
+    monkeypatch.setattr(norms, "omega_invariant", counted_invariant)
+    ball = ball_norm(f, Q, sched)
+    assert len(invariance_tests) == 1
+    bdry = boundary_norm(f, Q, sched)
+    assert len(invariance_tests) == 2
     calls = []
     build = norms.boundary_block_generators
 
@@ -138,6 +144,7 @@ def test_max_principle_report_builds_boundary_once_per_point(monkeypatch,
 
     monkeypatch.setattr(norms, "boundary_block_generators", counted)
     report = max_principle_report(f, Q, sched)
+    assert len(invariance_tests) == 3
     # one omega = 1 block per schedule point, for both sides together
     assert calls == sched
     for got, want in ((report.ball, ball), (report.boundary, bdry)):

@@ -10,7 +10,6 @@ from qball.norms import (
     ball_norm,
     boundary_norm,
     make_schedule,
-    matrix_norm_level_k,
     max_principle_report,
     operator_norm,
     pbw_gram_min_singular,
@@ -61,6 +60,13 @@ def test_make_schedule_doubles_theta():
 def test_make_schedule_rejects_nonincreasing():
     with pytest.raises(ValueError):
         make_schedule([10, 10], 64)
+
+
+def test_empty_schedule_raises():
+    f = parse_expression("1+z1", 1)
+    for norm in (ball_norm, boundary_norm, max_principle_report):
+        with pytest.raises(ValueError):
+            norm(f, Q, [])
 
 
 # -- ball norms -------------------------------------------------------
@@ -137,17 +143,17 @@ def test_level_one_consistency():
     f = parse_expression("q*z1 + z2'*z2", 2)
     F = MatPoly([[f]])
     sched = [(8, 8)]
-    assert matrix_norm_level_k(F, "ball", Q, sched).final == pytest.approx(
+    assert ball_norm(F, Q, sched).final == pytest.approx(
         ball_norm(f, Q, sched).final, abs=1e-12)
-    assert matrix_norm_level_k(F, "boundary", Q, sched).final == pytest.approx(
+    assert boundary_norm(F, Q, sched).final == pytest.approx(
         boundary_norm(f, Q, sched).final, abs=1e-12)
 
 
 def test_row_matrix_norm_is_one():
     F = parse_expression("[z1, z2]", 2)
     sched = [(8, 16)]
-    for side in ("ball", "boundary"):
-        assert matrix_norm_level_k(F, side, Q, sched).final == pytest.approx(
+    for norm in (ball_norm, boundary_norm):
+        assert norm(F, Q, sched).final == pytest.approx(
             1.0, abs=1e-6)
 
 
@@ -155,7 +161,7 @@ def test_diagonal_matrix_equals_entry_norm():
     z1 = parse_expression("z1", 1)
     F = MatPoly([[z1, NCPoly.zero(1)], [NCPoly.zero(1), z1]])
     sched = [(6, 8)]
-    assert matrix_norm_level_k(F, "ball", Q, sched).final == pytest.approx(
+    assert ball_norm(F, Q, sched).final == pytest.approx(
         ball_norm(z1, Q, sched).final, abs=1e-12)
 
 

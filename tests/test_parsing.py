@@ -77,6 +77,16 @@ def test_parse_trailing_garbage():
         parse_expression("z1 )", 1)
 
 
+@pytest.mark.parametrize("text, n, position", [
+    ("z1^\u00b2", 1, 3),     # superscript two as an exponent
+    ("z\u0663", 3, 0),       # Arabic-Indic three as a generator index
+])
+def test_parse_accepts_ascii_digits_only(text, n, position):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text, n)
+    assert err.value.position == position
+
+
 def test_print_simple():
     ctx = AlgebraContext(1, BALL)
     nf = normalize(parse_expression("z1'*z1", 1), ctx)
