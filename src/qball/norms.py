@@ -15,9 +15,20 @@ a certified block is a permuted direct sum of small blocks: the kernel
 splits it into the connected components of its structural nonzeros
 (exact zeros only, no threshold; labelled in numpy by hook and compress)
 and takes the max of their norms.  Components of up to _DENSE_LIMIT = 2048
-rows (or columns) go through batched LAPACK SVDs of about 1 MB each,
-larger ones through scipy.sparse.linalg.svds; scipy (scipy.sparse and its
-linalg) is imported only for such a component.
+rows (or columns) go through batches of about 1 MB each that compute only
+sigma_1: the square root of the top eigenvalue (LAPACK eigvalsh) of the
+Gram matrix on the smaller side, or the vector norm of a 1 x k or k x 1
+component.  Larger components go through scipy.sparse.linalg.svds; scipy
+(scipy.sparse and its linalg) is imported only for such a component.
+
+Squaring entries underflows below about 1e-154 and overflows above 1e154,
+so the kernel first multiplies the whole block by 2^-e, where 2^e just
+exceeds its largest entry, and the result by 2^e.  Both are exact (ldexp
+on the real and imaginary parts).  An entry that underflows once scaled
+lies below 2^-1074 of the largest one and cannot change the reported max,
+which is at least the largest entry.  The top Gram eigenvalue has absolute
+error about eps ||A||^2, so sigma_1 has absolute error about eps ||A||:
+relative eps for the component that gives the value.
 
 In the boundary character block of an M-th root of unity omega, z1 acts
 as omega * D and the other generators do not depend on omega, so a word of
@@ -47,6 +58,7 @@ pass with both sides; a single-point value is a one-point schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -89,11 +101,13 @@ def operator_norm(A, tol: float = DEFAULT_TOL,
     bipartite graph of the structural nonzeros (A != 0; for a stack the
     union pattern over d, which holds for every t).  Permuted, each block
     is the direct sum of its components, so its norm is the max of theirs.
-    The components of one shape, over as many t as fit in _BATCH_BYTES
-    (at least one), go to one stacked LAPACK SVD; a component with more
-    than _DENSE_LIMIT rows and columns goes to ARPACK (svds, k = 1) from
-    the all-ones vector.  A zero or empty block gives 0; a scipy sparse A
-    is read through its toarray().
+    The values are first scaled by an exact power of two (see the module
+    docstring).  The components of one shape, over as many t as fit in
+    _BATCH_BYTES (at least one), go to one stacked Gram-eigenvalue batch
+    (_top_singular); a component with more than _DENSE_LIMIT rows and
+    columns goes to ARPACK (svds, k = 1) from the all-ones vector, and a
+    NormConvergenceError carries the unscaled max found before it.  A zero
+    or empty block gives 0; a scipy sparse A is read through its toarray().
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -102,7 +116,13 @@ def operator_norm(A, tol: float = DEFAULT_TOL,
         stack, phases = stack[None], np.ones((1, 1))
     r, c = stack.shape[1:]
     rows, cols = np.nonzero(np.any(stack != 0, axis=0))
-    vals = stack[:, rows, cols]
+    found = stack[:, rows, cols]
+    if not found.size:
+        return 0.0
+    # an exact power-of-two scale: the largest entry goes to [1/2, 1)
+    e = int(np.frexp(np.abs(found).max())[1])
+    vals = np.empty(found.shape, dtype=complex)
+    vals.real, vals.imag = np.ldexp(found.real, -e), np.ldexp(found.imag, -e)
     # row i is node i, column j is node r + j
     count, labels = _components(r + c, rows, r + cols)
     # position of each row (column) among the rows (columns) of its component
@@ -122,8 +142,9 @@ def operator_norm(A, tol: float = DEFAULT_TOL,
             for k in np.nonzero(group)[0]:
                 mine = comp == k
                 for w in phases:
-                    best = max(best, _svds_top(w @ vals[:, mine], i[mine],
-                                               j[mine], (a, b), tol, best))
+                    best = max(best, _svds_top(
+                        w @ vals[:, mine], i[mine], j[mine], (a, b), tol,
+                        math.ldexp(best, e)))
             continue
         slot, edges, size = np.cumsum(group) - 1, group[comp], group.sum()
         sub = np.zeros((len(vals), size, a, b), dtype=complex)
@@ -131,9 +152,20 @@ def operator_norm(A, tol: float = DEFAULT_TOL,
         chunk = max(1, _BATCH_BYTES // sub[0].nbytes)
         for start in range(0, len(phases), chunk):
             blocks = np.einsum("md,dkij->mkij", phases[start:start + chunk], sub)
-            top = np.linalg.svd(blocks, compute_uv=False)[..., 0]
-            best = max(best, float(top.max()))
-    return best
+            best = max(best, float(_top_singular(blocks).max()))
+    return math.ldexp(best, e)
+
+
+def _top_singular(blocks: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack: the vector norm of
+    a 1 x k or k x 1 matrix, else the square root of the top eigenvalue of
+    the Gram matrix on the smaller side, clamped at 0."""
+    a, b = blocks.shape[-2:]
+    if min(a, b) == 1:
+        return np.linalg.norm(blocks, axis=(-2, -1))
+    adjoint = blocks.conj().swapaxes(-1, -2)
+    gram = adjoint @ blocks if b <= a else blocks @ adjoint
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 def _components(nodes: int, u: np.ndarray, v: np.ndarray

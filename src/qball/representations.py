@@ -12,6 +12,11 @@ Two families are built:
 Each generator, hence each word, sends a basis vector to at most one basis
 vector times one weight; rep_apply, the one evaluation of a polynomial (the
 defining relations of qball.rewrite included), composes these index maps.
+The maps are built from arrays: a raising map finds its targets by
+searchsorted on integer keys of the basis rows, and every weight, the
+boundary z1 diagonal included, is read from one table of Python float
+powers q^k (_powers), so each map is bit for bit that of a construction
+one basis vector at a time.
 
 Truncation control: products of at most L generator letters act exactly on
 basis vectors of level <= N - L, which yields certified lower bounds for
@@ -21,7 +26,7 @@ operator norms downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -87,17 +92,30 @@ def graded_lex_basis(n: int, N: int) -> List[Tuple[int, ...]]:
     return [m for total in range(N + 1) for m in compositions(total, n)]
 
 
-def _fock_raising(basis: List[Tuple[int, ...]], index: Dict[Tuple[int, ...], int],
-                  j: int, n: int, N: int, q_val: float) -> Map:
-    """Map of e_m -> q^{sum_{k>j} m_k} sqrt(1-q^{2(m_j+1)}) e_{m+delta_j}."""
-    dim = len(basis)
+def _powers(q_val: float, count: int) -> np.ndarray:
+    """[q^0, ..., q^(count-1)], each a Python float power: numpy's
+    vectorized power may round differently."""
+    return np.array([q_val ** k for k in range(count)])
+
+
+def _fock_raising(basis: np.ndarray, j: int, N: int, q_val: float) -> Map:
+    """Map of e_m -> q^{sum_{k>j} m_k} sqrt(1-q^{2(m_j+1)}) e_{m+delta_j}
+    on the basis rows m (|m| <= N); each target is found by searchsorted
+    on the base-(N + 2) keys of the rows."""
+    dim, n = basis.shape
+    # keys are Python ints once (N + 2)^n would overflow int64
+    radix = np.array([(N + 2) ** k for k in range(n - 1, -1, -1)],
+                     dtype=np.int64 if (N + 2) ** n < 2 ** 63 else object)
+    keys = basis @ radix
+    order = np.argsort(keys)
+    live = np.nonzero(basis.sum(axis=1) < N)[0]
+    m = basis[live]
+    powers = _powers(q_val, 2 * N + 1)
     target, weight = np.full(dim + 1, dim), np.zeros(dim + 1, dtype=complex)
-    for col, m in enumerate(basis):
-        if sum(m) >= N:
-            continue
-        phase = q_val ** sum(m[k] for k in range(j, n))
-        target[col] = index[m[:j - 1] + (m[j - 1] + 1,) + m[j:]]
-        weight[col] = phase * np.sqrt(1.0 - q_val ** (2 * (m[j - 1] + 1)))
+    target[live] = order[np.searchsorted(keys, keys[live] + radix[j - 1],
+                                         sorter=order)]
+    weight[live] = powers[m[:, j:].sum(axis=1)] * np.sqrt(
+        1.0 - powers[2 * (m[:, j - 1] + 1)])
     return target, weight
 
 
@@ -112,13 +130,11 @@ def _adjoint(target: np.ndarray, weight: np.ndarray) -> Map:
 
 def fock_generators(cfg: FockConfig) -> RepMatrices:
     """Truncated Fock representation on {e_m : |m| <= N}."""
-    basis = graded_lex_basis(cfg.n, cfg.N)
-    index = {m: i for i, m in enumerate(basis)}
-    maps = [_fock_raising(basis, index, j, cfg.n, cfg.N, cfg.q_val)
+    basis = np.array(graded_lex_basis(cfg.n, cfg.N), dtype=int)
+    maps = [_fock_raising(basis, j, cfg.N, cfg.q_val)
             for j in range(1, cfg.n + 1)]
-    levels = np.array([sum(m) for m in basis], dtype=int)
     return RepMatrices(n=cfg.n, maps=maps, dim=len(basis),
-                       levels=levels, cutoff=cfg.N)
+                       levels=basis.sum(axis=1), cutoff=cfg.N)
 
 
 def boundary_block_generators(cfg: BoundaryConfig, omega: complex) -> RepMatrices:
@@ -134,8 +150,8 @@ def boundary_block_generators(cfg: BoundaryConfig, omega: complex) -> RepMatrice
         # z2..zn act on the first n - 1 indices as the Fock generators do
         fock = fock_generators(FockConfig(cfg.n - 1, cfg.N, cfg.q_val))
         rest, levels, cutoff = fock.maps, fock.levels, cfg.N
-    z1 = (np.arange(len(levels) + 1), np.array(
-        [omega * cfg.q_val ** int(k) for k in levels] + [0], dtype=complex))
+    z1 = (np.arange(len(levels) + 1),
+          np.append(omega * _powers(cfg.q_val, cfg.N + 1)[levels], 0j))
     return RepMatrices(n=cfg.n, maps=[z1] + rest, dim=len(levels),
                        levels=levels, cutoff=cutoff)
 

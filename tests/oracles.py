@@ -9,6 +9,11 @@ These are oracles only; no library code calls them.
   generator into the weighted index map the library evaluates (matrix_map).
   The library evaluates one character block per omega instead
   (boundary_block_generators).
+* reference_raising is the Fock raising map built one basis vector at a
+  time (a dict index, Python float powers); reference_fock_maps and
+  reference_block_maps build every generator of fock_generators and
+  boundary_block_generators from it.  The library builds each map from
+  arrays (searchsorted on integer keys, one table of powers).
 * circle_grid_max evaluates an n = 1 polynomial as an ordinary function on
   the circle.
 * fraction_terms and fraction_poly convert between an NCPoly and reference
@@ -36,7 +41,6 @@ from qball.algebra import Letter, NCPoly, Word
 from qball.representations import (
     BoundaryConfig,
     RepMatrices,
-    _fock_raising,
     graded_lex_basis,
 )
 from qball.rewrite import apply_rule, rule_sites
@@ -73,6 +77,40 @@ def map_matrix(target: np.ndarray, weight: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((weight[cols], (target[cols], cols)), shape=(dim, dim))
 
 
+def reference_raising(basis: List[Tuple[int, ...]],
+                      index: Dict[Tuple[int, ...], int], j: int, n: int,
+                      N: int, q_val: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Map of e_m -> q^{sum_{k>j} m_k} sqrt(1-q^{2(m_j+1)}) e_{m+delta_j},
+    one basis vector at a time."""
+    dim = len(basis)
+    target, weight = np.full(dim + 1, dim), np.zeros(dim + 1, dtype=complex)
+    for col, m in enumerate(basis):
+        if sum(m) >= N:
+            continue
+        phase = q_val ** sum(m[k] for k in range(j, n))
+        target[col] = index[m[:j - 1] + (m[j - 1] + 1,) + m[j:]]
+        weight[col] = phase * np.sqrt(1.0 - q_val ** (2 * (m[j - 1] + 1)))
+    return target, weight
+
+
+def reference_fock_maps(n: int, N: int, q_val: float):
+    """The raising maps of the Fock representation on |m| <= N."""
+    basis = graded_lex_basis(n, N)
+    index = {m: i for i, m in enumerate(basis)}
+    return [reference_raising(basis, index, j, n, N, q_val)
+            for j in range(1, n + 1)]
+
+
+def reference_block_maps(cfg: BoundaryConfig, omega: complex):
+    """The maps of one boundary character block: z1 the diagonal
+    omega * q^|m| (the 1 x 1 block omega for n = 1), z2..zn the Fock maps
+    of n - 1 variables."""
+    levels = [sum(m) for m in graded_lex_basis(cfg.n - 1, cfg.N)]
+    z1 = (np.arange(len(levels) + 1), np.array(
+        [omega * cfg.q_val ** k for k in levels] + [0], dtype=complex))
+    return [z1] + reference_fock_maps(cfg.n - 1, cfg.N, cfg.q_val)
+
+
 def boundary_generators(cfg: BoundaryConfig) -> RepMatrices:
     """Boundary-family representation annihilating the sphere relation.
 
@@ -92,8 +130,8 @@ def boundary_generators(cfg: BoundaryConfig) -> RepMatrices:
     for j in range(2, cfg.n + 1):
         # Fock action in the variables (m_2, ..., m_n): generator j sits at
         # slot j-1 of the (n-1)-index.
-        raising = map_matrix(*_fock_raising(basis, index, j - 1, cfg.n - 1,
-                                            cfg.N, cfg.q_val))
+        raising = map_matrix(*reference_raising(basis, index, j - 1,
+                                                cfg.n - 1, cfg.N, cfg.q_val))
         mats.append(sp.kron(raising, eye_m, format="csr"))
     levels = np.repeat([sum(m) for m in basis], cfg.M)
     return RepMatrices(n=cfg.n, maps=[matrix_map(m) for m in mats],

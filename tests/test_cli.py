@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -48,6 +49,23 @@ def test_norm_json_report(capsys, tmp_path):
     assert report["result"] == pytest.approx(2.0, abs=1e-3)
     for key in ("input", "mode", "tolerances", "seed", "version"):
         assert key in report
+
+
+def test_norm_scaled_by_a_power_of_two_is_exact(capsys, tmp_path):
+    """At q = 1/2, q^600 is exactly 2^-600: the values lie far outside the
+    range where squaring the entries keeps sigma_1, and the kernel's
+    power-of-two scale reports them exactly."""
+    def result(expr):
+        path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "norm", "--side", "ball", "--n", "2",
+                         "--q", "1/2", "--expr", expr, "--trunc", "4,6",
+                         "--theta", "8", "--json", str(path))
+        assert code == 0
+        return json.loads(path.read_text())["result"]
+
+    value = result("z1")
+    assert result("q^600*z1") == math.ldexp(value, -600) == 2.409919865102884e-181
+    assert result("q^-600*z1") == math.ldexp(value, 600) == 4.149515568880993e+180
 
 
 def test_maxprinciple(capsys, tmp_path):

@@ -5,6 +5,7 @@ structural nonzeros and takes the max of their top singular values; the
 full-spectrum np.linalg.norm(block, 2) of the unsplit block is the oracle.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -194,3 +195,71 @@ def test_component_labels_on_a_long_chain():
     nodes = np.arange(5000)
     count, labels = norms._components(5000, nodes[:0:-1], nodes[-2::-1])
     assert count == 1 and not labels.any()
+
+
+def strict_norm(*args, **kwargs):
+    """operator_norm with every warning raised as an error, whatever the
+    pytest configuration: an overflow in the kernel must not pass."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return operator_norm(*args, **kwargs)
+
+
+SCALES = [1e-310, 1e-200, 1.0, 1e200, 1e300]
+# at 1e-310 sigma_1 itself is subnormal, so it is only as exact as the
+# subnormal spacing: a few of those are allowed on top of 1e-15 relative
+SUBNORMAL = 4 * np.finfo(float).smallest_subnormal
+
+
+def complex_block(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (6, 6), (5, 8)])
+def test_kernel_keeps_relative_accuracy_at_any_scale(scale, shape):
+    """Squaring would lose sigma_1 below ~1e-154 and overflow above ~1e154;
+    the power-of-two scale keeps it within ~eps relative."""
+    A = complex_block(np.random.default_rng(11), *shape) * scale
+    assert strict_norm(A) == pytest.approx(float(np.linalg.norm(A, 2)),
+                                           rel=1e-15, abs=SUBNORMAL)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_phased_stack_keeps_relative_accuracy_at_any_scale(scale):
+    # phases in {1, i, -1, -i}: the combined blocks are exact at every scale
+    rng = np.random.default_rng(12)
+    A = complex_block(rng, 3, 6, 5) * scale
+    phases = 1j ** rng.integers(0, 4, size=(5, 3))
+    want = max(float(np.linalg.norm(np.tensordot(w, A, axes=1), 2))
+               for w in phases)
+    assert strict_norm(A, phases=phases) == pytest.approx(
+        want, rel=1e-15, abs=SUBNORMAL)
+
+
+def test_zero_empty_and_cancelling_blocks_give_exact_zero():
+    X = complex_block(np.random.default_rng(13), 4, 4)
+    assert strict_norm(np.zeros((4, 4), dtype=complex)) == 0.0
+    assert strict_norm(np.zeros((0, 3), dtype=complex)) == 0.0
+    assert strict_norm(np.stack([X, X]),
+                       phases=np.array([[1.0, -1.0]])) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_convergence_error_reports_the_unscaled_value(monkeypatch, scale):
+    """A 2 x 2 component goes to the dense kernel first, then a 5 x 5 one
+    to ARPACK, which fails: last_value is the 2 x 2 value at the input's
+    scale."""
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("No convergence", [], [])
+
+    monkeypatch.setattr(norms, "_DENSE_LIMIT", 3)
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+    rng = np.random.default_rng(14)
+    small = complex_block(rng, 2, 2) * scale
+    A = np.zeros((7, 7), dtype=complex)
+    A[:2, :2], A[2:, 2:] = small, complex_block(rng, 5, 5) * scale
+    with pytest.raises(NormConvergenceError) as err:
+        strict_norm(A)
+    assert err.value.last_value == pytest.approx(
+        float(np.linalg.norm(small, 2)), rel=1e-15, abs=0)

@@ -30,7 +30,8 @@ from qball.rewrite import normalize
 from qball.sampling import random_poly
 
 from oracles import (boundary_generators, cycle_matrix, fraction_constant,
-                     fraction_terms, fraction_value)
+                     fraction_terms, fraction_value, reference_block_maps,
+                     reference_fock_maps)
 
 Q = 0.5
 
@@ -166,6 +167,26 @@ def test_boundary_block_matches_full_rep():
         block_norms.append(
             np.linalg.norm(rep_apply(f, block, Q), 2))
     assert np.linalg.norm(A, 2) == pytest.approx(max(block_norms), abs=1e-12)
+
+
+def maps_equal(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(t, t_ref) and np.array_equal(w, w_ref)
+        for (t, w), (t_ref, w_ref) in zip(got, want))
+
+
+@pytest.mark.parametrize("q_val", [1 / 3, 1 / 2, 4 / 5, 0.999])
+def test_maps_equal_the_loop_built_reference(q_val):
+    """The array-built maps are bit for bit those of the per-basis-vector
+    loop; (32, 2) takes keys past int64."""
+    sizes = [(n, N) for n in range(1, 5) for N in (1, 2, 5, 10)]
+    for n, N in sizes + [(1, 24), (2, 24), (32, 2)]:
+        assert maps_equal(fock_generators(FockConfig(n, N, q_val)).maps,
+                          reference_fock_maps(n, N, q_val))
+        for omega in (1.0, cmath.exp(0.3j)):
+            cfg = BoundaryConfig(n, N, 4, q_val)
+            assert maps_equal(boundary_block_generators(cfg, omega).maps,
+                              reference_block_maps(cfg, omega))
 
 
 def test_homomorphism_cross_check():
