@@ -93,6 +93,20 @@ def free_product(u: Word, v: Word) -> Iterable[Tuple[Word, Laurent]]:
     return ((u + v, {0: 1}),)
 
 
+def _laurent_addmul(acc: Laurent, a: Laurent, b: Laurent,
+                    sign: int = 1) -> None:
+    """acc += sign * a * b in place, dropping zero entries; a's exponents
+    are the outer loop, b's the inner one."""
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            v = acc.get(k, 0) + sign * c1 * c2
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+
+
 def _addmul(state: State, w: Word, lp: Laurent,
             coeff: Tuple[Laurent, Laurent]) -> None:
     """state[w] += lp * coeff in place for a real lp, dropping zero
@@ -101,14 +115,7 @@ def _addmul(state: State, w: Word, lp: Laurent,
     if target is None:
         target = state[w] = ({}, {})
     for part, acc in zip(coeff, target):
-        for k1, a in part.items():
-            for k2, c in lp.items():
-                k = k1 + k2
-                v = acc.get(k, 0) + a * c
-                if v:
-                    acc[k] = v
-                else:
-                    del acc[k]
+        _laurent_addmul(acc, part, lp)
     if not (target[0] or target[1]):
         del state[w]
 
@@ -121,14 +128,7 @@ def _gauss_mul(x: Tuple[Laurent, Laurent],
     im: Laurent = {}
     for acc, sign, a, b in ((re, 1, xr, yr), (re, -1, xi, yi),
                             (im, 1, xr, yi), (im, 1, xi, yr)):
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                v = acc.get(k, 0) + sign * c1 * c2
-                if v:
-                    acc[k] = v
-                else:
-                    del acc[k]
+        _laurent_addmul(acc, a, b, sign)
     return re, im
 
 
@@ -305,6 +305,11 @@ class MatPoly:
         self.entries = rows
         self.shape = (len(rows), len(rows[0]))
         self.n = n
+
+    @staticmethod
+    def of(f: "NCPoly | MatPoly") -> "MatPoly":
+        """f as a matrix of polynomials; a polynomial is the 1 x 1 case."""
+        return f if isinstance(f, MatPoly) else MatPoly([[f]])
 
     def degree(self) -> int:
         return max(p.degree() for r in self.entries for p in r)

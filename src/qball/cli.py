@@ -378,6 +378,8 @@ def _cmd_confluence_fuzz(args) -> int:
 
 
 def _cmd_pbw_rank(args) -> int:
+    if args.degree < 0:
+        raise ValueError(f"--degree must be nonnegative, got {args.degree}")
     q = _parse_q(args.q)
     N = _single_trunc(args.trunc)
     value = pbw_gram_min_singular(args.n, args.degree, N, float(q))

@@ -36,8 +36,8 @@ z1-charge d = #z1 - #z1' contributes omega^d times its omega = 1 matrix.  A
 polynomial, or a k x l matrix of polynomials, is one trigonometric
 polynomial sum_d omega^d A_d; the union sparsity pattern over d holds for
 every omega, so one split of the stack serves all M blocks.  A polynomial
-is the 1 x 1 case throughout: ball_norm and boundary_norm take either, so
-matrix levels are these same calls on a MatPoly.
+is the 1 x 1 case throughout (MatPoly.of): rep_apply, ball_norm and
+boundary_norm take either, so matrix levels are these same calls.
 
 The gauge torus also acts on the boundary side.  When omega_invariant(F)
 holds (an exact rank test on the charge vectors of F's words), every block
@@ -49,11 +49,11 @@ the z1-charges (Bernstein's inequality; every angle lies within pi / M of
 a node).  The bracket covers the omega discretisation at fixed N only.
 
 Every schedule is one pass (_schedules).  Once per input it finds F's
-degree, omega_invariant(F) and the split of F's words by z1-charge; per
-point (N, M) it builds the omega = 1 block once, forms one compressed A_d
-per charge, and takes the boundary value, its whole-circle bound and, for
-the ball side, the Fock value.  A maximum-principle report is that one
-pass with both sides; a single-point value is a one-point schedule.
+degree, omega_invariant(F) and its part of each z1-charge d (a MatPoly);
+per point (N, M) it builds the omega = 1 block once, stacks the parts'
+rep_apply blocks A_d, and takes the boundary value, its whole-circle bound
+and, for the ball side, the Fock value.  A maximum-principle report is
+that one pass with both sides; a single-point value is a one-point schedule.
 """
 
 from __future__ import annotations
@@ -107,7 +107,8 @@ def operator_norm(A, tol: float = DEFAULT_TOL,
     (_top_singular); a component with more than _DENSE_LIMIT rows and
     columns goes to ARPACK (svds, k = 1) from the all-ones vector, and a
     NormConvergenceError carries the unscaled max found before it.  A zero
-    or empty block gives 0; a scipy sparse A is read through its toarray().
+    or empty block gives 0, a nan or infinite entry a ValueError; a scipy
+    sparse A is read through its toarray().
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -117,6 +118,8 @@ def operator_norm(A, tol: float = DEFAULT_TOL,
     r, c = stack.shape[1:]
     rows, cols = np.nonzero(np.any(stack != 0, axis=0))
     found = stack[:, rows, cols]
+    if not np.isfinite(found).all():
+        raise ValueError("the block has a nan or infinite entry")
     if not found.size:
         return 0.0
     # an exact power-of-two scale: the largest entry goes to [1/2, 1)
@@ -289,24 +292,15 @@ def _check_trunc(N: int, degree: int) -> None:
             f"truncation too small: N={N} < deg+1={degree + 1}")
 
 
-def _as_matrix(f: Union[NCPoly, MatPoly]) -> MatPoly:
-    """f as a matrix of polynomials; a polynomial is the 1 x 1 case."""
-    return f if isinstance(f, MatPoly) else MatPoly([[f]])
-
-
 def fock_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
                          tol: float = DEFAULT_TOL) -> float:
     """Certified lower bound for the Fock-representation norm of f."""
-    F = _as_matrix(f)
+    F = MatPoly.of(f)
     degree = F.degree()
     _check_trunc(N, degree)
     rep = _fock_rep(F.n, N, q_val)
-    indices = certify_compression(rep, degree)
-    blocks = [[rep_apply(p, rep, q_val, indices) for p in row]
-              for row in F.entries]
-    # np.block copies, which would double the peak memory of a large block
-    return operator_norm(blocks[0][0] if F.shape == (1, 1)
-                         else np.block(blocks), tol)
+    return operator_norm(
+        rep_apply(F, rep, q_val, certify_compression(rep, degree)), tol)
 
 
 def _charge(word, j: int) -> int:
@@ -344,7 +338,7 @@ def omega_invariant(f: Union[NCPoly, MatPoly]) -> bool:
     comparing two exact integer ranks; n = 1 and scalars are the small
     cases.
     """
-    F = _as_matrix(f)
+    F = MatPoly.of(f)
     k, l = F.shape
     vectors = sorted({
         tuple(_charge(word, j) for j in range(1, F.n + 1))
@@ -376,9 +370,9 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
                schedule: Sequence[SchedulePoint], tol: float, ball: bool
                ) -> Tuple[Optional[NormEstimate], NormEstimate]:
     """Ball (if asked) and boundary schedules of f, in one pass (see the
-    module docstring).  Entry (a, b) of A_d sits at rows a*r.., cols
-    b*r..; the ball value is max(Fock, boundary), its whole-circle bound
-    max(Fock, boundary bound).
+    module docstring).  A zero F has one zero part, of charge 0.  The ball
+    value is max(Fock, boundary), its whole-circle bound max(Fock,
+    boundary bound).
 
     An invariant F's boundary value is the sup over the whole circle.
     Otherwise <P(omega) u, v> = sum_d omega^d <A_d u, v> is, after the
@@ -390,20 +384,16 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
     """
     if not schedule:
         raise ValueError("empty schedule")
-    F = _as_matrix(f)
+    F = MatPoly.of(f)
     L = F.degree()
     invariant = omega_invariant(F)
-    split: dict = {}
-    for a, row in enumerate(F.entries):
-        for b, p in enumerate(row):
-            for word, coeff in p.terms.items():
-                split.setdefault(_charge(word, 1), {}).setdefault(
-                    (a, b), {})[word] = coeff
-    order = sorted(split)
-    parts = [[(a, b, NCPoly(F.n, terms, F.entries[a][b].den))
-              for (a, b), terms in split[d].items()] for d in order]
-    charges = np.array(order, dtype=int)
-    K = (order[-1] - order[0]) / 2 if order else 0
+    charge = {word: _charge(word, 1)
+              for row in F.entries for p in row for word in p.terms}
+    order = sorted(set(charge.values())) or [0]
+    parts = [MatPoly([[NCPoly(F.n, {w: c for w, c in p.terms.items()
+                                    if charge[w] == d}, p.den)
+                       for p in row] for row in F.entries]) for d in order]
+    K = (order[-1] - order[0]) / 2
     bdry, upper, fock = [], [], []
     for N, M in schedule:
         rep = boundary_block_generators(
@@ -411,16 +401,10 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
         if rep.cutoff is not None:
             _check_trunc(N, L)
         indices = certify_compression(rep, L)
-        r = len(indices)
-        A = np.zeros((len(parts), F.shape[0] * r, F.shape[1] * r),
-                     dtype=complex)
-        for i, part in enumerate(parts):
-            for a, b, p in part:
-                A[i, a * r:(a + 1) * r, b * r:(b + 1) * r] = rep_apply(
-                    p, rep, q_val, indices)
+        A = np.stack([rep_apply(part, rep, q_val, indices) for part in parts])
         # exp(2 pi i (t d mod M) / M): nested grids share exact phases
         grid = np.arange(1 if invariant else M)
-        phases = np.exp(2j * np.pi * (np.outer(grid, charges) % M) / M)
+        phases = np.exp(2j * np.pi * (np.outer(grid, order) % M) / M)
         value = operator_norm(A, tol, phases)
         bdry.append(value)
         bound = value / (1 - np.pi * K / M) if M > np.pi * K else None
@@ -492,7 +476,7 @@ def max_principle_report(f: Union[NCPoly, MatPoly], q_val: float,
     ball, boundary = _schedules(f, q_val, schedule, tol, ball=True)
     return GapReport(ball=ball, boundary=boundary,
                      gap=abs(ball.final - boundary.final),
-                     holomorphic=_as_matrix(f).is_holomorphic())
+                     holomorphic=MatPoly.of(f).is_holomorphic())
 
 
 # -- linear-independence probe ----------------------------------------

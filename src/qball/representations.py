@@ -10,8 +10,8 @@ Two families are built:
   of n - 1 variables.
 
 Each generator, hence each word, sends a basis vector to at most one basis
-vector times one weight; rep_apply, the one evaluation of a polynomial (the
-defining relations of qball.rewrite included), composes these index maps.
+vector times one weight; rep_apply, the one evaluation of a polynomial or a
+matrix of polynomials (relations included), composes these index maps.
 The maps are built from arrays: a raising map finds its targets by
 searchsorted on integer keys of the basis rows, and every weight, the
 boundary z1 diagonal included, is read from one table of Python float
@@ -26,11 +26,11 @@ operator norms downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .algebra import NCPoly, compositions
+from .algebra import MatPoly, NCPoly, compositions
 from .scalars import coefficient_value
 
 
@@ -156,28 +156,36 @@ def boundary_block_generators(cfg: BoundaryConfig, omega: complex) -> RepMatrice
                        levels=levels, cutoff=cutoff)
 
 
-def rep_apply(p: NCPoly, rep: RepMatrices, q_val: float,
+@np.errstate(over="ignore", invalid="ignore")
+def rep_apply(f: Union[NCPoly, MatPoly], rep: RepMatrices, q_val: float,
               indices: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dense matrix of p in rep (starred -> adjoint) on the columns and
-    rows in indices, or in full when indices is None.  Each word composes
+    """Dense matrix of f in rep (starred -> adjoint) on the columns and
+    rows in indices, or in full when indices is None; entry (a, b) of a
+    k x l MatPoly fills rows a*r.. and columns b*r.. of one block, r =
+    len(indices), and a polynomial is the 1 x 1 case.  Each word composes
     its letters' maps from the right: one entry per column, none where the
-    image falls outside indices (the sink included)."""
-    if p.n != rep.n:
-        raise ValueError(f"polynomial has n={p.n}, representation has n={rep.n}")
+    image falls outside indices (the sink included).  A sum that overflows
+    stays inf or nan, with no warning, for operator_norm to refuse."""
+    F = MatPoly.of(f)
+    if F.n != rep.n:
+        raise ValueError(f"polynomial has n={F.n}, representation has n={rep.n}")
     cols = np.arange(rep.dim) if indices is None else np.asarray(indices)
+    r = len(cols)
     pos = np.full(rep.dim + 1, -1)
-    pos[cols] = np.arange(len(cols))
-    adjoints = [_adjoint(*gen) for gen in rep.maps]
-    out = np.zeros((len(cols), len(cols)), dtype=complex)
-    for word in sorted(p.terms, key=lambda w: (len(w), w)):
-        target, weight = cols, np.ones(len(cols), dtype=complex)
-        for letter in reversed(word):
-            t, w = (adjoints if letter.starred else rep.maps)[letter.index - 1]
-            target, weight = t[target], w[target] * weight
-        rows = pos[target]
-        keep = np.nonzero(rows >= 0)[0]
-        value = coefficient_value(p.terms[word], p.den, q_val)
-        out[rows[keep], keep] += value * weight[keep]
+    pos[cols] = np.arange(r)
+    maps = rep.maps, [_adjoint(*gen) for gen in rep.maps]  # by .starred
+    out = np.zeros((F.shape[0] * r, F.shape[1] * r), dtype=complex)
+    for a, row in enumerate(F.entries):
+        for b, p in enumerate(row):
+            for word in sorted(p.terms, key=lambda w: (len(w), w)):
+                target, weight = cols, np.ones(r, dtype=complex)
+                for letter in reversed(word):
+                    t, w = maps[letter.starred][letter.index - 1]
+                    target, weight = t[target], w[target] * weight
+                rows = pos[target]
+                keep = np.nonzero(rows >= 0)[0]
+                value = coefficient_value(p.terms[word], p.den, q_val)
+                out[a * r + rows[keep], b * r + keep] += value * weight[keep]
     return out
 
 

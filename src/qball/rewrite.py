@@ -42,7 +42,8 @@ import random
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import (BALL, SPHERE, AlgebraContext, Laurent, Letter, NCPoly,
-                      State, Word, WordProduct, _addmul, compositions)
+                      State, Word, WordProduct, _addmul, _laurent_addmul,
+                      compositions)
 
 Expansion = List[Tuple[Laurent, Word]]
 
@@ -139,15 +140,7 @@ def _normalize_word(word: Word, ctx: AlgebraContext) -> Dict[Word, Laurent]:
     acc: Dict[Word, Laurent] = {}
     for coeff, replacement in expansion:
         for w, lp in _normalize_word(replacement, ctx).items():
-            target = acc.setdefault(w, {})
-            for k1, c1 in coeff.items():
-                for k2, c2 in lp.items():
-                    k = k1 + k2
-                    v = target.get(k, 0) + c1 * c2
-                    if v:
-                        target[k] = v
-                    else:
-                        del target[k]
+            _laurent_addmul(acc.setdefault(w, {}), coeff, lp)
     result = {w: lp for w, lp in acc.items() if lp}
     _NF_CACHE[key] = result
     return result

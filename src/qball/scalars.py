@@ -9,6 +9,7 @@ is specialized to a float only here, for the numerics layer.
 
 from __future__ import annotations
 
+import cmath
 from typing import Dict, Tuple
 
 
@@ -19,11 +20,18 @@ class DomainError(ValueError):
 def coefficient_value(coeff: Tuple[Dict[int, int], Dict[int, int]], den: int,
                       q_val: float) -> complex:
     """(re + i*im)/den at a numeric q in (0, 1), summed by ascending
-    exponent; each part is one correctly rounded int/int division."""
+    exponent; each part is one correctly rounded int/int division.  A value
+    that is not a finite complex float is a DomainError."""
     if not 0 < q_val < 1:
         raise DomainError(f"q must lie in (0, 1), got {q_val}")
     re, im = coeff
     total = 0j
-    for k in sorted(re.keys() | im.keys()):
-        total += complex(re.get(k, 0) / den, im.get(k, 0) / den) * q_val ** k
+    try:
+        for k in sorted(re.keys() | im.keys()):
+            total += (complex(re.get(k, 0) / den, im.get(k, 0) / den)
+                      * q_val ** k)
+    except OverflowError:
+        total = complex("inf")
+    if not cmath.isfinite(total):
+        raise DomainError(f"coefficient not a finite float at q = {q_val}")
     return total

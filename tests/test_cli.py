@@ -167,6 +167,41 @@ def test_missing_expression(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("q^-2000*z1", "not a finite float"),
+    ("2^1100*z1", "not a finite float"),
+    ("2^1000*q^-100*z1", "not a finite float"),
+    ("2^1023*z1*z1' + 2^1023*z1'*z1 + 2^1023", "nan or infinite entry"),
+])
+def test_norm_refuses_values_that_are_not_finite(capsys, expr, message):
+    code, out, err = run(capsys, "norm", "--n", "1", "--expr", expr,
+                         "--trunc", "4,6", "--theta", "8")
+    assert code == 2
+    assert message in err
+    assert "result" not in out
+
+
+@pytest.mark.parametrize("expr", ["0", "[0, 0]"])
+@pytest.mark.parametrize("side", ["ball", "boundary"])
+def test_norm_of_zero_is_zero(capsys, tmp_path, expr, side):
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "norm", "--side", side, "--n", "2",
+                     "--expr", expr, "--trunc", "4,6", "--theta", "8",
+                     "--json", str(path))
+    assert code == 0
+    report = json.loads(path.read_text())
+    assert report["result"] == 0.0
+    assert [p["value"] for p in report["schedule"]] == [0.0, 0.0]
+
+
+def test_pbw_rank_rejects_negative_degree(capsys):
+    code, out, err = run(capsys, "pbw-rank", "--n", "2", "--degree", "-1",
+                         "--trunc", "4")
+    assert code == 2
+    assert "--degree must be nonnegative" in err
+    assert "PASS" not in out
+
+
 def test_confluence_fuzz_rejects_negative_count(capsys):
     code, out, err = run(capsys, "confluence-fuzz", "--n", "2",
                          "--count", "-3")

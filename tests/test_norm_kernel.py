@@ -245,6 +245,16 @@ def test_zero_empty_and_cancelling_blocks_give_exact_zero():
                        phases=np.array([[1.0, -1.0]])) == 0.0
 
 
+@pytest.mark.parametrize("A", [[[3, np.inf], [0, 0]], [[np.nan, 1], [0, 2]]])
+def test_non_finite_entries_are_refused(A):
+    """frexp(inf) has exponent 0 and max(best, nan) keeps best, so such a
+    block would otherwise read as 0."""
+    with pytest.raises(ValueError, match="nan or infinite"):
+        operator_norm(A)
+    with pytest.raises(ValueError, match="nan or infinite"):
+        operator_norm(np.stack([np.eye(2), A]), phases=np.ones((3, 2)))
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_convergence_error_reports_the_unscaled_value(monkeypatch, scale):
     """A 2 x 2 component goes to the dense kernel first, then a 5 x 5 one

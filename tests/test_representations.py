@@ -12,6 +12,7 @@ from qball.algebra import (
     SPHERE,
     AlgebraContext,
     Letter,
+    MatPoly,
     NCPoly,
 )
 from qball.parsing import parse_expression
@@ -314,3 +315,37 @@ def test_rep_apply_equals_dense_generator_products(data):
     assert got.shape == (len(idx), len(idx))
     assert np.abs(got - want[np.ix_(idx, idx)]).max(initial=0.0) < 1e-13
     assert np.abs(rep_apply(p, rep, Q) - want).max(initial=0.0) < 1e-13
+
+
+# -- rep_apply of a matrix of polynomials -------------------------------
+
+@pytest.mark.parametrize("text, n", [
+    ("[z1, z2'*z1; 0, 1 - z1*z1']", 2),          # square, a zero entry
+    ("[z1*z2, q*z2']", 2),                        # 1 x 2
+    ("[z1; i*z1'*z1]", 1),                        # 2 x 1
+    ("[z1, 0, z3*z2'; z2, (1/2)*z1*z1, 0]", 3),   # 2 x 3
+    ("[0, 0]", 2),                                # every entry zero
+])
+@pytest.mark.parametrize("side", ["fock", "boundary"])
+def test_rep_apply_of_a_matrix_is_the_block_of_its_entries(text, n, side):
+    """Entry (a, b) of F fills rows a*r.. and columns b*r.. of one block:
+    exactly np.block of the entries' own blocks."""
+    F = parse_expression(text, n)
+    if side == "fock":
+        rep = fock_generators(FockConfig(n, 5, Q))
+    else:
+        rep = boundary_block_generators(BoundaryConfig(n, 5, 4, Q), 1j)
+    for idx in (None, certify_compression(rep, F.degree())):
+        want = np.block([[rep_apply(p, rep, Q, idx) for p in row]
+                         for row in F.entries])
+        assert np.array_equal(rep_apply(F, rep, Q, idx), want)
+
+
+def test_rep_apply_of_a_polynomial_is_the_one_by_one_case():
+    p = parse_expression("z1'*z2 + (1-i)*z2", 2)
+    rep = fock_generators(FockConfig(2, 4, Q))
+    assert MatPoly.of(p).entries == [[p]]
+    assert np.array_equal(rep_apply(MatPoly([[p]]), rep, Q),
+                          rep_apply(p, rep, Q))
+    with pytest.raises(ValueError, match="representation has n=2"):
+        rep_apply(MatPoly([[NCPoly.generator(3, 3)]]), rep, Q)

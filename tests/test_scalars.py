@@ -41,6 +41,14 @@ def test_eval_domain_error():
         value(q(), -0.1)
 
 
+def test_eval_refuses_values_that_are_not_finite():
+    for s in (q(-2000),                             # q^-2000 overflows
+              NCPoly.constant(1, {0: 2 ** 1100}),   # so does 2^1100 / 1
+              NCPoly.constant(1, {-100: 2 ** 1000})):   # a product to inf
+        with pytest.raises(DomainError, match="not a finite float"):
+            value(s, 0.5)
+
+
 def test_zero_coefficients_dropped():
     s = q(3) - q(3)
     assert s.is_zero()
