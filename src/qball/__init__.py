@@ -22,6 +22,7 @@ from .rewrite import (
 )
 from .representations import (
     BoundaryConfig,
+    Entries,
     FockConfig,
     RepMatrices,
     TruncationError,
@@ -29,6 +30,7 @@ from .representations import (
     certify_compression,
     fock_generators,
     rep_apply,
+    rep_entries,
 )
 from .norms import (
     GapReport,
@@ -48,7 +50,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraContext", "BALL", "SPHERE", "BoundaryConfig", "ContextError",
-    "DomainError", "FockConfig", "GapReport", "Letter", "MatPoly", "NCPoly",
+    "DomainError", "Entries", "FockConfig", "GapReport", "Letter", "MatPoly", "NCPoly",
     "NormConvergenceError", "NormEstimate", "ParseError", "RepMatrices",
     "TruncationError", "ball_norm", "boundary_block_generators",
     "boundary_norm", "canonical_monomials", "certify_compression",
@@ -56,5 +58,5 @@ __all__ = [
     "make_schedule", "max_principle_report",
     "normalize", "normalize_by_steps", "operator_norm", "parse_expression",
     "pbw_gram_min_singular", "print_matrix", "print_poly", "reduce_step",
-    "relation_residual", "rep_apply",
+    "relation_residual", "rep_apply", "rep_entries",
 ]

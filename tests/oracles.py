@@ -14,6 +14,9 @@ These are oracles only; no library code calls them.
   reference_block_maps build every generator of fock_generators and
   boundary_block_generators from it.  The library builds each map from
   arrays (searchsorted on integer keys, one table of powers).
+* reference_dense_block is the evaluation loop rep_entries replaced: each
+  word's entries added into a zero dense block by +=, in the same word
+  order; rep_entries sums in that order but stores only the nonzeros.
 * circle_grid_max evaluates an n = 1 polynomial as an ordinary function on
   the circle.
 * fraction_terms and fraction_poly convert between an NCPoly and reference
@@ -37,13 +40,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from qball.algebra import Letter, NCPoly, Word
+from qball.algebra import Letter, MatPoly, NCPoly, Word
 from qball.representations import (
     BoundaryConfig,
     RepMatrices,
     graded_lex_basis,
 )
 from qball.rewrite import apply_rule, rule_sites
+from qball.scalars import coefficient_value
 
 
 def cycle_matrix(M: int) -> sp.csr_matrix:
@@ -137,6 +141,40 @@ def boundary_generators(cfg: BoundaryConfig) -> RepMatrices:
     return RepMatrices(n=cfg.n, maps=[matrix_map(m) for m in mats],
                        dim=dim0 * cfg.M,
                        levels=np.asarray(levels, dtype=int), cutoff=cfg.N)
+
+
+def reference_dense_block(f, rep: RepMatrices, q_val: float,
+                          indices: Optional[np.ndarray] = None) -> np.ndarray:
+    """The dense block of f (a polynomial or a MatPoly) in rep on indices:
+    entry (a, b) at rows a*r.. and columns b*r.., each word's map composed
+    from the right and its entries added into zeros by +=, words by
+    (length, word)."""
+    F = MatPoly.of(f)
+    cols = np.arange(rep.dim) if indices is None else np.asarray(indices)
+    r = len(cols)
+    pos = np.full(rep.dim + 1, -1)
+    pos[cols] = np.arange(r)
+    adjoints = []
+    for target, weight in rep.maps:
+        live = np.nonzero(target[:rep.dim] < rep.dim)[0]
+        inverse = np.full(rep.dim + 1, rep.dim)
+        conj = np.zeros(rep.dim + 1, dtype=complex)
+        inverse[target[live]], conj[target[live]] = live, weight[live].conj()
+        adjoints.append((inverse, conj))
+    out = np.zeros((F.shape[0] * r, F.shape[1] * r), dtype=complex)
+    for a, row in enumerate(F.entries):
+        for b, p in enumerate(row):
+            for word in sorted(p.terms, key=lambda w: (len(w), w)):
+                target, weight = cols, np.ones(r, dtype=complex)
+                for letter in reversed(word):
+                    maps = adjoints if letter.starred else rep.maps
+                    t, w = maps[letter.index - 1]
+                    target, weight = t[target], w[target] * weight
+                rows = pos[target]
+                keep = np.nonzero(rows >= 0)[0]
+                value = coefficient_value(p.terms[word], p.den, q_val)
+                out[a * r + rows[keep], b * r + keep] += value * weight[keep]
+    return out
 
 
 # -- Fraction reference arithmetic ------------------------------------

@@ -181,6 +181,26 @@ def test_norm_refuses_values_that_are_not_finite(capsys, expr, message):
     assert "result" not in out
 
 
+@pytest.mark.parametrize("expr", ["2^-1100*z1", "q^1100*z1"])
+def test_norm_refuses_coefficients_that_underflow_to_zero(capsys, expr):
+    """A nonzero coefficient below 2^-1074 would read as 0: a lower bound
+    that says nothing."""
+    code, out, err = run(capsys, "norm", "--n", "1", "--q", "1/2",
+                         "--expr", expr, "--trunc", "4,6", "--theta", "8")
+    assert code == 2
+    assert "underflows to 0" in err
+    assert "result" not in out
+
+
+def test_norm_of_an_exactly_cancelling_coefficient_is_zero(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    code, _, _ = run(capsys, "norm", "--n", "1", "--q", "1/2",
+                     "--expr", "(1-2*q)*z1", "--trunc", "4,6", "--theta", "8",
+                     "--json", str(path))
+    assert code == 0
+    assert json.loads(path.read_text())["result"] == 0.0
+
+
 @pytest.mark.parametrize("expr", ["0", "[0, 0]"])
 @pytest.mark.parametrize("side", ["ball", "boundary"])
 def test_norm_of_zero_is_zero(capsys, tmp_path, expr, side):

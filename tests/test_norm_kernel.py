@@ -3,6 +3,9 @@
 operator_norm splits a block into the connected components of its
 structural nonzeros and takes the max of their top singular values; the
 full-spectrum np.linalg.norm(block, 2) of the unsplit block is the oracle.
+The norm paths hand it rep_entries, the block's nonzeros; they must give
+the dense block of the word-by-word loop (oracles.reference_dense_block)
+bit for bit, and so the same norm.
 """
 
 import warnings
@@ -17,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qball.norms as norms
-from oracles import fraction_constant
-from qball.algebra import Letter, MatPoly, NCPoly
+from oracles import fraction_constant, reference_dense_block
+from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, MatPoly, NCPoly
 from qball.norms import (
     NormConvergenceError,
     boundary_certified_value,
@@ -33,7 +36,10 @@ from qball.representations import (
     certify_compression,
     fock_generators,
     rep_apply,
+    rep_entries,
+    stack_entries,
 )
+from qball.rewrite import defining_relations
 
 Q = 0.5
 TOL = 1e-12
@@ -273,3 +279,65 @@ def test_convergence_error_reports_the_unscaled_value(monkeypatch, scale):
         strict_norm(A)
     assert err.value.last_value == pytest.approx(
         float(np.linalg.norm(small, 2)), rel=1e-15, abs=0)
+
+
+# -- the entries form against the dense block ----------------------------
+
+@st.composite
+def blocks(draw):
+    """A polynomial or k x l MatPoly, n <= 3, whose (0, 0) entry may carry
+    defining relations (their entries cancel exactly, or in rounding), in
+    a Fock block or a boundary block at a non-real root of unity, on full
+    or certified indices; and a second MatPoly of the same shape."""
+    F = MatPoly.of(draw(inputs()))
+    rows = [list(row) for row in F.entries]
+    relations = defining_relations(
+        AlgebraContext(F.n, draw(st.sampled_from([BALL, SPHERE]))))
+    for relation in draw(st.lists(st.sampled_from(relations), max_size=2)):
+        rows[0][0] = rows[0][0] + relation
+    F = MatPoly(rows)
+    N = F.degree() + draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        rep = fock_generators(FockConfig(F.n, max(N, 1), Q))
+    else:
+        omega = np.exp(2j * np.pi * draw(st.integers(1, 4)) / 5)
+        rep = boundary_block_generators(
+            BoundaryConfig(F.n, max(N, 1), 5, Q), omega)
+    indices = (certify_compression(rep, F.degree())
+               if draw(st.booleans()) else None)
+    G = MatPoly([[draw(polys(F.n, min_terms=0)) for _ in row]
+                 for row in F.entries])
+    return F, G, rep, indices
+
+
+def scatter(entries):
+    rows, cols, values, shape = entries
+    out = np.zeros(shape, dtype=complex)
+    out[rows, cols] = values
+    return out
+
+
+@settings(max_examples=150)
+@given(case=blocks())
+def test_entries_are_the_dense_block(case):
+    F, _, rep, indices = case
+    entries = rep_entries(F, rep, Q, indices)
+    assert np.array_equal(scatter(entries), rep_apply(F, rep, Q, indices))
+    assert np.array_equal(scatter(entries),
+                          reference_dense_block(F, rep, Q, indices))
+    rows, cols, values, (r, c) = entries
+    assert (values != 0).all()
+    keys = rows * c + cols      # row-major, each position once
+    assert (np.diff(keys) > 0).all()
+    assert ((0 <= rows) & (rows < r) & (0 <= cols) & (cols < c)).all()
+
+
+@settings(max_examples=100)
+@given(case=blocks(), M=st.integers(1, 8))
+def test_norm_of_the_entries_is_the_norm_of_the_dense_block(case, M):
+    F, G, rep, indices = case
+    parts = [rep_entries(P, rep, Q, indices) for P in (F, G)]
+    assert operator_norm(parts[0]) == operator_norm(scatter(parts[0]))
+    phases = np.exp(2j * np.pi * (np.outer(np.arange(M), [-1, 2]) % M) / M)
+    assert operator_norm(stack_entries(parts), phases=phases) == operator_norm(
+        np.stack([scatter(p) for p in parts]), phases=phases)

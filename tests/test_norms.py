@@ -1,14 +1,17 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import qball.norms as norms
 from qball.algebra import NCPoly
 from qball.norms import (
     MatPoly,
     ball_norm,
     boundary_norm,
+    fock_certified_value,
     make_schedule,
     max_principle_report,
     operator_norm,
@@ -249,3 +252,31 @@ def test_make_schedule_rejects_theta_below_one():
     for theta in (0, -1, -64):
         with pytest.raises(ValueError):
             make_schedule([4, 8], theta)
+
+
+# -- memory: no norm path allocates the dense certified block -----------
+
+def peak_mb(fn, *args):
+    """Peak traced allocation of fn(*args), numpy arrays included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_fock_value_allocates_no_dense_block(monkeypatch):
+    """The certified block of z1+z2+z3 at n = 3, N = 24 is 2600 x 2600
+    (108 MB complex) with 6900 nonzeros."""
+    monkeypatch.setattr(norms, "_FOCK_CACHE", {})
+    f = parse_expression("z1+z2+z3", 3)
+    assert peak_mb(fock_certified_value, f, 0.5, 24) < 25
+
+
+def test_matrix_report_allocates_no_dense_block(monkeypatch):
+    """Each point stacks the charge parts of a 2 x 2 matrix over one
+    union pattern instead of dense 2r x 2r blocks."""
+    monkeypatch.setattr(norms, "_FOCK_CACHE", {})
+    F = parse_expression("[z1,z2;z3,0]", 3)
+    assert peak_mb(max_principle_report, F, 0.5, [(8, 16), (16, 32)]) < 10

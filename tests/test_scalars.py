@@ -49,6 +49,16 @@ def test_eval_refuses_values_that_are_not_finite():
             value(s, 0.5)
 
 
+def test_eval_refuses_a_zero_made_by_underflow():
+    tiny = NCPoly.constant(1, {0: 1}, den=2 ** 1100)     # 2^-1100 / 1
+    for s in (tiny, q(1100), NCPoly.constant(1, {0: 1, 1: -2, 1100: 1})):
+        with pytest.raises(DomainError, match="underflows to 0"):
+            value(s, 0.5)
+    # an exact cancellation is a true 0, and a subnormal is kept
+    assert value(NCPoly.constant(1, {0: 1, 1: -2}), 0.5) == 0
+    assert value(q(1074), 0.5) == 2.0 ** -1074
+
+
 def test_zero_coefficients_dropped():
     s = q(3) - q(3)
     assert s.is_zero()
