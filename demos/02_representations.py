@@ -52,7 +52,7 @@ diag = np.real(np.diag(block))
 print("  1 - sum z_k z_k' acts diagonally with entries q^(2|m|):")
 print("  first levels:", np.round(sorted(set(np.round(diag, 10)), reverse=True), 6))
 print("  (the boundary family annihilates this element exactly)")
-entries = rep_entries(f, rep2, q, idx)   # what the norm kernel is handed
+entries = rep_entries([f], rep2, q, idx)   # what the norm kernel is handed
 r, c = entries.shape
-print(f"  the norm paths keep its {len(entries.values)} nonzeros, not all"
+print(f"  the norm paths keep its {len(entries.rows)} nonzeros, not all"
       f" {r * c} entries of the {r} x {c} block")

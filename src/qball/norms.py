@@ -14,14 +14,14 @@ basis vector is a weight vector of the gauge torus z_j -> lambda_j z_j, so
 a certified block is a permuted direct sum of small blocks: the kernel
 splits it into the connected components of its structural nonzeros
 (exact zeros only, no threshold; labelled in numpy by hook and compress)
-and takes the max of their norms.  The norm paths hand it exactly those
-nonzeros (representations.rep_entries: row-major, summed in word order,
-exact zeros dropped), so no r x c block is ever allocated; only the
-batches of components are dense.  Components of up to _DENSE_LIMIT = 2048
-rows (or columns) go through batches of about 1 MB each that compute only
-sigma_1: the square root of the top eigenvalue (LAPACK eigvalsh) of the
-Gram matrix on the smaller side, or the vector norm of a 1 x k or k x 1
-component.  Larger components go through scipy.sparse.linalg.svds; scipy
+and takes the max of their norms.  It takes a block only as Entries, a
+stack of matrices over one pattern (representations.rep_entries:
+row-major, summed in word order, exact zeros dropped), so no r x c block
+is ever allocated; only the batches of components are dense.  Components
+of up to _DENSE_LIMIT = 2048 rows (or columns) go through batches of
+about 1 MB each that compute only sigma_1: the square root of the top
+eigenvalue (LAPACK eigvalsh) of the Gram matrix on the smaller side, or
+the vector norm of a 1 x k or k x 1 component.  Larger components go through scipy.sparse.linalg.svds; scipy
 (scipy.sparse and its linalg) is imported only for such a component.
 
 Squaring entries underflows below about 1e-154 and overflows above 1e154,
@@ -39,8 +39,8 @@ z1-charge d = #z1 - #z1' contributes omega^d times its omega = 1 matrix.  A
 polynomial, or a k x l matrix of polynomials, is one trigonometric
 polynomial sum_d omega^d A_d; the union sparsity pattern over d holds for
 every omega, so one split of the stack serves all M blocks.  A polynomial
-is the 1 x 1 case throughout (MatPoly.of): rep_entries, ball_norm and
-boundary_norm take either, so matrix levels are these same calls.
+is the 1 x 1 case throughout (MatPoly.of): rep_entries' parts, ball_norm
+and boundary_norm may be either, so matrix levels are these same calls.
 
 The gauge torus also acts on the boundary side.  When omega_invariant(F)
 holds (an exact rank test on the charge vectors of F's words), every block
@@ -53,11 +53,11 @@ a node).  The bracket covers the omega discretisation at fixed N only.
 
 Every schedule is one pass (_schedules).  Once per input it finds F's
 degree, omega_invariant(F) and its part of each z1-charge d (a MatPoly);
-per point (N, M) it builds the omega = 1 block once, stacks the parts'
-entries A_d over the union of their patterns (stack_entries), and takes
-the boundary value, its whole-circle bound and, for the ball side, the
-Fock value.  A maximum-principle report is that one pass with both sides;
-a single-point value is a one-point schedule.
+per point (N, M) it builds the omega = 1 block once, evaluates the parts
+in one rep_entries call, the stack of the A_d over the union of their
+patterns, and takes the boundary value, its whole-circle bound and, for
+the ball side, the Fock value.  A maximum-principle report is that one
+pass with both sides; a single-point value is a one-point schedule.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ from .representations import (
     fock_generators,
     rep_apply,
     rep_entries,
-    stack_entries,
 )
 from .rewrite import canonical_monomials, defining_relations
 
@@ -97,24 +96,19 @@ class NormConvergenceError(RuntimeError):
         self.last_value = last_value
 
 
-def operator_norm(A, tol: float = DEFAULT_TOL,
+def operator_norm(A: Entries, tol: float = DEFAULT_TOL,
                   phases: Optional[np.ndarray] = None) -> float:
     """Largest singular value of the block A, deterministic.
 
-    A is the block's Entries (rows, cols, values, shape), as the norm
-    paths pass it (representations.rep_entries: row-major, no stored 0),
-    or a dense array, or a scipy sparse matrix read through its toarray().
-    With phases, A is a stack of D matrices A_d (Entries whose values have
-    one row per d over one pattern, or a D x r x c array) and the value is
-    the max over t of the largest singular value of sum_d phases[t, d] * A_d.
-    The first lines reduce a dense input to the same row-major (rows, cols,
-    found) of its structural nonzeros (A != 0; for a stack the union
-    pattern over d); everything after is one body for both forms.
+    A is a stack of D matrices A_d over one pattern (Entries, as
+    representations.rep_entries returns it: row-major, no position 0 in
+    every A_d), and the value is the max over t of the largest singular
+    value of sum_d phases[t, d] * A_d; phases=None is one row of ones.
 
     Rows and columns are labelled by the connected components of the
-    bipartite graph of the structural nonzeros (for a stack the union
-    pattern, which holds for every t).  Permuted, each block is the direct
-    sum of its components, so its norm is the max of theirs.
+    bipartite graph of the structural nonzeros (the union pattern, which
+    holds for every t).  Permuted, each block is the direct sum of its
+    components, so its norm is the max of theirs.
     The values are first scaled by an exact power of two (see the module
     docstring).  The components of one shape, over as many t as fit in
     _BATCH_BYTES (at least one), go to one stacked Gram-eigenvalue batch
@@ -125,14 +119,9 @@ def operator_norm(A, tol: float = DEFAULT_TOL,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not isinstance(A, Entries):
-        stack = np.asarray(A.toarray() if hasattr(A, "toarray") else A)
-        rows, cols = np.nonzero(
-            stack != 0 if phases is None else np.any(stack != 0, axis=0))
-        A = Entries(rows, cols, stack[..., rows, cols], stack.shape[-2:])
     rows, cols, found, (r, c) = A
     if phases is None:
-        found, phases = found[None], np.ones((1, 1))
+        phases = np.ones((1, len(found)))
     if not np.isfinite(found).all():
         raise ValueError("the block has a nan or infinite entry")
     if not found.size:
@@ -315,7 +304,7 @@ def fock_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
     _check_trunc(N, degree)
     rep = _fock_rep(F.n, N, q_val)
     return operator_norm(
-        rep_entries(F, rep, q_val, certify_compression(rep, degree)), tol)
+        rep_entries([F], rep, q_val, certify_compression(rep, degree)), tol)
 
 
 def _charge(word, j: int) -> int:
@@ -375,7 +364,7 @@ def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> fl
     if ctx.n != rep.n:
         raise ValueError("context dimension mismatch")
     indices = certify_compression(rep, 2)
-    return max((operator_norm(rep_entries(r, rep, q_val, indices))
+    return max((operator_norm(rep_entries([r], rep, q_val, indices))
                 for r in defining_relations(ctx)), default=0.0)
 
 
@@ -416,8 +405,7 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
         if rep.cutoff is not None:
             _check_trunc(N, L)
         indices = certify_compression(rep, L)
-        A = stack_entries([rep_entries(part, rep, q_val, indices)
-                           for part in parts])
+        A = rep_entries(parts, rep, q_val, indices)
         # exp(2 pi i (t d mod M) / M): nested grids share exact phases
         grid = np.arange(1 if invariant else M)
         phases = np.exp(2j * np.pi * (np.outer(grid, order) % M) / M)
@@ -455,14 +443,6 @@ def boundary_norm(f: Union[NCPoly, MatPoly], q_val: float,
                   tol: float = DEFAULT_TOL) -> NormEstimate:
     """Certified lower bounds for the quotient (sphere) norm of f."""
     return _schedules(f, q_val, schedule, tol, ball=False)[1]
-
-
-def boundary_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
-                             M: int, tol: float = DEFAULT_TOL) -> float:
-    """Certified lower bound for the boundary-family norm of f: the max of
-    the block norms sum_d omega^d A_d over the M-th roots of unity omega
-    (the omega = 1 block alone for an omega_invariant f)."""
-    return boundary_norm(f, q_val, [(N, M)], tol).final
 
 
 # -- maximum-principle reports ----------------------------------------

@@ -10,13 +10,16 @@ Two families are built:
   of n - 1 variables.
 
 Each generator, hence each word, sends a basis vector to at most one basis
-vector times one weight; rep_entries, the one evaluation of a polynomial or
-a matrix of polynomials (relations included), composes these index maps and
-returns the block as its structural nonzeros (Entries: rows, cols, values in
-row-major order, and the shape).  Contributions to one entry are summed in
-word order into 0, the float additions of a dense +=, and exact zeros are
-dropped, so no r x c array is allocated; rep_apply scatters the entries into
-a dense block for the callers that want one.
+vector times one weight.  A block is a stack of D >= 1 matrices over one
+sparsity pattern (Entries: rows, cols in row-major order, values one row
+per matrix, and the shape); rep_entries, the one evaluation of polynomials
+or matrices of polynomials (relations included), composes these index maps
+for a sequence of parts in one pass and returns their stack over the union
+of their nonzero positions.  Contributions to one entry of one part are
+summed in word order into 0, the float additions of a dense +=, and a
+position that is exactly 0 in every part is dropped, so no r x c array is
+allocated; rep_apply scatters the entries of one polynomial into a dense
+block for the callers that want one.
 The maps are built from arrays: a raising map finds its targets by
 searchsorted on integer keys of the basis rows, and every weight, the
 boundary z1 diagonal included, is read from one table of Python float
@@ -31,7 +34,7 @@ operator norms downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -162,10 +165,10 @@ def boundary_block_generators(cfg: BoundaryConfig, omega: complex) -> RepMatrice
 
 
 class Entries(NamedTuple):
-    """The structural nonzeros of a block of the given shape (rows, cols):
-    values[e] sits at (rows[e], cols[e]), in row-major order, and no value
-    is exactly 0.  values may also be a stack, one row per block, over
-    one union pattern (stack_entries), in which a block may hold a 0."""
+    """A block of the given shape (rows, cols) as a stack of D >= 1
+    matrices over one sparsity pattern: values[d, e] is matrix d at
+    (rows[e], cols[e]), positions in row-major order, and no position is
+    exactly 0 in every matrix (one matrix may hold a 0 there)."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -174,72 +177,69 @@ class Entries(NamedTuple):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def rep_entries(f: Union[NCPoly, MatPoly], rep: RepMatrices, q_val: float,
-                indices: Optional[np.ndarray] = None) -> Entries:
-    """The nonzero entries of f in rep (starred -> adjoint) on the columns
-    and rows in indices, or in full when indices is None; entry (a, b) of
-    a k x l MatPoly fills rows a*r.. and columns b*r.. of one block, r =
-    len(indices), and a polynomial is the 1 x 1 case.  Each word composes
-    its letters' maps from the right: one entry per column, none where the
-    image falls outside indices (the sink included).  The contributions to
-    one position are summed in the order the words are visited (entries
-    row-major, words by (length, word)) into 0, by np.add.at, so the float
-    additions are those of a dense += of each word in turn; a sum that is
-    exactly 0 is dropped.  A sum that overflows stays inf or nan, with no
+def rep_entries(parts: Sequence[Union[NCPoly, MatPoly]], rep: RepMatrices,
+                q_val: float, indices: Optional[np.ndarray] = None) -> Entries:
+    """The stack of the parts (polynomials or k x l MatPolys of one shape)
+    in rep (starred -> adjoint) on the columns and rows in indices, or in
+    full when indices is None, over the union of their nonzero positions:
+    values[d] is part d.  Entry (a, b) of a MatPoly fills rows a*r.. and
+    columns b*r.. of one block, r = len(indices), and a polynomial is the
+    1 x 1 case.  Each word composes its letters' maps from the right: one
+    entry per column, none where the image falls outside indices (the sink
+    included).  The contributions to one position of one part are summed
+    in the order the words are visited (entries row-major, words by
+    (length, word)) into 0, by np.add.at, so the float additions are those
+    of a dense += of each word in turn; a position that is exactly 0 in
+    every part is dropped.  A sum that overflows stays inf or nan, with no
     warning, for operator_norm to refuse."""
-    F = MatPoly.of(f)
-    if F.n != rep.n:
-        raise ValueError(f"polynomial has n={F.n}, representation has n={rep.n}")
+    Fs = [MatPoly.of(f) for f in parts]
+    if len({F.shape for F in Fs}) != 1:
+        raise ValueError("need one or more parts, all of one shape")
+    for F in Fs:
+        if F.n != rep.n:
+            raise ValueError(
+                f"polynomial has n={F.n}, representation has n={rep.n}")
     cols = np.arange(rep.dim) if indices is None else np.asarray(indices)
     r = len(cols)
-    shape = (F.shape[0] * r, F.shape[1] * r)
+    shape = (Fs[0].shape[0] * r, Fs[0].shape[1] * r)
     pos = np.full(rep.dim + 1, -1)
     pos[cols] = np.arange(r)
     maps = rep.maps, [_adjoint(*gen) for gen in rep.maps]  # by .starred
-    keys, parts = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
-    for a, row in enumerate(F.entries):
-        for b, p in enumerate(row):
-            for word in sorted(p.terms, key=lambda w: (len(w), w)):
-                target, weight = cols, np.ones(r, dtype=complex)
-                for letter in reversed(word):
-                    t, w = maps[letter.starred][letter.index - 1]
-                    target, weight = t[target], w[target] * weight
-                rows = pos[target]
-                keep = np.nonzero(rows >= 0)[0]
-                value = coefficient_value(p.terms[word], p.den, q_val)
-                keys.append((a * r + rows[keep]) * shape[1] + b * r + keep)
-                parts.append(value * weight[keep])
-    key, contributions = np.concatenate(keys), np.concatenate(parts)
-    found, slot = np.unique(key, return_inverse=True)
-    total = np.zeros(len(found), dtype=complex)
-    np.add.at(total, slot, contributions)
-    nonzero = total != 0
-    return Entries(*np.divmod(found[nonzero], shape[1]), total[nonzero], shape)
-
-
-def stack_entries(parts: List[Entries]) -> Entries:
-    """Entries of one shape as one stack over the union of their patterns,
-    row-major, each part 0 where it has no entry: the values of the dense
-    stack at the positions where any part is nonzero."""
-    r, c = parts[0].shape
-    union, slot = np.unique(np.concatenate([p.rows * c + p.cols for p in parts]),
-                            return_inverse=True)
-    part = np.repeat(np.arange(len(parts)), [len(p.rows) for p in parts])
-    values = np.zeros((len(parts), len(union)), dtype=complex)
-    values[part, slot] = np.concatenate([p.values for p in parts])
-    return Entries(*np.divmod(union, c), values, (r, c))
+    keys, layer = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    contributions = [np.zeros(0, dtype=complex)]
+    for d, F in enumerate(Fs):
+        for a, row in enumerate(F.entries):
+            for b, p in enumerate(row):
+                for word in sorted(p.terms, key=lambda w: (len(w), w)):
+                    target, weight = cols, np.ones(r, dtype=complex)
+                    for letter in reversed(word):
+                        t, w = maps[letter.starred][letter.index - 1]
+                        target, weight = t[target], w[target] * weight
+                    rows = pos[target]
+                    keep = np.nonzero(rows >= 0)[0]
+                    value = coefficient_value(p.terms[word], p.den, q_val)
+                    keys.append((a * r + rows[keep]) * shape[1] + b * r + keep)
+                    layer.append(np.full(len(keep), d))
+                    contributions.append(value * weight[keep])
+    found, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    total = np.zeros((len(Fs), len(found)), dtype=complex)
+    np.add.at(total, (np.concatenate(layer), slot),
+              np.concatenate(contributions))
+    nonzero = np.any(total != 0, axis=0)
+    return Entries(*np.divmod(found[nonzero], shape[1]), total[:, nonzero],
+                   shape)
 
 
 def rep_apply(f: Union[NCPoly, MatPoly], rep: RepMatrices, q_val: float,
               indices: Optional[np.ndarray] = None) -> np.ndarray:
-    """The dense block of f in rep: rep_entries scattered into zeros, so
-    each entry is its word contributions summed in word order, and 0
+    """The dense block of f in rep: rep_entries([f]) scattered into zeros,
+    so each entry is its word contributions summed in word order, and 0
     where rep_entries stores nothing.  For tests, demos,
     pbw_gram_min_singular and bench/make_refs.py; the norm paths take the
     entries."""
-    rows, cols, values, shape = rep_entries(f, rep, q_val, indices)
+    rows, cols, values, shape = rep_entries([f], rep, q_val, indices)
     out = np.zeros(shape, dtype=complex)
-    out[rows, cols] = values
+    out[rows, cols] = values[0]
     return out
 
 

@@ -9,7 +9,6 @@ is specialized to a float only here, for the numerics layer.
 
 from __future__ import annotations
 
-import cmath
 from typing import Dict, Tuple
 
 
@@ -19,23 +18,25 @@ class DomainError(ValueError):
 
 def coefficient_value(coeff: Tuple[Dict[int, int], Dict[int, int]], den: int,
                       q_val: float) -> complex:
-    """(re + i*im)/den at a numeric q in (0, 1), summed by ascending
-    exponent; each part is one correctly rounded int/int division.  A value
-    that is not a finite complex float is a DomainError, and so is a 0 that
-    a term underflowing to 0 may have caused (every term is nonzero); a sum
-    of terms that cancel exactly stays 0."""
+    """(re + i*im)/den at a numeric q in (0, 1), correctly rounded: with q
+    the exact ratio a/b of its float, each part is one integer over the
+    common denominator den * a^-lo * b^hi (lo <= 0 <= hi bound the
+    exponents), rounded once by a correctly rounded int/int division.  A
+    part too large for a float is a DomainError, and so is a nonzero value
+    that rounds to 0; a sum of terms that cancel exactly stays 0."""
     if not 0 < q_val < 1:
         raise DomainError(f"q must lie in (0, 1), got {q_val}")
-    re, im = coeff
-    total, underflow = 0j, False
+    a, b = q_val.as_integer_ratio()
+    exponents = coeff[0].keys() | coeff[1].keys() | {0}
+    lo, hi = min(exponents), max(exponents)
+    common = den * a ** -lo * b ** hi
+    exact = [sum(c * a ** (k - lo) * b ** (hi - k) for k, c in part.items())
+             for part in coeff]
     try:
-        for k in sorted(re.keys() | im.keys()):
-            term = complex(re.get(k, 0) / den, im.get(k, 0) / den) * q_val ** k
-            total, underflow = total + term, underflow or term == 0
+        value = complex(exact[0] / common, exact[1] / common)
     except OverflowError:
-        total = complex("inf")
-    if not cmath.isfinite(total):
-        raise DomainError(f"coefficient not a finite float at q = {q_val}")
-    if underflow and total == 0:
+        raise DomainError(
+            f"coefficient not a finite float at q = {q_val}") from None
+    if value == 0 and any(exact):
         raise DomainError(f"coefficient underflows to 0 at q = {q_val}")
-    return total
+    return value

@@ -17,6 +17,9 @@ These are oracles only; no library code calls them.
 * reference_dense_block is the evaluation loop rep_entries replaced: each
   word's entries added into a zero dense block by +=, in the same word
   order; rep_entries sums in that order but stores only the nonzeros.
+  reference_stack is the per-part path rep_entries replaced: one dense
+  block per part, stacked at the union of their nonzero positions
+  (entries_of, also the way dense test inputs reach operator_norm).
 * circle_grid_max evaluates an n = 1 polynomial as an ordinary function on
   the circle.
 * fraction_terms and fraction_poly convert between an NCPoly and reference
@@ -24,7 +27,8 @@ These are oracles only; no library code calls them.
   fraction_constant builds a scalar from Fraction parts.  The library
   holds Gaussian-integer numerators over one common denominator instead
   (algebra.NCPoly).
-* fraction_value evaluates a reference coefficient at a numeric q, and
+* fraction_value evaluates a reference coefficient at a numeric q (exact
+  in rationals, rounded once), and
   reference_step applies one rewrite rule instance with Fraction
   arithmetic on those terms.
 * fraction_print_poly renders a polynomial from its Fraction coefficients,
@@ -43,6 +47,7 @@ import scipy.sparse as sp
 from qball.algebra import Letter, MatPoly, NCPoly, Word
 from qball.representations import (
     BoundaryConfig,
+    Entries,
     RepMatrices,
     graded_lex_basis,
 )
@@ -177,6 +182,25 @@ def reference_dense_block(f, rep: RepMatrices, q_val: float,
     return out
 
 
+def entries_of(A) -> Entries:
+    """A dense matrix, a D x r x c stack of them, or a scipy sparse matrix
+    (through its toarray()) as Entries: the values of every matrix at the
+    positions where any is nonzero, row-major."""
+    stack = np.asarray(A.toarray() if hasattr(A, "toarray") else A)
+    if stack.ndim == 2:
+        stack = stack[None]
+    rows, cols = np.nonzero(np.any(stack != 0, axis=0))
+    return Entries(rows, cols, stack[:, rows, cols], stack.shape[-2:])
+
+
+def reference_stack(parts, rep: RepMatrices, q_val: float,
+                    indices: Optional[np.ndarray] = None) -> Entries:
+    """The parts' dense blocks (reference_dense_block) stacked at the union
+    of their nonzero positions."""
+    return entries_of(np.stack([reference_dense_block(p, rep, q_val, indices)
+                                for p in parts]))
+
+
 # -- Fraction reference arithmetic ------------------------------------
 
 # A Gaussian rational (re, im), a reference coefficient {exponent: Gauss}
@@ -215,12 +239,11 @@ def fraction_constant(n: int, *terms) -> NCPoly:
 
 
 def fraction_value(coeff: Coefficient, q_val: float) -> complex:
-    """A reference coefficient at q_val, summed by ascending exponent."""
-    total = 0j
-    for k in sorted(coeff):
-        re, im = coeff[k]
-        total += complex(float(re), float(im)) * q_val ** k
-    return total
+    """A reference coefficient at q_val: each part summed exactly (q as the
+    Fraction of its float) and rounded once."""
+    q = Fraction(q_val)
+    return complex(float(sum(re * q ** k for k, (re, _) in coeff.items())),
+                   float(sum(im * q ** k for k, (_, im) in coeff.items())))
 
 
 def reference_step(p: NCPoly, ctx, strategy: str, rng) -> NCPoly:

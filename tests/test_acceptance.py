@@ -23,6 +23,7 @@ from qball.representations import (
     certify_compression,
     fock_generators,
     rep_apply,
+    rep_entries,
 )
 from qball.rewrite import canonical_monomials, normalize, normalize_by_steps
 from qball.sampling import holomorphic_catalog, random_poly, random_poly_stream
@@ -165,7 +166,7 @@ def test_criterion_7_classical_oracle_n1():
         value = boundary_norm(f, Q, [(8, 4096)]).final
         # dual route: full cyclic-shift matrix representation
         rep = boundary_generators(BoundaryConfig(1, 1, 256, Q))
-        matrix_route = operator_norm(rep_apply(f, rep, Q))
+        matrix_route = operator_norm(rep_entries([f], rep, Q))
         ok = (ok and abs(value - oracle) < 1e-6
               and abs(matrix_route - _grid_max(f, 256)) < 1e-8)
         details.append(f"{text!r}: |Δ|={abs(value - oracle):.1e}")

@@ -1,7 +1,7 @@
 """The boundary family as a trigonometric polynomial in omega.
 
-boundary_certified_value evaluates sum_d omega^d A_d on all M-th roots of
-unity at once, or only at omega = 1 for an omega_invariant input.  The
+A one-point boundary_norm schedule evaluates sum_d omega^d A_d on all M-th
+roots of unity at once, or only at omega = 1 for an omega_invariant input.  The
 oracle below is the direct construction it replaced: one character block
 per omega, built and evaluated on its own.
 """
@@ -20,7 +20,6 @@ import qball.norms as norms
 from qball.algebra import Letter, MatPoly, NCPoly
 from qball.norms import (
     ball_norm,
-    boundary_certified_value,
     boundary_norm,
     fock_certified_value,
     make_schedule,
@@ -62,7 +61,7 @@ def test_boundary_value_matches_per_omega_oracle(n, N, M):
     rng = random.Random(40 + n)
     for _ in range(6):
         f = random_poly(rng, n, max_degree=3)
-        assert boundary_certified_value(f, Q, N, M) == pytest.approx(
+        assert boundary_norm(f, Q, [(N, M)]).final == pytest.approx(
             per_omega_value(f, Q, N, M), abs=TOL)
 
 
@@ -73,7 +72,7 @@ def test_boundary_value_matches_per_omega_oracle(n, N, M):
 ])
 def test_boundary_matrix_value_matches_per_omega_oracle(text, n):
     F = parse_expression(text, n)
-    assert boundary_certified_value(F, Q, 6, 16) == pytest.approx(
+    assert boundary_norm(F, Q, [(6, 16)]).final == pytest.approx(
         per_omega_value(F, Q, 6, 16), abs=TOL)
 
 
@@ -83,7 +82,7 @@ def test_chunking_and_dense_limit_fallback(monkeypatch, batch_bytes,
     """One block per batch, and a component above the dense limit going
     through svds once per omega, give the batched value."""
     f = parse_expression("z1 + z2*z1' + q*z2'*z2", 2)
-    expected = boundary_certified_value(f, Q, 6, 16)
+    expected = boundary_norm(f, Q, [(6, 16)]).final
     calls = []
     svds = scipy.sparse.linalg.svds
 
@@ -94,7 +93,7 @@ def test_chunking_and_dense_limit_fallback(monkeypatch, batch_bytes,
     monkeypatch.setattr(norms, "_BATCH_BYTES", batch_bytes)
     monkeypatch.setattr(norms, "_DENSE_LIMIT", dense_limit)
     monkeypatch.setattr(scipy.sparse.linalg, "svds", counted_svds)
-    assert boundary_certified_value(f, Q, 6, 16) == pytest.approx(
+    assert boundary_norm(f, Q, [(6, 16)]).final == pytest.approx(
         expected, abs=TOL)
     # each of the 16 blocks is one 5 x 5 component (certified levels 0..4)
     assert calls == ([] if dense_limit == 2048 else [(5, 5)] * 16)
@@ -210,7 +209,7 @@ def test_invariant_inputs_one_block_equals_full_grid(case, extra, M):
         assert omega_invariant(f)
     F = f if isinstance(f, MatPoly) else MatPoly([[f]])
     N = F.degree() + extra
-    assert boundary_certified_value(f, Q, N, M) == pytest.approx(
+    assert boundary_norm(f, Q, [(N, M)]).final == pytest.approx(
         per_omega_value(f, Q, N, M), abs=TOL)
 
 
@@ -242,7 +241,7 @@ def test_circle_upper_bounds_a_4096_point_grid():
         assert not bdry.omega["invariant"] and not ball.omega["invariant"]
         for (N, M), b_up, f_up in zip(sched, bdry.omega["circle_upper"],
                                       ball.omega["circle_upper"]):
-            fine = boundary_certified_value(f, Q, N, 4096)
+            fine = boundary_norm(f, Q, [(N, 4096)]).final
             assert b_up >= fine - TOL
             assert f_up >= max(fock_certified_value(f, Q, N), fine) - TOL
         checked += 1

@@ -3,9 +3,11 @@
 operator_norm splits a block into the connected components of its
 structural nonzeros and takes the max of their top singular values; the
 full-spectrum np.linalg.norm(block, 2) of the unsplit block is the oracle.
-The norm paths hand it rep_entries, the block's nonzeros; they must give
-the dense block of the word-by-word loop (oracles.reference_dense_block)
-bit for bit, and so the same norm.
+The kernel takes a block only as Entries, a stack of matrices over one
+pattern: dense test inputs reach it through oracles.entries_of.  The norm
+paths hand it rep_entries, the stack of their parts' nonzeros; it must be
+the stack of the dense blocks of the word-by-word loop
+(oracles.reference_stack) bit for bit, and so give the same norm.
 """
 
 import warnings
@@ -20,11 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qball.norms as norms
-from oracles import fraction_constant, reference_dense_block
+from oracles import (
+    entries_of,
+    fraction_constant,
+    reference_dense_block,
+    reference_stack,
+)
 from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, MatPoly, NCPoly
 from qball.norms import (
     NormConvergenceError,
-    boundary_certified_value,
+    boundary_norm,
     fock_certified_value,
     operator_norm,
 )
@@ -37,7 +44,6 @@ from qball.representations import (
     fock_generators,
     rep_apply,
     rep_entries,
-    stack_entries,
 )
 from qball.rewrite import defining_relations
 
@@ -101,7 +107,7 @@ def test_boundary_value_matches_lapack_on_the_same_blocks(f, extra, M):
     want = max(float(np.linalg.norm(dense_block(
         F, boundary_block_generators(cfg, np.exp(2j * np.pi * t / M)),
         F.degree()), 2)) for t in range(M))
-    assert boundary_certified_value(f, Q, N, M) == pytest.approx(want, abs=TOL)
+    assert boundary_norm(f, Q, [(N, M)]).final == pytest.approx(want, abs=TOL)
 
 
 @pytest.fixture
@@ -126,7 +132,7 @@ def fock_block(text, n, N):
 def test_iterative_component_matches_lapack(monkeypatch, svds_calls):
     monkeypatch.setattr(norms, "_DENSE_LIMIT", 100)
     block = fock_block("1+z1+z2+z3", 3, 12)     # one 364-row component
-    assert operator_norm(block) == pytest.approx(
+    assert operator_norm(entries_of(block)) == pytest.approx(
         float(np.linalg.norm(block, 2)), abs=TOL)
     assert svds_calls == [(364, 364)]
 
@@ -148,19 +154,20 @@ def test_arpack_failure_raises_norm_convergence_error(monkeypatch):
     monkeypatch.setattr(norms, "_DENSE_LIMIT", 100)
     monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
     with pytest.raises(NormConvergenceError):
-        operator_norm(fock_block("1+z1+z2+z3", 3, 12))
+        operator_norm(entries_of(fock_block("1+z1+z2+z3", 3, 12)))
 
 
 def test_split_is_exact_on_structural_zeros_only():
     A = np.zeros((4, 4), dtype=complex)
     A[:2, :2] = [[1, 2], [3, 4]]
     A[3, 2] = 6       # the 1 x 1 component beats the 2 x 2 one (5.46)
-    assert operator_norm(A) == pytest.approx(6.0, abs=TOL)
+    assert operator_norm(entries_of(A)) == pytest.approx(6.0, abs=TOL)
     # no threshold: a tiny entry is a component of its own
-    assert operator_norm(np.diag([1e-300, 0])) == pytest.approx(1e-300, rel=TOL)
+    assert operator_norm(entries_of(np.diag([1e-300, 0]))) == pytest.approx(
+        1e-300, rel=TOL)
     # an explicitly stored zero is not a structural nonzero
     S = sp.csr_matrix((np.array([0.0, 2.0]), ([0, 1], [1, 1])), shape=(2, 2))
-    assert operator_norm(S) == pytest.approx(2.0, abs=TOL)
+    assert operator_norm(entries_of(S)) == pytest.approx(2.0, abs=TOL)
 
 
 def test_stack_with_phases_takes_the_max_over_blocks():
@@ -168,17 +175,19 @@ def test_stack_with_phases_takes_the_max_over_blocks():
     A = rng.normal(size=(3, 6, 5)) * (rng.random((3, 6, 5)) < 0.3)
     phases = np.exp(2j * np.pi * rng.random((7, 3)))
     want = max(np.linalg.norm(np.tensordot(w, A, axes=1), 2) for w in phases)
-    assert operator_norm(A, phases=phases) == pytest.approx(want, abs=TOL)
+    assert operator_norm(entries_of(A), phases=phases) == pytest.approx(
+        want, abs=TOL)
 
 
 def test_zero_empty_and_tolerance():
-    assert operator_norm(np.zeros((3, 5))) == 0.0
-    assert operator_norm(np.zeros((0, 4))) == 0.0
-    assert operator_norm(sp.csr_matrix((6, 6))) == 0.0
-    assert operator_norm(np.zeros((0, 2, 2)), phases=np.ones((4, 0))) == 0.0
+    assert operator_norm(entries_of(np.zeros((3, 5)))) == 0.0
+    assert operator_norm(entries_of(np.zeros((0, 4)))) == 0.0
+    assert operator_norm(entries_of(sp.csr_matrix((6, 6)))) == 0.0
+    assert operator_norm(entries_of(np.zeros((0, 2, 2))),
+                         phases=np.ones((4, 0))) == 0.0
     for tol in (0.0, -1e-8):
         with pytest.raises(ValueError):
-            operator_norm(np.eye(2), tol=tol)
+            operator_norm(entries_of(np.eye(2)), tol=tol)
 
 
 @settings(max_examples=60)
@@ -203,12 +212,13 @@ def test_component_labels_on_a_long_chain():
     assert count == 1 and not labels.any()
 
 
-def strict_norm(*args, **kwargs):
-    """operator_norm with every warning raised as an error, whatever the
-    pytest configuration: an overflow in the kernel must not pass."""
+def strict_norm(A, **kwargs):
+    """operator_norm of the dense A (or stack) with every warning raised as
+    an error, whatever the pytest configuration: an overflow in the kernel
+    must not pass."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return operator_norm(*args, **kwargs)
+        return operator_norm(entries_of(A), **kwargs)
 
 
 SCALES = [1e-310, 1e-200, 1.0, 1e200, 1e300]
@@ -256,9 +266,10 @@ def test_non_finite_entries_are_refused(A):
     """frexp(inf) has exponent 0 and max(best, nan) keeps best, so such a
     block would otherwise read as 0."""
     with pytest.raises(ValueError, match="nan or infinite"):
-        operator_norm(A)
+        operator_norm(entries_of(A))
     with pytest.raises(ValueError, match="nan or infinite"):
-        operator_norm(np.stack([np.eye(2), A]), phases=np.ones((3, 2)))
+        operator_norm(entries_of(np.stack([np.eye(2), A])),
+                      phases=np.ones((3, 2)))
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
@@ -311,9 +322,10 @@ def blocks(draw):
 
 
 def scatter(entries):
+    """The first matrix of a stack of entries, dense."""
     rows, cols, values, shape = entries
     out = np.zeros(shape, dtype=complex)
-    out[rows, cols] = values
+    out[rows, cols] = values[0]
     return out
 
 
@@ -321,23 +333,42 @@ def scatter(entries):
 @given(case=blocks())
 def test_entries_are_the_dense_block(case):
     F, _, rep, indices = case
-    entries = rep_entries(F, rep, Q, indices)
+    entries = rep_entries([F], rep, Q, indices)
     assert np.array_equal(scatter(entries), rep_apply(F, rep, Q, indices))
     assert np.array_equal(scatter(entries),
                           reference_dense_block(F, rep, Q, indices))
     rows, cols, values, (r, c) = entries
-    assert (values != 0).all()
+    assert values.shape == (1, len(rows)) and (values != 0).all()
     keys = rows * c + cols      # row-major, each position once
     assert (np.diff(keys) > 0).all()
     assert ((0 <= rows) & (rows < r) & (0 <= cols) & (cols < c)).all()
+
+
+@settings(max_examples=150)
+@given(case=blocks(), picks=st.lists(st.sampled_from([0, 1]), min_size=1,
+                                     max_size=3))
+def test_stack_is_the_reference_stack_bit_for_bit(case, picks):
+    """F carries defining relations, so its entries cancel where G's
+    need not: the stack keeps a position that is 0 in one part only."""
+    F, G, rep, indices = case
+    parts = [(F, G)[k] for k in picks]
+    got = rep_entries(parts, rep, Q, indices)
+    want = reference_stack(parts, rep, Q, indices)
+    assert got.shape == want.shape
+    assert np.array_equal(got.rows, want.rows)
+    assert np.array_equal(got.cols, want.cols)
+    assert got.values.shape == (len(parts), len(want.rows))
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 @settings(max_examples=100)
 @given(case=blocks(), M=st.integers(1, 8))
 def test_norm_of_the_entries_is_the_norm_of_the_dense_block(case, M):
     F, G, rep, indices = case
-    parts = [rep_entries(P, rep, Q, indices) for P in (F, G)]
-    assert operator_norm(parts[0]) == operator_norm(scatter(parts[0]))
+    dense = [rep_apply(P, rep, Q, indices) for P in (F, G)]
+    assert operator_norm(rep_entries([F], rep, Q, indices)) == operator_norm(
+        entries_of(dense[0]))
     phases = np.exp(2j * np.pi * (np.outer(np.arange(M), [-1, 2]) % M) / M)
-    assert operator_norm(stack_entries(parts), phases=phases) == operator_norm(
-        np.stack([scatter(p) for p in parts]), phases=phases)
+    assert operator_norm(rep_entries([F, G], rep, Q, indices),
+                         phases=phases) == operator_norm(
+        entries_of(np.stack(dense)), phases=phases)

@@ -21,7 +21,7 @@ from qball.parsing import parse_expression
 from qball.representations import TruncationError
 from qball.sampling import random_poly
 
-from oracles import circle_grid_max, cycle_matrix
+from oracles import circle_grid_max, cycle_matrix, entries_of
 
 Q = 0.5
 
@@ -29,28 +29,28 @@ Q = 0.5
 # -- operator_norm ----------------------------------------------------
 
 def test_operator_norm_identity():
-    assert operator_norm(np.eye(17)) == pytest.approx(1.0)
+    assert operator_norm(entries_of(np.eye(17))) == pytest.approx(1.0)
 
 
 def test_operator_norm_cycle():
-    assert operator_norm(cycle_matrix(32)) == pytest.approx(1.0)
+    assert operator_norm(entries_of(cycle_matrix(32))) == pytest.approx(1.0)
 
 
 def test_operator_norm_q_diagonal():
     d = sp.diags([Q ** (2 * m) for m in range(20)])
-    assert operator_norm(d) == pytest.approx(1.0)
+    assert operator_norm(entries_of(d)) == pytest.approx(1.0)
 
 
 def test_operator_norm_zero_and_validation():
-    assert operator_norm(np.zeros((4, 4))) == 0.0
+    assert operator_norm(entries_of(np.zeros((4, 4)))) == 0.0
     with pytest.raises(ValueError):
-        operator_norm(np.eye(2), tol=0.0)
+        operator_norm(entries_of(np.eye(2)), tol=0.0)
 
 
 def test_operator_norm_matches_lapack_on_random():
     rng = np.random.default_rng(3)
     A = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
-    assert operator_norm(A) == pytest.approx(np.linalg.norm(A, 2))
+    assert operator_norm(entries_of(A)) == pytest.approx(np.linalg.norm(A, 2))
 
 
 # -- schedules --------------------------------------------------------

@@ -59,6 +59,17 @@ def test_eval_refuses_a_zero_made_by_underflow():
     assert value(q(1074), 0.5) == 2.0 ** -1074
 
 
+def test_eval_rounds_the_exact_sum_once():
+    """1 + 2^-53 + 2^-60 - 2q at q = 1/2: rounding the exponent-0 part
+    first (to 1 + 2^-52) would give 2^-52, twice the exact value."""
+    s = NCPoly.constant(1, {0: 2 ** 60 + 2 ** 7 + 1, 1: -2 ** 61}, den=2 ** 60)
+    assert value(s, 0.5) == 2.0 ** -53 + 2.0 ** -60
+    # the real part of 1/3 - q/3 at q = 0.3, against the Fraction value
+    third = NCPoly.constant(1, {0: 1, 1: -1}, {5: 1}, den=3)
+    want = (1 - Fraction(0.3)) / 3
+    assert value(third, 0.3).real == float(want)
+
+
 def test_zero_coefficients_dropped():
     s = q(3) - q(3)
     assert s.is_zero()
@@ -106,8 +117,8 @@ def test_eval_is_ring_homomorphism():
 
 
 def test_eval_matches_fraction_reference_exactly():
-    """Each part is one correctly rounded division, whatever the
-    denominator, so the value is that of the Fraction coefficients."""
+    """Each part is its exact sum rounded once, whatever the denominator,
+    so the value is that of the Fraction coefficients."""
     rng = random.Random(7)
     for _ in range(500):
         s = _random_scalar(rng) * _random_scalar(rng)
