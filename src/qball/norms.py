@@ -21,8 +21,9 @@ is ever allocated; only the batches of components are dense.  Components
 of up to _DENSE_LIMIT = 2048 rows (or columns) go through batches of
 about 1 MB each that compute only sigma_1: the square root of the top
 eigenvalue (LAPACK eigvalsh) of the Gram matrix on the smaller side, or
-the vector norm of a 1 x k or k x 1 component.  Larger components go through scipy.sparse.linalg.svds; scipy
-(scipy.sparse and its linalg) is imported only for such a component.
+the vector norm of a 1 x k or k x 1 component.  Larger components go
+through scipy.sparse.linalg.svds; scipy (scipy.sparse and its linalg) is
+imported only for such a component.
 
 Squaring entries underflows below about 1e-154 and overflows above 1e154,
 so the kernel first multiplies the whole block by 2^-e, where 2^e just
@@ -62,6 +63,7 @@ pass with both sides; a single-point value is a one-point schedule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -78,7 +80,6 @@ from .representations import (
     boundary_block_generators,
     certify_compression,
     fock_generators,
-    rep_apply,
     rep_entries,
 )
 from .rewrite import canonical_monomials, defining_relations
@@ -278,16 +279,9 @@ class NormEstimate:
 
 # -- single-point certified values ------------------------------------
 
-_FOCK_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _fock_rep(n: int, N: int, q_val: float) -> RepMatrices:
-    key = (n, N, q_val)
-    rep = _FOCK_CACHE.get(key)
-    if rep is None:
-        rep = fock_generators(FockConfig(n=n, N=N, q_val=q_val))
-        _FOCK_CACHE[key] = rep
-    return rep
+    return fock_generators(FockConfig(n=n, N=N, q_val=q_val))
 
 
 def _check_trunc(N: int, degree: int) -> None:
@@ -307,9 +301,10 @@ def fock_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
         rep_entries([F], rep, q_val, certify_compression(rep, degree)), tol)
 
 
-def _charge(word, j: int) -> int:
-    """The z_j-charge #z_j - #z_j' of a word."""
-    return sum(-1 if x.starred else 1 for x in word if x.index == j)
+def _charges(word, n: int) -> Tuple[int, ...]:
+    """The charge vector (#z_j - #z_j')_{j=1..n} of a word."""
+    return tuple(sum(-1 if x.starred else 1 for x in word if x.index == j)
+                 for j in range(1, n + 1))
 
 
 def _rank(vectors: List[List[int]]) -> int:
@@ -345,8 +340,7 @@ def omega_invariant(f: Union[NCPoly, MatPoly]) -> bool:
     F = MatPoly.of(f)
     k, l = F.shape
     vectors = sorted({
-        tuple(_charge(word, j) for j in range(1, F.n + 1))
-        + tuple(int(i == a) for i in range(k))
+        _charges(word, F.n) + tuple(int(i == a) for i in range(k))
         + tuple(-int(i == b) for i in range(l))
         for a, row in enumerate(F.entries) for b, p in enumerate(row)
         for word in p.terms})
@@ -391,7 +385,7 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
     F = MatPoly.of(f)
     L = F.degree()
     invariant = omega_invariant(F)
-    charge = {word: _charge(word, 1)
+    charge = {word: _charges(word, F.n)[0]
               for row in F.entries for p in row for word in p.terms}
     order = sorted(set(charge.values())) or [0]
     parts = [MatPoly([[NCPoly(F.n, {w: c for w, c in p.terms.items()
@@ -478,11 +472,32 @@ def max_principle_report(f: Union[NCPoly, MatPoly], q_val: float,
 # -- linear-independence probe ----------------------------------------
 
 def pbw_gram_min_singular(n: int, max_degree: int, N: int, q_val: float) -> float:
-    """Smallest singular value of the Gram matrix of the canonical
-    monomials (degree <= max_degree) realized as truncated Fock matrices."""
-    rep = _fock_rep(n, N, q_val)
-    V = np.column_stack([rep_apply(NCPoly.from_word(n, word), rep, q_val).ravel()
-                         for word in canonical_monomials(n, max_degree)])
-    # sigma_min(V^H V) = sigma_min(V)^2, without squaring V's condition number
-    s = np.linalg.svd(V, compute_uv=False)
-    return float(s[-1] ** 2) if len(s) == V.shape[1] else 0.0
+    """Smallest singular value of the Gram matrix V^H V of the canonical
+    monomials (degree <= max_degree) realized as truncated Fock matrices,
+    one column of V per monomial.
+
+    A canonical word z^alpha z*^beta sends e_m to a multiple of
+    e_{m + alpha - beta}, or to 0, so the matrices of two monomials are
+    orthogonal unless their charge vectors alpha - beta agree: V^H V is
+    block diagonal by charge class, and sigma_min(V)^2 is the min over the
+    classes of sigma_min(V_c)^2.  Within a class every matrix has its
+    nonzeros at (m + alpha - beta, m), so the stack of the class in one
+    rep_entries call is V_c with its all-zero rows dropped, each value bit
+    for bit that of the matrix.  A class with fewer nonzero positions than
+    monomials (an empty pattern included) gives 0.
+    No certified indices are needed: in a canonical (Wick-ordered) word the
+    starred letters act first and only lower the level, then the unstarred
+    ones only raise it, so the truncated matrix is the compression
+    P_N w P_N.
+    """
+    classes: dict = {}
+    for word in canonical_monomials(n, max_degree):
+        classes.setdefault(_charges(word, n), []).append(
+            NCPoly.from_word(n, word))
+    mins = []
+    for cls in classes.values():
+        V = rep_entries(cls, _fock_rep(n, N, q_val), q_val).values.T
+        # sigma_min(V^H V) = sigma_min(V)^2: V's condition number, not squared
+        s = np.linalg.svd(V, compute_uv=False)
+        mins.append(float(s[-1] ** 2) if len(s) == V.shape[1] else 0.0)
+    return min(mins)

@@ -234,8 +234,8 @@ def rep_apply(f: Union[NCPoly, MatPoly], rep: RepMatrices, q_val: float,
               indices: Optional[np.ndarray] = None) -> np.ndarray:
     """The dense block of f in rep: rep_entries([f]) scattered into zeros,
     so each entry is its word contributions summed in word order, and 0
-    where rep_entries stores nothing.  For tests, demos,
-    pbw_gram_min_singular and bench/make_refs.py; the norm paths take the
+    where rep_entries stores nothing.  For tests, demos and
+    bench/make_refs.py; the norm paths and pbw_gram_min_singular take the
     entries."""
     rows, cols, values, shape = rep_entries([f], rep, q_val, indices)
     out = np.zeros(shape, dtype=complex)

@@ -20,6 +20,10 @@ These are oracles only; no library code calls them.
   reference_stack is the per-part path rep_entries replaced: one dense
   block per part, stacked at the union of their nonzero positions
   (entries_of, also the way dense test inputs reach operator_norm).
+* reference_pbw_gram is the PBW Gram probe pbw_gram_min_singular replaced:
+  every canonical monomial's full dense Fock matrix flattened into one
+  column of V, one SVD of all of V.  The library takes one SVD per charge
+  class instead.
 * circle_grid_max evaluates an n = 1 polynomial as an ordinary function on
   the circle.
 * fraction_terms and fraction_poly convert between an NCPoly and reference
@@ -48,10 +52,13 @@ from qball.algebra import Letter, MatPoly, NCPoly, Word
 from qball.representations import (
     BoundaryConfig,
     Entries,
+    FockConfig,
     RepMatrices,
+    fock_generators,
     graded_lex_basis,
+    rep_apply,
 )
-from qball.rewrite import apply_rule, rule_sites
+from qball.rewrite import apply_rule, canonical_monomials, rule_sites
 from qball.scalars import coefficient_value
 
 
@@ -199,6 +206,17 @@ def reference_stack(parts, rep: RepMatrices, q_val: float,
     of their nonzero positions."""
     return entries_of(np.stack([reference_dense_block(p, rep, q_val, indices)
                                 for p in parts]))
+
+
+def reference_pbw_gram(n: int, max_degree: int, N: int, q_val: float) -> float:
+    """Smallest singular value of the Gram matrix of the canonical
+    monomials (degree <= max_degree) realized as truncated Fock matrices."""
+    rep = fock_generators(FockConfig(n=n, N=N, q_val=q_val))
+    V = np.column_stack([rep_apply(NCPoly.from_word(n, word), rep, q_val).ravel()
+                         for word in canonical_monomials(n, max_degree)])
+    # sigma_min(V^H V) = sigma_min(V)^2, without squaring V's condition number
+    s = np.linalg.svd(V, compute_uv=False)
+    return float(s[-1] ** 2) if len(s) == V.shape[1] else 0.0
 
 
 # -- Fraction reference arithmetic ------------------------------------

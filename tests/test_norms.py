@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qball.norms as norms
 from qball.algebra import NCPoly
@@ -18,10 +20,21 @@ from qball.norms import (
     pbw_gram_min_singular,
 )
 from qball.parsing import parse_expression
-from qball.representations import TruncationError
+from qball.representations import (
+    FockConfig,
+    TruncationError,
+    fock_generators,
+    rep_apply,
+)
+from qball.rewrite import canonical_monomials
 from qball.sampling import random_poly
 
-from oracles import circle_grid_max, cycle_matrix, entries_of
+from oracles import (
+    circle_grid_max,
+    cycle_matrix,
+    entries_of,
+    reference_pbw_gram,
+)
 
 Q = 0.5
 
@@ -237,6 +250,36 @@ def test_pbw_gram_min_singular():
     assert pbw_gram_min_singular(2, 3, 8, Q) > 1e-8
 
 
+@settings(max_examples=60)
+@given(n=st.integers(1, 3), degree=st.integers(0, 3), N=st.integers(1, 6),
+       q=st.sampled_from([1 / 2, 2 / 3, 3 / 4, 4 / 5]))
+def test_pbw_gram_by_class_is_the_flattened_gram(n, degree, N, q):
+    """The min over charge classes is the SVD of all monomials at once."""
+    value = pbw_gram_min_singular(n, degree, N, q)
+    expected = reference_pbw_gram(n, degree, N, q)
+    if value == 0.0 or expected == 0.0:
+        assert value == expected == 0.0
+    else:
+        assert abs(value - expected) <= 1e-12 * max(value, expected)
+
+
+def test_monomials_of_different_charge_are_orthogonal():
+    """Frobenius inner products of the dense monomial matrices vanish
+    exactly across charge classes, so the Gram is block diagonal."""
+    n, N = 2, 5
+    rep = fock_generators(FockConfig(n=n, N=N, q_val=Q))
+    words = list(canonical_monomials(n, 3))
+    mats = [rep_apply(NCPoly.from_word(n, w), rep, Q) for w in words]
+    charges = [norms._charges(w, n) for w in words]
+    pairs = [(a, b) for a in range(len(words)) for b in range(a)]
+    apart = [(a, b) for a, b in pairs if charges[a] != charges[b]]
+    assert apart
+    assert all(np.vdot(mats[a], mats[b]) == 0 for a, b in apart)
+    # within a class they need not be: 1 and z1 z1' share the charge 0
+    assert any(np.vdot(mats[a], mats[b]) != 0 for a, b in pairs
+               if charges[a] == charges[b])
+
+
 def test_make_schedule_nests_grids_for_any_theta():
     # Earlier grids halve theta only while the result still divides it.
     assert make_schedule([2, 4, 6], 10) == [(2, 5), (4, 5), (6, 10)]
@@ -266,17 +309,24 @@ def peak_mb(fn, *args):
         tracemalloc.stop()
 
 
-def test_fock_value_allocates_no_dense_block(monkeypatch):
+def test_fock_value_allocates_no_dense_block():
     """The certified block of z1+z2+z3 at n = 3, N = 24 is 2600 x 2600
     (108 MB complex) with 6900 nonzeros."""
-    monkeypatch.setattr(norms, "_FOCK_CACHE", {})
+    norms._fock_rep.cache_clear()
     f = parse_expression("z1+z2+z3", 3)
     assert peak_mb(fock_certified_value, f, 0.5, 24) < 25
 
 
-def test_matrix_report_allocates_no_dense_block(monkeypatch):
+def test_matrix_report_allocates_no_dense_block():
     """Each point stacks the charge parts of a 2 x 2 matrix over one
     union pattern instead of dense 2r x 2r blocks."""
-    monkeypatch.setattr(norms, "_FOCK_CACHE", {})
+    norms._fock_rep.cache_clear()
     F = parse_expression("[z1,z2;z3,0]", 3)
     assert peak_mb(max_principle_report, F, 0.5, [(8, 16), (16, 32)]) < 10
+
+
+def test_pbw_gram_allocates_no_dense_monomial_matrix():
+    """At n = 3, degree 4, N = 10 the 210 flattened 286 x 286 monomial
+    matrices are about 0.27 GB complex; one class at a time is small."""
+    norms._fock_rep.cache_clear()
+    assert peak_mb(pbw_gram_min_singular, 3, 4, 10, 0.5) < 20
