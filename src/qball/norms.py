@@ -25,14 +25,27 @@ the vector norm of a 1 x k or k x 1 component.  Larger components go
 through scipy.sparse.linalg.svds; scipy (scipy.sparse and its linalg) is
 imported only for such a component.
 
+The dtype follows the data.  rep_entries returns float64 values when every
+coefficient value and every map is real (the Fock maps always, the
+boundary maps at the omega = 1.0 every norm path uses), and then each
+value is bit for bit the real part of the complex one.  When the values
+and the phases are real, the kernel scales, batches and forms the Gram
+matrix in float64 and calls the real eigvalsh (a large component goes to
+svds as a real csr); otherwise it works in complex128.  Both compute
+sigma_1 of the same matrix with the error bound below, so a value may
+differ from its complex-arithmetic counterpart by rounding only (the
+tests hold it to 4 eps relative), and a report stays byte-identical from
+run to run.
+
 Squaring entries underflows below about 1e-154 and overflows above 1e154,
 so the kernel first multiplies the whole block by 2^-e, where 2^e just
 exceeds its largest entry, and the result by 2^e.  Both are exact (ldexp
-on the real and imaginary parts).  An entry that underflows once scaled
-lies below 2^-1074 of the largest one and cannot change the reported max,
-which is at least the largest entry.  The top Gram eigenvalue has absolute
-error about eps ||A||^2, so sigma_1 has absolute error about eps ||A||:
-relative eps for the component that gives the value.
+on the real array, or on the real and imaginary parts of a complex one).
+An entry that underflows once scaled lies below 2^-1074 of the largest
+one and cannot change the reported max, which is at least the largest
+entry.  The top Gram eigenvalue has absolute error about eps ||A||^2, so
+sigma_1 has absolute error about eps ||A||: relative eps for the
+component that gives the value.
 
 In the boundary character block of an M-th root of unity omega, z1 acts
 as omega * D and the other generators do not depend on omega, so a word of
@@ -51,6 +64,10 @@ any other input a schedule reports, per point, the whole-circle upper
 bound grid max / (1 - pi K / M) when M > pi K, where 2K is the spread of
 the z1-charges (Bernstein's inequality; every angle lies within pi / M of
 a node).  The bracket covers the omega discretisation at fixed N only.
+When every A_d is real, the conjugate grid points are evaluated once:
+block(conj omega) = sum_d conj(omega)^d A_d = conj(block(omega)) has the
+same singular values, and conj(omega_t) = omega_{M-t}, so the grid points
+t = 0..M // 2 give the max over all M.
 
 Every schedule is one pass (_schedules).  Once per input it finds F's
 degree, omega_invariant(F) and its part of each z1-charge d (a MatPoly);
@@ -117,6 +134,11 @@ def operator_norm(A: Entries, tol: float = DEFAULT_TOL,
     columns goes to ARPACK (svds, k = 1) from the all-ones vector, and a
     NormConvergenceError carries the unscaled max found before it.  A zero
     or empty block gives 0, a nan or infinite entry a ValueError.
+
+    One body serves both dtypes: real values are scaled and held in
+    float64, and the combined blocks, their Gram matrices and the svds
+    input are float64 when the phases are real as well (phases=None
+    included), else complex128.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -129,8 +151,13 @@ def operator_norm(A: Entries, tol: float = DEFAULT_TOL,
         return 0.0
     # an exact power-of-two scale: the largest entry goes to [1/2, 1)
     e = int(np.frexp(np.abs(found).max())[1])
-    vals = np.empty(found.shape, dtype=complex)
-    vals.real, vals.imag = np.ldexp(found.real, -e), np.ldexp(found.imag, -e)
+    if np.iscomplexobj(found):
+        vals = np.empty(found.shape, dtype=complex)
+        vals.real, vals.imag = (np.ldexp(found.real, -e),
+                                np.ldexp(found.imag, -e))
+    else:
+        vals = np.ldexp(found, -e)
+    dtype = np.result_type(vals, phases)
     # row i is node i, column j is node r + j
     count, labels = _components(r + c, rows, r + cols)
     # position of each row (column) among the rows (columns) of its component
@@ -155,9 +182,9 @@ def operator_norm(A: Entries, tol: float = DEFAULT_TOL,
                         math.ldexp(best, e)))
             continue
         slot, edges, size = np.cumsum(group) - 1, group[comp], group.sum()
-        sub = np.zeros((len(vals), size, a, b), dtype=complex)
+        sub = np.zeros((len(vals), size, a, b), dtype=vals.dtype)
         sub[:, slot[comp[edges]], i[edges], j[edges]] = vals[:, edges]
-        chunk = max(1, _BATCH_BYTES // sub[0].nbytes)
+        chunk = max(1, _BATCH_BYTES // (sub[0].size * dtype.itemsize))
         for start in range(0, len(phases), chunk):
             blocks = np.einsum("md,dkij->mkij", phases[start:start + chunk], sub)
             best = max(best, float(_top_singular(blocks).max()))
@@ -379,6 +406,16 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
     derivative is at most K times its sup; every angle lies within pi / M
     of a node, hence sup <= value / (1 - pi K / M) when M > pi K (None
     where no bound is proved).
+
+    A non-invariant F whose stack is real (rep_entries gives float64: every
+    A_d real) evaluates the grid points t = 0..M // 2 only.  With
+    omega_t = exp(2 pi i t / M), conj(omega_t) = omega_{M-t}, and
+    P(omega_{M-t}) = sum_d conj(omega_t)^d A_d = conj(P(omega_t)), which
+    has the singular values of P(omega_t); every t in M // 2 + 1..M - 1
+    has its partner M - t in 1..M // 2, so the max over the half grid is
+    the max over all M nodes.  The grids stay nested: t -> 2t sends
+    0..M // 2 into 0..M, the half grid at 2M, with the same phase table
+    entries, since (2t d mod 2M) / 2M = (t d mod M) / M exactly.
     """
     if not schedule:
         raise ValueError("empty schedule")
@@ -400,9 +437,13 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
             _check_trunc(N, L)
         indices = certify_compression(rep, L)
         A = rep_entries(parts, rep, q_val, indices)
-        # exp(2 pi i (t d mod M) / M): nested grids share exact phases
-        grid = np.arange(1 if invariant else M)
-        phases = np.exp(2j * np.pi * (np.outer(grid, order) % M) / M)
+        if invariant:
+            phases = None
+        else:
+            # a real stack needs t <= M // 2 only; exp(2 pi i (t d mod M)
+            # / M): nested grids share exact phases
+            grid = np.arange(M // 2 + 1 if np.isrealobj(A.values) else M)
+            phases = np.exp(2j * np.pi * (np.outer(grid, order) % M) / M)
         value = operator_norm(A, tol, phases)
         bdry.append(value)
         bound = value / (1 - np.pi * K / M) if M > np.pi * K else None

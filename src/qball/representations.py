@@ -21,10 +21,15 @@ position that is exactly 0 in every part is dropped, so no r x c array is
 allocated; rep_apply scatters the entries of one polynomial into a dense
 block for the callers that want one.
 The maps are built from arrays: a raising map finds its targets by
-searchsorted on integer keys of the basis rows, and every weight, the
-boundary z1 diagonal included, is read from one table of Python float
-powers q^k (_powers), so each map is bit for bit that of a construction
-one basis vector at a time.
+searchsorted on integer keys of the basis rows (the basis array is built
+once per (n, N)), and every weight, the boundary z1 diagonal included, is
+read from one table of Python float powers q^k (_powers), so each map is
+bit for bit that of a construction one basis vector at a time.  The Fock
+weights are float64, and so is the boundary z1 diagonal when omega is
+real (the norm paths pass 1.0); a complex omega gives a complex diagonal.
+Adjoint maps keep their map's dtype and are built once per RepMatrices.
+rep_entries evaluates in float64 when every map and every coefficient
+value is real, and in complex128 otherwise.
 
 Truncation control: products of at most L generator letters act exactly on
 basis vectors of level <= N - L, which yields certified lower bounds for
@@ -33,6 +38,7 @@ operator norms downstream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -85,7 +91,8 @@ class RepMatrices:
 
     levels[i] is the truncation grading of basis vector i; cutoff is the
     level bound N, or None when the representation is exact (no truncation,
-    e.g. the n = 1 boundary representation).
+    e.g. the n = 1 boundary representation).  The adjoint maps are built
+    on first use and kept, so the maps must not change after that.
     """
 
     n: int
@@ -94,10 +101,24 @@ class RepMatrices:
     levels: np.ndarray
     cutoff: Optional[int]
 
+    @functools.cached_property
+    def adjoints(self) -> List[Map]:
+        """The adjoint of each generator's map, in the maps' dtype."""
+        return [_adjoint(*gen) for gen in self.maps]
+
 
 def graded_lex_basis(n: int, N: int) -> List[Tuple[int, ...]]:
     """All m in Z_+^n with |m| <= N, sorted by (|m|, lex)."""
     return [m for total in range(N + 1) for m in compositions(total, n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_array(n: int, N: int) -> np.ndarray:
+    """graded_lex_basis(n, N) as a read-only int array, built once per
+    (n, N): it does not depend on q."""
+    basis = np.array(graded_lex_basis(n, N), dtype=int)
+    basis.flags.writeable = False
+    return basis
 
 
 def _powers(q_val: float, count: int) -> np.ndarray:
@@ -119,7 +140,7 @@ def _fock_raising(basis: np.ndarray, j: int, N: int, q_val: float) -> Map:
     live = np.nonzero(basis.sum(axis=1) < N)[0]
     m = basis[live]
     powers = _powers(q_val, 2 * N + 1)
-    target, weight = np.full(dim + 1, dim), np.zeros(dim + 1, dtype=complex)
+    target, weight = np.full(dim + 1, dim), np.zeros(dim + 1)
     target[live] = order[np.searchsorted(keys, keys[live] + radix[j - 1],
                                          sorter=order)]
     weight[live] = powers[m[:, j:].sum(axis=1)] * np.sqrt(
@@ -128,17 +149,18 @@ def _fock_raising(basis: np.ndarray, j: int, N: int, q_val: float) -> Map:
 
 
 def _adjoint(target: np.ndarray, weight: np.ndarray) -> Map:
-    """The adjoint of an injective map: its inverse, by one scatter."""
+    """The adjoint of an injective map: its inverse, by one scatter, in
+    the weights' dtype."""
     dim = len(target) - 1
     live = np.nonzero(target[:dim] < dim)[0]
-    inverse, conj = np.full(dim + 1, dim), np.zeros(dim + 1, dtype=complex)
+    inverse, conj = np.full(dim + 1, dim), np.zeros_like(weight)
     inverse[target[live]], conj[target[live]] = live, weight[live].conj()
     return inverse, conj
 
 
 def fock_generators(cfg: FockConfig) -> RepMatrices:
     """Truncated Fock representation on {e_m : |m| <= N}."""
-    basis = np.array(graded_lex_basis(cfg.n, cfg.N), dtype=int)
+    basis = _basis_array(cfg.n, cfg.N)
     maps = [_fock_raising(basis, j, cfg.N, cfg.q_val)
             for j in range(1, cfg.n + 1)]
     return RepMatrices(n=cfg.n, maps=maps, dim=len(basis),
@@ -150,7 +172,11 @@ def boundary_block_generators(cfg: BoundaryConfig, omega: complex) -> RepMatrice
 
     The M-cycle block-diagonalizes over the M-th roots of unity; this builds
     the block where the cycle acts as the scalar omega.  z1 is the diagonal
-    omega * q^|m|, for n = 1 the exact 1 x 1 block omega.
+    omega * q^|m|, for n = 1 the exact 1 x 1 block omega.  A real omega
+    (a complex one with imaginary part 0 included) gives a float64
+    diagonal, each weight the real part of the complex one bit for bit, so
+    with the real Fock maps the whole block is real; any other omega gives
+    a complex diagonal.
     """
     if cfg.n == 1:
         rest, levels, cutoff = [], np.zeros(1, dtype=int), None
@@ -158,8 +184,10 @@ def boundary_block_generators(cfg: BoundaryConfig, omega: complex) -> RepMatrice
         # z2..zn act on the first n - 1 indices as the Fock generators do
         fock = fock_generators(FockConfig(cfg.n - 1, cfg.N, cfg.q_val))
         rest, levels, cutoff = fock.maps, fock.levels, cfg.N
+    omega = complex(omega)
+    scale = omega.real if omega.imag == 0 else omega
     z1 = (np.arange(len(levels) + 1),
-          np.append(omega * _powers(cfg.q_val, cfg.N + 1)[levels], 0j))
+          np.append(scale * _powers(cfg.q_val, cfg.N + 1)[levels], 0))
     return RepMatrices(n=cfg.n, maps=[z1] + rest, dim=len(levels),
                        levels=levels, cutoff=cutoff)
 
@@ -191,7 +219,12 @@ def rep_entries(parts: Sequence[Union[NCPoly, MatPoly]], rep: RepMatrices,
     (length, word)) into 0, by np.add.at, so the float additions are those
     of a dense += of each word in turn; a position that is exactly 0 in
     every part is dropped.  A sum that overflows stays inf or nan, with no
-    warning, for operator_norm to refuse."""
+    warning, for operator_norm to refuse.
+
+    The values are float64 when every coefficient value is real and every
+    map of rep is real, else complex128.  A float64 value is bit for bit
+    the real part of the complex one: (a + 0i)(b + 0i) rounds to ab, and
+    adding zero imaginary parts changes no real part."""
     Fs = [MatPoly.of(f) for f in parts]
     if len({F.shape for F in Fs}) != 1:
         raise ValueError("need one or more parts, all of one shape")
@@ -204,25 +237,37 @@ def rep_entries(parts: Sequence[Union[NCPoly, MatPoly]], rep: RepMatrices,
     shape = (Fs[0].shape[0] * r, Fs[0].shape[1] * r)
     pos = np.full(rep.dim + 1, -1)
     pos[cols] = np.arange(r)
-    maps = rep.maps, [_adjoint(*gen) for gen in rep.maps]  # by .starred
+    terms = [(d, a, b, word, coefficient_value(p.terms[word], p.den, q_val))
+             for d, F in enumerate(Fs)
+             for a, row in enumerate(F.entries)
+             for b, p in enumerate(row)
+             for word in sorted(p.terms, key=lambda w: (len(w), w))]
+    real = (all(value.imag == 0 for *_, value in terms)
+            and not any(np.iscomplexobj(w) for _, w in rep.maps))
+    dtype = float if real else complex
+    maps = rep.maps, rep.adjoints  # by .starred
     keys, layer = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    contributions = [np.zeros(0, dtype=complex)]
-    for d, F in enumerate(Fs):
-        for a, row in enumerate(F.entries):
-            for b, p in enumerate(row):
-                for word in sorted(p.terms, key=lambda w: (len(w), w)):
-                    target, weight = cols, np.ones(r, dtype=complex)
-                    for letter in reversed(word):
-                        t, w = maps[letter.starred][letter.index - 1]
-                        target, weight = t[target], w[target] * weight
-                    rows = pos[target]
-                    keep = np.nonzero(rows >= 0)[0]
-                    value = coefficient_value(p.terms[word], p.den, q_val)
-                    keys.append((a * r + rows[keep]) * shape[1] + b * r + keep)
-                    layer.append(np.full(len(keep), d))
-                    contributions.append(value * weight[keep])
-    found, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    total = np.zeros((len(Fs), len(found)), dtype=complex)
+    contributions = [np.zeros(0, dtype=dtype)]
+    for d, a, b, word, value in terms:
+        target, weight = cols, np.ones(r, dtype=dtype)
+        for letter in reversed(word):
+            t, w = maps[letter.starred][letter.index - 1]
+            target, weight = t[target], w[target] * weight
+        rows = pos[target]
+        keep = np.nonzero(rows >= 0)[0]
+        keys.append((a * r + rows[keep]) * shape[1] + b * r + keep)
+        layer.append(np.full(len(keep), d))
+        contributions.append((value.real if real else value) * weight[keep])
+    # the sorted distinct keys and each key's slot among them, by a stable
+    # sort and a first-of-run mask
+    keys = np.concatenate(keys)
+    order = np.argsort(keys, kind="stable")
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[order[1:]] != keys[order[:-1]]
+    found = keys[order[first]]
+    slot = np.empty(len(keys), dtype=int)
+    slot[order] = np.cumsum(first) - 1
+    total = np.zeros((len(Fs), len(found)), dtype=dtype)
     np.add.at(total, (np.concatenate(layer), slot),
               np.concatenate(contributions))
     nonzero = np.any(total != 0, axis=0)
@@ -232,13 +277,13 @@ def rep_entries(parts: Sequence[Union[NCPoly, MatPoly]], rep: RepMatrices,
 
 def rep_apply(f: Union[NCPoly, MatPoly], rep: RepMatrices, q_val: float,
               indices: Optional[np.ndarray] = None) -> np.ndarray:
-    """The dense block of f in rep: rep_entries([f]) scattered into zeros,
-    so each entry is its word contributions summed in word order, and 0
-    where rep_entries stores nothing.  For tests, demos and
+    """The dense block of f in rep: rep_entries([f]) scattered into zeros
+    of its dtype, so each entry is its word contributions summed in word
+    order, and 0 where rep_entries stores nothing.  For tests, demos and
     bench/make_refs.py; the norm paths and pbw_gram_min_singular take the
     entries."""
     rows, cols, values, shape = rep_entries([f], rep, q_val, indices)
-    out = np.zeros(shape, dtype=complex)
+    out = np.zeros(shape, dtype=values.dtype)
     out[rows, cols] = values[0]
     return out
 

@@ -160,7 +160,8 @@ def reference_dense_block(f, rep: RepMatrices, q_val: float,
     """The dense block of f (a polynomial or a MatPoly) in rep on indices:
     entry (a, b) at rows a*r.. and columns b*r.., each word's map composed
     from the right and its entries added into zeros by +=, words by
-    (length, word)."""
+    (length, word).  Real (float64) when every map and every coefficient
+    value is real, else complex."""
     F = MatPoly.of(f)
     cols = np.arange(rep.dim) if indices is None else np.asarray(indices)
     r = len(cols)
@@ -170,22 +171,29 @@ def reference_dense_block(f, rep: RepMatrices, q_val: float,
     for target, weight in rep.maps:
         live = np.nonzero(target[:rep.dim] < rep.dim)[0]
         inverse = np.full(rep.dim + 1, rep.dim)
-        conj = np.zeros(rep.dim + 1, dtype=complex)
+        conj = np.zeros(rep.dim + 1, dtype=weight.dtype)
         inverse[target[live]], conj[target[live]] = live, weight[live].conj()
         adjoints.append((inverse, conj))
-    out = np.zeros((F.shape[0] * r, F.shape[1] * r), dtype=complex)
+    values = {(a, b, word): coefficient_value(p.terms[word], p.den, q_val)
+              for a, row in enumerate(F.entries)
+              for b, p in enumerate(row) for word in p.terms}
+    real = (all(v.imag == 0 for v in values.values())
+            and all(w.dtype == float for _, w in rep.maps))
+    dtype = float if real else complex
+    out = np.zeros((F.shape[0] * r, F.shape[1] * r), dtype=dtype)
     for a, row in enumerate(F.entries):
         for b, p in enumerate(row):
             for word in sorted(p.terms, key=lambda w: (len(w), w)):
-                target, weight = cols, np.ones(r, dtype=complex)
+                target, weight = cols, np.ones(r, dtype=dtype)
                 for letter in reversed(word):
                     maps = adjoints if letter.starred else rep.maps
                     t, w = maps[letter.index - 1]
                     target, weight = t[target], w[target] * weight
                 rows = pos[target]
                 keep = np.nonzero(rows >= 0)[0]
-                value = coefficient_value(p.terms[word], p.den, q_val)
-                out[a * r + rows[keep], b * r + keep] += value * weight[keep]
+                value = values[a, b, word]
+                out[a * r + rows[keep], b * r + keep] += (
+                    value.real if real else value) * weight[keep]
     return out
 
 

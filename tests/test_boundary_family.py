@@ -80,9 +80,10 @@ def test_boundary_matrix_value_matches_per_omega_oracle(text, n):
 def test_chunking_and_dense_limit_fallback(monkeypatch, batch_bytes,
                                            dense_limit):
     """One block per batch, and a component above the dense limit going
-    through svds once per omega, give the batched value."""
-    f = parse_expression("z1 + z2*z1' + q*z2'*z2", 2)
-    expected = boundary_norm(f, Q, [(6, 16)]).final
+    through svds once per omega evaluated, give the batched value.  Both
+    inputs are not omega-invariant; the real one evaluates only the grid
+    points t <= M // 2, since block(conj omega) = conj(block(omega)), and
+    the complex one all 16."""
     calls = []
     svds = scipy.sparse.linalg.svds
 
@@ -90,13 +91,19 @@ def test_chunking_and_dense_limit_fallback(monkeypatch, batch_bytes,
         calls.append(A.shape)
         return svds(A, *args, **kwargs)
 
-    monkeypatch.setattr(norms, "_BATCH_BYTES", batch_bytes)
-    monkeypatch.setattr(norms, "_DENSE_LIMIT", dense_limit)
-    monkeypatch.setattr(scipy.sparse.linalg, "svds", counted_svds)
-    assert boundary_norm(f, Q, [(6, 16)]).final == pytest.approx(
-        expected, abs=TOL)
-    # each of the 16 blocks is one 5 x 5 component (certified levels 0..4)
-    assert calls == ([] if dense_limit == 2048 else [(5, 5)] * 16)
+    for text, blocks in (("z1 + z2*z1' + q*z2'*z2", 9),
+                         ("i*z1 + z2*z1' + q*z2'*z2", 16)):
+        f = parse_expression(text, 2)
+        expected = boundary_norm(f, Q, [(6, 16)]).final
+        with monkeypatch.context() as patch:
+            patch.setattr(norms, "_BATCH_BYTES", batch_bytes)
+            patch.setattr(norms, "_DENSE_LIMIT", dense_limit)
+            patch.setattr(scipy.sparse.linalg, "svds", counted_svds)
+            calls.clear()
+            assert boundary_norm(f, Q, [(6, 16)]).final == pytest.approx(
+                expected, abs=TOL)
+        # each block is one 5 x 5 component (certified levels 0..4)
+        assert calls == ([] if dense_limit == 2048 else [(5, 5)] * blocks)
 
 
 def test_n1_nested_grids_monotone_and_equal_circle_oracle():
@@ -211,6 +218,43 @@ def test_invariant_inputs_one_block_equals_full_grid(case, extra, M):
     N = F.degree() + extra
     assert boundary_norm(f, Q, [(N, M)]).final == pytest.approx(
         per_omega_value(f, Q, N, M), abs=TOL)
+
+
+@st.composite
+def real_non_invariant(draw):
+    """A polynomial or k x l matrix of polynomials with real coefficients,
+    n <= 3, that is not omega-invariant: entry (0, 0) holds a word w and
+    z1*w, whose charge vectors differ by e_1."""
+    n = draw(st.integers(1, 3))
+    k, l = (1, 1) if draw(st.booleans()) else draw(
+        st.sampled_from([(1, 2), (2, 1), (2, 2)]))
+    letters = st.builds(Letter, st.integers(1, n), st.booleans())
+    words = draw(st.lists(st.lists(letters, max_size=3).map(tuple),
+                          min_size=1, max_size=6))
+    cells = [(0, 0), (0, 0)] + [(draw(st.integers(0, k - 1)),
+                                 draw(st.integers(0, l - 1)))
+                                for _ in words[1:]]
+    entries = [[NCPoly.zero(n) for _ in range(l)] for _ in range(k)]
+    for word, (a, b) in zip([(Letter(1, False),) + words[0]] + words, cells):
+        coeff = fraction_constant(n, (
+            draw(st.integers(-1, 1)),
+            Fraction(draw(st.integers(1, 3)) * draw(st.sampled_from([-1, 1])),
+                     draw(st.integers(1, 3))), 0))
+        entries[a][b] = entries[a][b] + NCPoly.from_word(n, word) * coeff
+    return entries[0][0] if (k, l) == (1, 1) else MatPoly(entries)
+
+
+@settings(max_examples=40)
+@given(f=real_non_invariant(), extra=st.integers(1, 2),
+       M=st.sampled_from([1, 2, 3, 5, 8, 15, 16]))
+def test_real_non_invariant_half_grid_equals_all_roots(f, extra, M):
+    """Real coefficients: block(conj omega) = conj(block(omega)) has the
+    same singular values, so the grid points t <= M // 2 give the max over
+    all M roots."""
+    assert not omega_invariant(f)
+    N = MatPoly.of(f).degree() + extra
+    assert boundary_norm(f, Q, [(N, M)]).final == pytest.approx(
+        per_omega_value(f, Q, N, M), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("text, n, invariant", [

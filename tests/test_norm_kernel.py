@@ -10,6 +10,7 @@ the stack of the dense blocks of the word-by-word loop
 (oracles.reference_stack) bit for bit, and so give the same norm.
 """
 
+import dataclasses
 import warnings
 from fractions import Fraction
 
@@ -52,8 +53,9 @@ TOL = 1e-12
 
 
 @st.composite
-def polys(draw, n, min_terms=1):
-    """Up to three words of length <= 3, so of random multi-charge."""
+def polys(draw, n, min_terms=1, real=False):
+    """Up to three words of length <= 3, so of random multi-charge; with
+    real, every coefficient is real."""
     p = NCPoly.zero(n)
     for _ in range(draw(st.integers(min_terms, 3))):
         word = draw(st.lists(st.builds(Letter, st.integers(1, n), st.booleans()),
@@ -61,19 +63,19 @@ def polys(draw, n, min_terms=1):
         coeff = fraction_constant(n, (
             draw(st.integers(-1, 1)),
             Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
-            draw(st.integers(-2, 2))))
+            0 if real else draw(st.integers(-2, 2))))
         p = p + NCPoly.from_word(n, tuple(word)) * coeff
     return p
 
 
 @st.composite
-def inputs(draw):
+def inputs(draw, real=False):
     """A polynomial or a k x l matrix of polynomials, n <= 3."""
     n = draw(st.integers(1, 3))
     if draw(st.booleans()):
-        return draw(polys(n))
+        return draw(polys(n, real=real))
     k, l = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    return MatPoly([[draw(polys(n, min_terms=0)) for _ in range(l)]
+    return MatPoly([[draw(polys(n, min_terms=0, real=real)) for _ in range(l)]
                     for _ in range(k)])
 
 
@@ -372,3 +374,81 @@ def test_norm_of_the_entries_is_the_norm_of_the_dense_block(case, M):
     assert operator_norm(rep_entries([F, G], rep, Q, indices),
                          phases=phases) == operator_norm(
         entries_of(np.stack(dense)), phases=phases)
+
+
+# -- real blocks stay real ----------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def real_stacks(draw):
+    """One or two parts with real coefficients (a polynomial or k x l
+    MatPolys of one shape), n <= 3, in a Fock block or the omega = 1
+    boundary block, on full or certified indices."""
+    F = MatPoly.of(draw(inputs(real=True)))
+    parts = [F] + [MatPoly([[draw(polys(F.n, min_terms=0, real=True))
+                             for _ in row] for row in F.entries])
+                   for _ in range(draw(st.integers(0, 1)))]
+    N = max(F.degree() + draw(st.integers(0, 2)), 1)
+    if draw(st.booleans()):
+        rep = fock_generators(FockConfig(F.n, N, Q))
+    else:
+        rep = boundary_block_generators(BoundaryConfig(F.n, N, 5, Q), 1.0)
+    indices = (certify_compression(rep, F.degree())
+               if draw(st.booleans()) else None)
+    return parts, rep, indices
+
+
+def complex_maps(rep):
+    """rep with every weight cast to complex128, so that its blocks are
+    evaluated in complex arithmetic."""
+    return dataclasses.replace(
+        rep, maps=[(t, w.astype(complex)) for t, w in rep.maps])
+
+
+@settings(max_examples=100)
+@given(case=real_stacks())
+def test_real_stack_is_the_real_part_of_the_complex_one(case):
+    """(a + 0i)(b + 0i) rounds to ab, so the float64 stack is bit for bit
+    the real part of the stack evaluated in complex arithmetic."""
+    parts, rep, indices = case
+    got = rep_entries(parts, rep, Q, indices)
+    want = reference_stack(parts, complex_maps(rep), Q, indices)
+    assert got.values.dtype == np.float64
+    assert want.values.dtype == np.complex128 and not want.values.imag.any()
+    assert got.shape == want.shape
+    assert np.array_equal(got.rows, want.rows)
+    assert np.array_equal(got.cols, want.cols)
+    assert got.values.tobytes() == want.values.real.copy().tobytes()
+
+
+@settings(max_examples=60)
+@given(case=real_stacks())
+def test_real_kernel_matches_complex_kernel_and_lapack(case):
+    parts, rep, indices = case
+    A = rep_entries(parts, rep, Q, indices)
+    value = operator_norm(A)
+    as_complex = operator_norm(A._replace(values=A.values.astype(complex)))
+    assert abs(value - as_complex) <= 4 * EPS * value
+    dense = np.zeros(A.shape)
+    dense[A.rows, A.cols] = A.values.sum(axis=0)
+    assert value == pytest.approx(float(np.linalg.norm(dense, 2)), abs=TOL)
+
+
+def test_complex_coefficient_or_omega_gives_complex128():
+    real, phased = (parse_expression(text, 2)
+                    for text in ("z1 + q*z2'*z1", "i*z1 + q*z2'*z1"))
+    fock = fock_generators(FockConfig(2, 4, Q))
+    assert rep_entries([real], fock, Q).values.dtype == np.float64
+    assert rep_entries([phased], fock, Q).values.dtype == np.complex128
+    assert rep_entries([real, phased], fock, Q).values.dtype == np.complex128
+    cfg = BoundaryConfig(2, 4, 5, Q)
+    for omega, dtype in ((1.0, np.float64), (-1.0, np.float64),
+                         (1 + 0j, np.float64), (1j, np.complex128),
+                         (np.exp(2j * np.pi / 5), np.complex128)):
+        rep = boundary_block_generators(cfg, omega)
+        assert [w.dtype for _, w in rep.maps] == [dtype, np.float64]
+        assert [w.dtype for _, w in rep.adjoints] == [dtype, np.float64]
+        assert rep_entries([real], rep, Q).values.dtype == dtype
+        assert rep_entries([phased], rep, Q).values.dtype == np.complex128
