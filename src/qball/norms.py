@@ -69,13 +69,19 @@ block(conj omega) = sum_d conj(omega)^d A_d = conj(block(omega)) has the
 same singular values, and conj(omega_t) = omega_{M-t}, so the grid points
 t = 0..M // 2 give the max over all M.
 
-Every schedule is one pass (_schedules).  Once per input it finds F's
-degree, omega_invariant(F) and its part of each z1-charge d (a MatPoly);
-per point (N, M) it builds the omega = 1 block once, evaluates the parts
-in one rep_entries call, the stack of the A_d over the union of their
-patterns, and takes the boundary value, its whole-circle bound and, for
-the ball side, the Fock value.  A maximum-principle report is that one
-pass with both sides; a single-point value is a one-point schedule.
+Every schedule is one pass (_schedules), over a nested schedule: N
+non-decreasing and each grid order M dividing the next.  Once per input it
+finds F's degree, omega_invariant(F) and its part of each z1-charge d (a
+MatPoly).  Once per side it builds the representation at the last N (the
+omega = 1 block, or the Fock representation for the ball side) and makes
+one rep_entries call: the stack of the A_d over the union of their
+patterns.  Each point's certified block is a leading principal
+restriction of that stack, bit for bit, and each point's grid a subgroup
+of the next one's, so the value before a point is a lower bound for it;
+each point's value is the max of that and the norm of its own block over
+its own grid (the proof is in _schedules), and the values never
+decrease.  A maximum-principle report is that one pass with both sides; a
+single-point value is a one-point schedule.
 """
 
 from __future__ import annotations
@@ -299,7 +305,7 @@ class NormEstimate:
     def values(self) -> List[float]:
         return [p["value"] for p in self.points]
 
-    def is_monotone(self, slack: float = 1e-12) -> bool:
+    def is_monotone(self, slack: float = 0.0) -> bool:
         vals = self.values()
         return all(b >= a - slack for a, b in zip(vals, vals[1:]))
 
@@ -319,13 +325,11 @@ def _check_trunc(N: int, degree: int) -> None:
 
 def fock_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
                          tol: float = DEFAULT_TOL) -> float:
-    """Certified lower bound for the Fock-representation norm of f."""
+    """Certified lower bound for the Fock-representation norm of f: the
+    Fock side of a one-point schedule."""
     F = MatPoly.of(f)
-    degree = F.degree()
-    _check_trunc(N, degree)
-    rep = _fock_rep(F.n, N, q_val)
-    return operator_norm(
-        rep_entries([F], rep, q_val, certify_compression(rep, degree)), tol)
+    return _nested_values([F], _fock_rep(F.n, N, q_val), q_val, F.degree(),
+                          [(N, 1)], tol)[0]
 
 
 def _charges(word, n: int) -> Tuple[int, ...]:
@@ -391,6 +395,47 @@ def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> fl
 
 # -- norm schedules ---------------------------------------------------
 
+def _nested_values(parts: Sequence[MatPoly], rep: RepMatrices, q_val: float,
+                   L: int, schedule: Sequence[SchedulePoint], tol: float,
+                   charges: Optional[Sequence[int]] = None) -> List[float]:
+    """The certified value of the stack of parts (words of length <= L) at
+    each point (N, M) of a nested schedule, rep built at the last N: one
+    rep_entries call, and each point's block is a leading principal
+    restriction of that stack (see _schedules).  With charges, part d has
+    z1-charge charges[d] and a point's value is the max over its M-th roots
+    of unity omega of sum_d omega^d part_d; without, the stack's value (one
+    phase row, M unused).  Each value is at least the one before it."""
+    Ns = [N for N, _ in schedule]
+    if rep.cutoff is not None:
+        _check_trunc(Ns[0], L)
+    A = rep_entries(parts, rep, q_val, certify_compression(rep, L))
+    # each point's certified rows are a prefix of the last point's
+    sizes = [len(certify_compression(rep, L + Ns[-1] - N)) for N in Ns]
+    r = sizes[-1]
+    k, l = A.shape[0] // r, A.shape[1] // r
+    values: List[float] = []
+    value = 0.0
+    for size, (_, M) in zip(sizes, schedule):
+        keep = (A.rows % r < size) & (A.cols % r < size)
+        rows, cols = A.rows[keep], A.cols[keep]
+        block = Entries(rows // r * size + rows % r,
+                        cols // r * size + cols % r, A.values[:, keep],
+                        (k * size, l * size))
+        phases = None
+        if charges is not None:
+            # a real stack needs t <= M // 2 only; exp(2 pi i (t d mod M)
+            # / M): nested grids share exact phases
+            grid = np.arange(M // 2 + 1 if np.isrealobj(A.values) else M)
+            phases = np.exp(2j * np.pi * (np.outer(grid, charges) % M) / M)
+        try:
+            value = max(value, operator_norm(block, tol, phases))
+        except NormConvergenceError as exc:
+            exc.last_value = max(exc.last_value, value)
+            raise
+        values.append(value)
+    return values
+
+
 def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
                schedule: Sequence[SchedulePoint], tol: float, ball: bool
                ) -> Tuple[Optional[NormEstimate], NormEstimate]:
@@ -398,6 +443,30 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
     module docstring).  A zero F has one zero part, of charge 0.  The ball
     value is max(Fock, boundary), its whole-circle bound max(Fock,
     boundary bound).
+
+    The schedule must be nested: N non-decreasing and each grid order M
+    dividing the next, else a ValueError.  Then each side is built once,
+    at the last point, and every value is the grid max at its point and at
+    least the value before it:
+    - Restriction.  The basis is graded by level, so the basis at N and
+      its certified set (levels <= N - L) are prefixes of those at the last
+      N'.  A weight depends only on m and q, so the maps at N and at N'
+      agree on the levels below N, and a word of <= L letters applied to a
+      certified column applies each letter at a level below N.  So each
+      entry of the block at N, summed in the same word order, is bit for
+      bit the entry of the last block at the same row and column: the
+      block at N is the leading principal restriction of each r x r tile
+      of the last block (_nested_values).  The exact n = 1 boundary block
+      is the same 1 x 1 block at every N.
+    - Compression.  Point i - 1's grid is a subgroup of point i's: the
+      node t of M_{i-1} is the node t M_i / M_{i-1} of M_i (on the half
+      grid too, below), with the same phases, since
+      (k t d mod kM) / kM = (t d mod M) / M exactly.  At each such node
+      the block at i - 1 is a compression of the block at i, so its norm
+      is no larger.  So value(i) = max(value(i - 1), the norm at point i)
+      is the grid max at point i: the max keeps value(i - 1) only where
+      the norm at point i rounds below it.
+    The values are non-decreasing exactly, with no slack.
 
     An invariant F's boundary value is the sup over the whole circle.
     Otherwise <P(omega) u, v> = sum_d omega^d <A_d u, v> is, after the
@@ -413,13 +482,19 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
     P(omega_{M-t}) = sum_d conj(omega_t)^d A_d = conj(P(omega_t)), which
     has the singular values of P(omega_t); every t in M // 2 + 1..M - 1
     has its partner M - t in 1..M // 2, so the max over the half grid is
-    the max over all M nodes.  The grids stay nested: t -> 2t sends
-    0..M // 2 into 0..M, the half grid at 2M, with the same phase table
-    entries, since (2t d mod 2M) / 2M = (t d mod M) / M exactly.
+    the max over all M nodes.  The grids stay nested: t -> k t sends
+    0..M // 2 into 0..kM // 2, the half grid at kM.
     """
     if not schedule:
         raise ValueError("empty schedule")
     F = MatPoly.of(f)
+    for N, M in schedule:       # every point is valid; the last is built
+        cfg = BoundaryConfig(n=F.n, N=N, M=M, q_val=q_val)
+    for (N, M), (N2, M2) in zip(schedule, schedule[1:]):
+        if N2 < N or M2 % M:
+            raise ValueError(
+                f"schedule not nested at ({N}, {M}) -> ({N2}, {M2}): need "
+                "N non-decreasing and each grid order dividing the next")
     L = F.degree()
     invariant = omega_invariant(F)
     charge = {word: _charges(word, F.n)[0]
@@ -429,32 +504,18 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
                                     if charge[w] == d}, p.den)
                        for p in row] for row in F.entries]) for d in order]
     K = (order[-1] - order[0]) / 2
-    bdry, upper, fock = [], [], []
-    for N, M in schedule:
-        rep = boundary_block_generators(
-            BoundaryConfig(n=F.n, N=N, M=M, q_val=q_val), 1.0)
-        if rep.cutoff is not None:
-            _check_trunc(N, L)
-        indices = certify_compression(rep, L)
-        A = rep_entries(parts, rep, q_val, indices)
-        if invariant:
-            phases = None
-        else:
-            # a real stack needs t <= M // 2 only; exp(2 pi i (t d mod M)
-            # / M): nested grids share exact phases
-            grid = np.arange(M // 2 + 1 if np.isrealobj(A.values) else M)
-            phases = np.exp(2j * np.pi * (np.outer(grid, order) % M) / M)
-        value = operator_norm(A, tol, phases)
-        bdry.append(value)
-        bound = value / (1 - np.pi * K / M) if M > np.pi * K else None
-        upper.append(value if invariant else bound)
-        if ball:
-            fock.append(fock_certified_value(F, q_val, N, tol))
+    bdry = _nested_values(parts, boundary_block_generators(cfg, 1.0), q_val,
+                          L, schedule, tol, None if invariant else order)
+    upper = [value if invariant else
+             value / (1 - np.pi * K / M) if M > np.pi * K else None
+             for value, (_, M) in zip(bdry, schedule)]
     params = [{"N": N, "M": M} for N, M in schedule]
     boundary = NormEstimate.from_values(
         params, bdry, tol, {"invariant": invariant, "circle_upper": upper})
     if not ball:
         return None, boundary
+    fock = _nested_values([F], _fock_rep(F.n, cfg.N, q_val), q_val, L,
+                          schedule, tol)
     values = [max(a, b) for a, b in zip(fock, bdry)]
     omega = {"invariant": invariant, "circle_upper": [
         None if u is None else max(a, u) for a, u in zip(fock, upper)]}
@@ -501,8 +562,9 @@ def max_principle_report(f: Union[NCPoly, MatPoly], q_val: float,
                          tol: float = DEFAULT_TOL) -> GapReport:
     """Run both sides on the same schedule and report the norm gap.
 
-    One pass: each schedule point computes the boundary value once and the
-    Fock value once; the ball value is their max.
+    One pass: each side's representation is built, and its entries
+    evaluated, once per schedule at the last N; each point takes the norm
+    of its restriction.  The ball value is the max of the two sides.
     """
     ball, boundary = _schedules(f, q_val, schedule, tol, ball=True)
     return GapReport(ball=ball, boundary=boundary,

@@ -20,6 +20,11 @@ These are oracles only; no library code calls them.
   reference_stack is the per-part path rep_entries replaced: one dense
   block per part, stacked at the union of their nonzero positions
   (entries_of, also the way dense test inputs reach operator_norm).
+* reference_schedules is the per-point loop norms._schedules replaced:
+  at every schedule point it builds both representations at that N,
+  evaluates the whole certified block and takes its norm over the whole
+  grid.  The library builds once per schedule, at the last N, and takes
+  each point's block as a restriction of that one.
 * reference_pbw_gram is the PBW Gram probe pbw_gram_min_singular replaced:
   every canonical monomial's full dense Fock matrix flattened into one
   column of V, one SVD of all of V.  The library takes one SVD per charge
@@ -43,20 +48,32 @@ These are oracles only; no library code calls them.
 import cmath
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from qball.algebra import Letter, MatPoly, NCPoly, Word
+from qball.norms import (
+    NormEstimate,
+    SchedulePoint,
+    _charges,
+    _check_trunc,
+    _fock_rep,
+    omega_invariant,
+    operator_norm,
+)
 from qball.representations import (
     BoundaryConfig,
     Entries,
     FockConfig,
     RepMatrices,
+    boundary_block_generators,
+    certify_compression,
     fock_generators,
     graded_lex_basis,
     rep_apply,
+    rep_entries,
 )
 from qball.rewrite import apply_rule, canonical_monomials, rule_sites
 from qball.scalars import coefficient_value
@@ -225,6 +242,69 @@ def reference_pbw_gram(n: int, max_degree: int, N: int, q_val: float) -> float:
     # sigma_min(V^H V) = sigma_min(V)^2, without squaring V's condition number
     s = np.linalg.svd(V, compute_uv=False)
     return float(s[-1] ** 2) if len(s) == V.shape[1] else 0.0
+
+
+def reference_fock_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
+                         tol: float) -> float:
+    """The certified Fock value of f at one N, built and evaluated whole."""
+    F = MatPoly.of(f)
+    degree = F.degree()
+    _check_trunc(N, degree)
+    rep = _fock_rep(F.n, N, q_val)
+    return operator_norm(
+        rep_entries([F], rep, q_val, certify_compression(rep, degree)), tol)
+
+
+def reference_schedules(f: Union[NCPoly, MatPoly], q_val: float,
+                        schedule: Sequence[SchedulePoint], tol: float,
+                        ball: bool
+                        ) -> Tuple[Optional[NormEstimate], NormEstimate]:
+    """Ball (if asked) and boundary schedules of f, one point at a time:
+    each point builds its own omega = 1 block and Fock representation and
+    takes the norm of the whole certified block over its whole grid (the
+    half grid for a real stack)."""
+    if not schedule:
+        raise ValueError("empty schedule")
+    F = MatPoly.of(f)
+    L = F.degree()
+    invariant = omega_invariant(F)
+    charge = {word: _charges(word, F.n)[0]
+              for row in F.entries for p in row for word in p.terms}
+    order = sorted(set(charge.values())) or [0]
+    parts = [MatPoly([[NCPoly(F.n, {w: c for w, c in p.terms.items()
+                                    if charge[w] == d}, p.den)
+                       for p in row] for row in F.entries]) for d in order]
+    K = (order[-1] - order[0]) / 2
+    bdry, upper, fock = [], [], []
+    for N, M in schedule:
+        rep = boundary_block_generators(
+            BoundaryConfig(n=F.n, N=N, M=M, q_val=q_val), 1.0)
+        if rep.cutoff is not None:
+            _check_trunc(N, L)
+        indices = certify_compression(rep, L)
+        A = rep_entries(parts, rep, q_val, indices)
+        if invariant:
+            phases = None
+        else:
+            # a real stack needs t <= M // 2 only; exp(2 pi i (t d mod M)
+            # / M): nested grids share exact phases
+            grid = np.arange(M // 2 + 1 if np.isrealobj(A.values) else M)
+            phases = np.exp(2j * np.pi * (np.outer(grid, order) % M) / M)
+        value = operator_norm(A, tol, phases)
+        bdry.append(value)
+        bound = value / (1 - np.pi * K / M) if M > np.pi * K else None
+        upper.append(value if invariant else bound)
+        if ball:
+            fock.append(reference_fock_value(F, q_val, N, tol))
+    params = [{"N": N, "M": M} for N, M in schedule]
+    boundary = NormEstimate.from_values(
+        params, bdry, tol, {"invariant": invariant, "circle_upper": upper})
+    if not ball:
+        return None, boundary
+    values = [max(a, b) for a, b in zip(fock, bdry)]
+    omega = {"invariant": invariant, "circle_upper": [
+        None if u is None else max(a, u) for a, u in zip(fock, upper)]}
+    return NormEstimate.from_values(params, values, tol, omega), boundary
 
 
 # -- Fraction reference arithmetic ------------------------------------

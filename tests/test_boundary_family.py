@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import qball.norms as norms
 from qball.algebra import Letter, MatPoly, NCPoly
 from qball.norms import (
+    NormConvergenceError,
     ball_norm,
     boundary_norm,
     fock_certified_value,
@@ -35,10 +36,11 @@ from qball.representations import (
 )
 from qball.sampling import random_poly
 
-from oracles import circle_grid_max, fraction_constant
+from oracles import circle_grid_max, fraction_constant, reference_schedules
 
 Q = 0.5
 TOL = 1e-12
+EPS = np.finfo(float).eps
 
 
 def per_omega_value(f, q_val, N, M):
@@ -148,11 +150,26 @@ def test_max_principle_report_builds_boundary_once_per_point(monkeypatch,
         calls.append((cfg.N, cfg.M))
         return build(cfg, omega)
 
+    fock_builds, evaluations = [], []
+    fock_rep, entries = norms._fock_rep, norms.rep_entries
+
+    def counted_fock(n, N, q_val):
+        fock_builds.append(N)
+        return fock_rep(n, N, q_val)
+
+    def counted_entries(parts, rep, q_val, indices=None):
+        evaluations.append(rep.n)
+        return entries(parts, rep, q_val, indices)
+
     monkeypatch.setattr(norms, "boundary_block_generators", counted)
+    monkeypatch.setattr(norms, "_fock_rep", counted_fock)
+    monkeypatch.setattr(norms, "rep_entries", counted_entries)
     report = max_principle_report(f, Q, sched)
     assert len(invariance_tests) == 3
-    # one omega = 1 block per schedule point, for both sides together
-    assert calls == sched
+    # one build and one evaluation per side per schedule, at the last point
+    assert calls == sched[-1:]
+    assert fock_builds == [sched[-1][0]]
+    assert len(evaluations) == 2
     for got, want in ((report.ball, ball), (report.boundary, bdry)):
         assert got.values() == pytest.approx(want.values(), abs=TOL)
         assert got.stabilized == want.stabilized
@@ -301,3 +318,76 @@ def test_circle_upper_is_the_value_or_null():
     g = parse_expression("[z1'*z2, z2^2; z3, z1*z3]", 3)
     est = ball_norm(g, Q, make_schedule([3, 5], 16))
     assert est.omega == {"invariant": True, "circle_upper": est.values()}
+
+
+# -- nested schedules: one build per side, each point only what is new ---
+
+@st.composite
+def nested_schedules(draw, degree):
+    """2 or 3 points (N, M), N from degree + 1 and non-decreasing, each M
+    the one before times 1, 2 or 4, as make_schedule's grids are."""
+    N = degree + draw(st.integers(1, 2))
+    M = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    points = [(N, M)]
+    for _ in range(draw(st.integers(1, 2))):
+        N += draw(st.integers(0, 2))
+        M *= draw(st.sampled_from([1, 2, 4]))
+        points.append((N, M))
+    return points
+
+
+@settings(max_examples=60)
+@given(f=st.one_of(gauge_inputs().map(lambda case: case[0]),
+                   real_non_invariant()),
+       data=st.data())
+def test_nested_schedules_equal_the_per_point_oracle(f, data):
+    """Scalars and matrices, invariant or not, real or complex: every value
+    of the one-pass schedules is the per-point loop's to 4 eps relative,
+    and no value is below the one before it."""
+    sched = data.draw(nested_schedules(MatPoly.of(f).degree()))
+    report = max_principle_report(f, Q, sched)
+    want = reference_schedules(f, Q, sched, norms.DEFAULT_TOL, ball=True)
+    for got, expected in zip((report.ball, report.boundary), want):
+        assert got.is_monotone(slack=0.0)
+        assert got.omega["invariant"] == expected.omega["invariant"]
+        for a, b in zip(got.values(), expected.values()):
+            assert abs(a - b) <= 4 * EPS * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("sched", [
+    [(6, 8), (4, 16)],              # N decreases
+    [(4, 8), (6, 12)],              # 8 does not divide 12
+], ids=["N-decreases", "M-does-not-divide"])
+def test_schedules_that_do_not_nest_are_refused(sched):
+    f = parse_expression("z1 + z2'*z1", 2)
+    for run in (ball_norm, boundary_norm, max_principle_report):
+        with pytest.raises(ValueError, match="not nested"):
+            run(f, Q, sched)
+
+
+def test_grid_ratio_three_nests():
+    """M = 3 -> 9: point 0's roots of unity are every third root of point
+    1's, and each point's value is its own grid max."""
+    f = parse_expression("(1-i)*z2 + 1/2*z1*z2 + i*z2*z2", 2)
+    assert not omega_invariant(f)
+    est = boundary_norm(f, Q, [(4, 3), (6, 9)])
+    assert est.is_monotone()
+    for point in est.points:
+        assert point["value"] == pytest.approx(
+            per_omega_value(f, Q, point["N"], point["M"]), rel=1e-13)
+
+
+def test_convergence_error_carries_the_value_before_it(monkeypatch):
+    """z1 + z2 (n = 2): the boundary block is one component, 3 x 3 at N = 3
+    (dense) and 5 x 5 at N = 5 (ARPACK, which fails); last_value is the
+    value at N = 3, not the 0 of the failing point's other components."""
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("No convergence", [], [])
+
+    f = parse_expression("z1 + z2", 2)
+    first = boundary_norm(f, Q, [(3, 1)]).final
+    monkeypatch.setattr(norms, "_DENSE_LIMIT", 3)
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+    with pytest.raises(NormConvergenceError) as err:
+        boundary_norm(f, Q, [(3, 1), (5, 1)])
+    assert first > 0 and err.value.last_value == first
