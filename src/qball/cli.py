@@ -35,7 +35,8 @@ over the whole circle (null where none is proved; for maxprinciple and
 ci-check, of the boundary side).
 
 Exit codes: 0 success, 2 input error (including a flag the subcommand does
-not take), 3 numerical non-convergence, 4 acceptance-check failure.
+not take, and an expression too deep to parse or rewrite), 3 numerical
+non-convergence, 4 acceptance-check failure.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ _FLAGS = {
     "--mode": dict(choices=[BALL, SPHERE], default=BALL),
     "--q": dict(default="1/2", help="deformation parameter, rational or decimal"),
     "--trunc": dict(default="8", help="comma-separated truncation schedule"),
-    "--theta": dict(type=int, help="final cyclic order (theta samples)"),
+    "--theta": dict(type=int, default=1024,
+                    help="final cyclic order (theta samples)"),
     "--tol": dict(type=_finite_float(True), default=1e-8,
                   help="numerical tolerance of norms"),
     "--seed": dict(type=int, default=0),
@@ -412,6 +414,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, ContextError, TruncationError, DomainError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: expression too deep to parse or rewrite "
+              "(recursion limit)", file=sys.stderr)
         return EXIT_INPUT
     except NormConvergenceError as exc:
         print(f"numerical error: {exc} (last value {exc.last_value:.6g})",

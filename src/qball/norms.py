@@ -86,7 +86,6 @@ single-point value is a one-point schedule.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
@@ -256,10 +255,8 @@ def _svds_top(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 SchedulePoint = Tuple[int, int]          # (N, M)
 
-DEFAULT_THETA = 1024
 
-
-def make_schedule(trunc: Sequence[int], theta: Optional[int] = None) -> List[SchedulePoint]:
+def make_schedule(trunc: Sequence[int], theta: int) -> List[SchedulePoint]:
     """Pair a truncation schedule with nested theta grids.
 
     The final grid order is theta; each earlier point halves it while the
@@ -271,12 +268,11 @@ def make_schedule(trunc: Sequence[int], theta: Optional[int] = None) -> List[Sch
         raise ValueError("empty schedule")
     if list(trunc) != sorted(set(trunc)):
         raise ValueError("truncation schedule must be strictly increasing")
-    final = theta if theta is not None else DEFAULT_THETA
-    if final < 1:
-        raise ValueError(f"theta must be at least 1, got {final}")
-    halvings = (final & -final).bit_length() - 1  # v2(theta)
+    if theta < 1:
+        raise ValueError(f"theta must be at least 1, got {theta}")
+    halvings = (theta & -theta).bit_length() - 1  # v2(theta)
     last = len(trunc) - 1
-    return [(int(N), final >> min(last - i, halvings))
+    return [(int(N), theta >> min(last - i, halvings))
             for i, N in enumerate(trunc)]
 
 
@@ -305,17 +301,12 @@ class NormEstimate:
     def values(self) -> List[float]:
         return [p["value"] for p in self.points]
 
-    def is_monotone(self, slack: float = 0.0) -> bool:
+    def is_monotone(self) -> bool:
         vals = self.values()
-        return all(b >= a - slack for a, b in zip(vals, vals[1:]))
+        return all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 # -- single-point certified values ------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def _fock_rep(n: int, N: int, q_val: float) -> RepMatrices:
-    return fock_generators(FockConfig(n=n, N=N, q_val=q_val))
-
 
 def _check_trunc(N: int, degree: int) -> None:
     if N < degree + 1:
@@ -328,8 +319,8 @@ def fock_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
     """Certified lower bound for the Fock-representation norm of f: the
     Fock side of a one-point schedule."""
     F = MatPoly.of(f)
-    return _nested_values([F], _fock_rep(F.n, N, q_val), q_val, F.degree(),
-                          [(N, 1)], tol)[0]
+    return _nested_values([F], fock_generators(FockConfig(F.n, N, q_val)),
+                          q_val, F.degree(), [(N, 1)], tol)[0]
 
 
 def _charges(word, n: int) -> Tuple[int, ...]:
@@ -514,8 +505,8 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
         params, bdry, tol, {"invariant": invariant, "circle_upper": upper})
     if not ball:
         return None, boundary
-    fock = _nested_values([F], _fock_rep(F.n, cfg.N, q_val), q_val, L,
-                          schedule, tol)
+    fock = _nested_values([F], fock_generators(FockConfig(F.n, cfg.N, q_val)),
+                          q_val, L, schedule, tol)
     values = [max(a, b) for a, b in zip(fock, bdry)]
     omega = {"invariant": invariant, "circle_upper": [
         None if u is None else max(a, u) for a, u in zip(fock, upper)]}
@@ -597,9 +588,10 @@ def pbw_gram_min_singular(n: int, max_degree: int, N: int, q_val: float) -> floa
     for word in canonical_monomials(n, max_degree):
         classes.setdefault(_charges(word, n), []).append(
             NCPoly.from_word(n, word))
+    rep = fock_generators(FockConfig(n, N, q_val))
     mins = []
     for cls in classes.values():
-        V = rep_entries(cls, _fock_rep(n, N, q_val), q_val).values.T
+        V = rep_entries(cls, rep, q_val).values.T
         # sigma_min(V^H V) = sigma_min(V)^2: V's condition number, not squared
         s = np.linalg.svd(V, compute_uv=False)
         mins.append(float(s[-1] ** 2) if len(s) == V.shape[1] else 0.0)

@@ -27,7 +27,8 @@ read from one table of Python float powers q^k (_powers), so each map is
 bit for bit that of a construction one basis vector at a time.  The Fock
 weights are float64, and so is the boundary z1 diagonal when omega is
 real (the norm paths pass 1.0); a complex omega gives a complex diagonal.
-Adjoint maps keep their map's dtype and are built once per RepMatrices.
+Adjoint maps keep their map's dtype and are built in each rep_entries
+call.
 rep_entries evaluates in float64 when every map and every coefficient
 value is real, and in complex128 otherwise.
 
@@ -91,8 +92,8 @@ class RepMatrices:
 
     levels[i] is the truncation grading of basis vector i; cutoff is the
     level bound N, or None when the representation is exact (no truncation,
-    e.g. the n = 1 boundary representation).  The adjoint maps are built
-    on first use and kept, so the maps must not change after that.
+    e.g. the n = 1 boundary representation).  A starred letter acts by
+    the adjoint of its map, which rep_entries builds for each call.
     """
 
     n: int
@@ -100,11 +101,6 @@ class RepMatrices:
     dim: int
     levels: np.ndarray
     cutoff: Optional[int]
-
-    @functools.cached_property
-    def adjoints(self) -> List[Map]:
-        """The adjoint of each generator's map, in the maps' dtype."""
-        return [_adjoint(*gen) for gen in self.maps]
 
 
 def graded_lex_basis(n: int, N: int) -> List[Tuple[int, ...]]:
@@ -245,7 +241,7 @@ def rep_entries(parts: Sequence[Union[NCPoly, MatPoly]], rep: RepMatrices,
     real = (all(value.imag == 0 for *_, value in terms)
             and not any(np.iscomplexobj(w) for _, w in rep.maps))
     dtype = float if real else complex
-    maps = rep.maps, rep.adjoints  # by .starred
+    maps = rep.maps, [_adjoint(*m) for m in rep.maps]  # by .starred
     keys, layer = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     contributions = [np.zeros(0, dtype=dtype)]
     for d, a, b, word, value in terms:

@@ -59,7 +59,6 @@ from qball.norms import (
     SchedulePoint,
     _charges,
     _check_trunc,
-    _fock_rep,
     omega_invariant,
     operator_norm,
 )
@@ -250,7 +249,7 @@ def reference_fock_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
     F = MatPoly.of(f)
     degree = F.degree()
     _check_trunc(N, degree)
-    rep = _fock_rep(F.n, N, q_val)
+    rep = fock_generators(FockConfig(F.n, N, q_val))
     return operator_norm(
         rep_entries([F], rep, q_val, certify_compression(rep, degree)), tol)
 

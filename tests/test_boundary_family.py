@@ -151,18 +151,18 @@ def test_max_principle_report_builds_boundary_once_per_point(monkeypatch,
         return build(cfg, omega)
 
     fock_builds, evaluations = [], []
-    fock_rep, entries = norms._fock_rep, norms.rep_entries
+    build_fock, entries = norms.fock_generators, norms.rep_entries
 
-    def counted_fock(n, N, q_val):
-        fock_builds.append(N)
-        return fock_rep(n, N, q_val)
+    def counted_fock(cfg):
+        fock_builds.append(cfg.N)
+        return build_fock(cfg)
 
     def counted_entries(parts, rep, q_val, indices=None):
         evaluations.append(rep.n)
         return entries(parts, rep, q_val, indices)
 
     monkeypatch.setattr(norms, "boundary_block_generators", counted)
-    monkeypatch.setattr(norms, "_fock_rep", counted_fock)
+    monkeypatch.setattr(norms, "fock_generators", counted_fock)
     monkeypatch.setattr(norms, "rep_entries", counted_entries)
     report = max_principle_report(f, Q, sched)
     assert len(invariance_tests) == 3
@@ -348,7 +348,7 @@ def test_nested_schedules_equal_the_per_point_oracle(f, data):
     report = max_principle_report(f, Q, sched)
     want = reference_schedules(f, Q, sched, norms.DEFAULT_TOL, ball=True)
     for got, expected in zip((report.ball, report.boundary), want):
-        assert got.is_monotone(slack=0.0)
+        assert got.is_monotone()
         assert got.omega["invariant"] == expected.omega["invariant"]
         for a, b in zip(got.values(), expected.values()):
             assert abs(a - b) <= 4 * EPS * max(abs(a), abs(b))

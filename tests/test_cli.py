@@ -494,3 +494,60 @@ def test_one_process_reports_equal_fresh_processes(capsys, tmp_path):
         code, _, _ = run(capsys, *argv, "--json", str(again))
         assert code == 0
         assert again.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("argv, deep, shallow", [
+    (["normal-form", "--n", "2"], "(z1*z2)^600", "(z1*z2)^40"),
+    (["norm", "--n", "1", "--trunc", "2,3", "--theta", "4"],
+     "(" * 300 + "z1" + ")" * 300, "(" * 40 + "z1" + ")" * 40),
+], ids=["rewriter", "parser"])
+def test_too_deep_expression_is_an_input_error(argv, deep, shallow):
+    """A word too long for the rewriter's recursion, or parentheses nested
+    too deep for the parser's, exits 2 with an error line and no
+    traceback.  The recursion limit is lowered to 300 so that the long
+    word fails in about a second (at the default limit the rewriter takes
+    some 45 s on a 2-vCPU machine to reach it); a shallow input still
+    succeeds under that limit."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qball.__file__).parents[1]))
+    limited = [sys.executable, "-c", "import sys; sys.setrecursionlimit(300); "
+               "from qball.cli import main; sys.exit(main(sys.argv[1:]))",
+               *argv, "--expr"]
+    done = subprocess.run(limited + [deep], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: expression too deep")
+    assert "Traceback" not in done.stderr
+    assert subprocess.run(limited + [shallow], env=env,
+                          capture_output=True).returncode == 0
+
+
+# Runs that share representations in one process: two values of q, both
+# boundary sides and both residual sides.
+_MIXED_RUNS = [
+    ["maxprinciple", "--n", "2", "--expr", "z1+z2", "--trunc", "6,9",
+     "--theta", "16"],
+    ["norm", "--side", "ball", "--n", "3", "--q", "4/5", "--expr",
+     "z1+z2+z3", "--trunc", "6,8", "--theta", "8"],
+    ["norm", "--side", "boundary", "--n", "2", "--expr", "z1 + z2'*z1",
+     "--trunc", "4,6", "--theta", "16"],
+    ["maxprinciple", "--n", "3", "--q", "4/5", "--expr", "[z1,z2;z3,0]",
+     "--trunc", "6,8", "--theta", "8"],
+    ["relations-residual", "--side", "fock", "--n", "3", "--trunc", "6"],
+    ["relations-residual", "--side", "boundary", "--n", "2", "--q", "4/5",
+     "--trunc", "6"],
+]
+
+
+def test_reports_do_not_depend_on_run_order(capsys, tmp_path):
+    """The same runs in one process, forward and then reversed, write
+    byte-identical reports: no run leaves state that another one reads."""
+    reports = {}
+    runs = list(enumerate(_MIXED_RUNS))
+    for k, argv in runs + runs[::-1]:
+        path = tmp_path / "report.json"
+        code, _, _ = run(capsys, *argv, "--json", str(path))
+        assert code == 0
+        reports.setdefault(k, []).append(path.read_bytes())
+    assert len(reports) == len(_MIXED_RUNS)
+    for first, second in reports.values():
+        assert first == second

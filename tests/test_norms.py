@@ -312,7 +312,6 @@ def peak_mb(fn, *args):
 def test_fock_value_allocates_no_dense_block():
     """The certified block of z1+z2+z3 at n = 3, N = 24 is 2600 x 2600
     (108 MB complex) with 6900 nonzeros."""
-    norms._fock_rep.cache_clear()
     f = parse_expression("z1+z2+z3", 3)
     assert peak_mb(fock_certified_value, f, 0.5, 24) < 25
 
@@ -320,7 +319,6 @@ def test_fock_value_allocates_no_dense_block():
 def test_matrix_report_allocates_no_dense_block():
     """Each point stacks the charge parts of a 2 x 2 matrix over one
     union pattern instead of dense 2r x 2r blocks."""
-    norms._fock_rep.cache_clear()
     F = parse_expression("[z1,z2;z3,0]", 3)
     assert peak_mb(max_principle_report, F, 0.5, [(8, 16), (16, 32)]) < 10
 
@@ -328,5 +326,21 @@ def test_matrix_report_allocates_no_dense_block():
 def test_pbw_gram_allocates_no_dense_monomial_matrix():
     """At n = 3, degree 4, N = 10 the 210 flattened 286 x 286 monomial
     matrices are about 0.27 GB complex; one class at a time is small."""
-    norms._fock_rep.cache_clear()
     assert peak_mb(pbw_gram_min_singular, 3, 4, 10, 0.5) < 20
+
+
+def test_q_sweep_retains_no_representation():
+    """A caller sweeping q keeps nothing per q: once the basis arrays and
+    the word cache are warm, 20 ball norms at 20 values of q leave less
+    than 1 MB allocated."""
+    f = parse_expression("z1+z2+z3", 3)
+    schedule = [(12, 8), (20, 8)]
+    ball_norm(f, 0.5, schedule)
+    tracemalloc.start()
+    try:
+        for k in range(20):
+            ball_norm(f, 0.3 + 0.02 * k, schedule)
+        retained = tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert retained < 1
