@@ -22,10 +22,11 @@ Each subcommand takes --n and exactly the flags its handler reads:
   confluence-fuzz     --mode --seed --count --json
   pbw-rank            --degree --q --trunc (one entry) --threshold --json --csv
 
---tol is the numerical tolerance of each norm value, a positive finite
-float; --threshold is the pass/fail bound of a check, a finite float.  The
-JSON report always has the same keys; "mode" and "seed" are null where the
-subcommand has no such flag.  A
+--n N is the number of generators, except in confluence-fuzz, where each
+input draws its n from 1..N.  --tol is the numerical tolerance of each
+norm value, a positive finite float; --threshold is the pass/fail bound of
+a check, a finite float.  The JSON report always has the same keys;
+"mode" and "seed" are null where the subcommand has no such flag.  A
 boundary relations-residual is evaluated on the omega = 1 character block,
 which has the residual of every block, so its point reports "M": null.
 norm, maxprinciple and ci-check reports add "omega": "invariant" says
@@ -108,10 +109,11 @@ _FLAGS = {
 }
 
 
-def _command(subs, name: str, help: str, *flags: str) -> argparse.ArgumentParser:
+def _command(subs, name: str, help: str, *flags: str,
+             n_help: str = "number of generators") -> argparse.ArgumentParser:
     """A subcommand taking --n and exactly the named shared flags."""
     sub = subs.add_parser(name, help=help)
-    sub.add_argument("--n", type=int, required=True, help="number of generators")
+    sub.add_argument("--n", type=int, required=True, help=n_help)
     for flag in flags:
         if flag == "--expr":
             group = sub.add_mutually_exclusive_group()
@@ -160,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _command(subs, "confluence-fuzz",
                    "strategy-independence fuzzing of the rewriter",
-                   "--mode", "--seed", "--json")
+                   "--mode", "--seed", "--json",
+                   n_help="each input draws its n from 1..N")
     sub.add_argument("--count", type=int, default=100)
 
     sub = _command(subs, "pbw-rank",

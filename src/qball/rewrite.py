@@ -30,9 +30,15 @@ normalize and the single-step path (reduce_step, normalize_by_steps, and
 confluent, which compares their fixed points exactly) work on the input's
 own lifted state over Z[i][q, q^-1] (NCPoly.terms over NCPoly.den), updated
 by one multiply-add; the steppers update a copy in place, so the input is
-never changed.  pbw_product exposes the word cache as the product of the
-quotient, u, v -> NF(uv); qball normal-form parses with it, so its input
-is never expanded in the free algebra.
+never changed.  The stepper splits its copy into pending words, which a
+rule applies to, and canonical words, and a step looks at the pending
+words only; the canonical part is the fixed point once nothing is pending.
+The steps are those taken over the whole state, because a canonical word
+has no rule instance, and one rule_sites memo serves the five runs of
+confluent, so each word is classified once per call.  pbw_product exposes
+the word cache as the product of the quotient, u, v -> NF(uv); qball
+normal-form parses with it, so its input is never expanded in the free
+algebra.
 defining_relations gives the relations R1-R5 orient, as polynomials.
 """
 
@@ -46,6 +52,8 @@ from .algebra import (BALL, SPHERE, AlgebraContext, Laurent, Letter, NCPoly,
                       compositions)
 
 Expansion = List[Tuple[Laurent, Word]]
+# A rule_sites memo: word -> its rule instances.
+Sites = Dict[Word, List[Optional[int]]]
 
 _ONE_MINUS_Q2: Laurent = {0: 1, 2: -1}
 _Q2_MINUS_ONE: Laurent = {0: -1, 2: 1}
@@ -190,38 +198,61 @@ def _check_step_args(p: NCPoly, ctx: AlgebraContext, strategy: str,
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
 
 
-def _copy(state: State) -> State:
-    """A state whose Laurent maps _step may update without touching the
-    original's."""
-    return {w: (dict(re), dict(im)) for w, (re, im) in state.items()}
+def _classify(word: Word, ctx: AlgebraContext,
+              sites: Sites) -> List[Optional[int]]:
+    """rule_sites(word, ctx), memoized in sites."""
+    found = sites.get(word)
+    if found is None:
+        found = sites[word] = rule_sites(word, ctx)
+    return found
 
 
-def _step(state: State, ctx: AlgebraContext, strategy: str,
-          rng: Optional[random.Random],
-          sites: Dict[Word, List[Optional[int]]]) -> bool:
-    """Apply one rule instance to state in place; False at a fixed point.
+def _split(terms: State, ctx: AlgebraContext,
+           sites: Sites) -> Tuple[State, State]:
+    """Copies of the pending words of terms (a rule applies) and of its
+    canonical words, whose Laurent maps _step may update in place."""
+    pending: State = {}
+    canonical: State = {}
+    for w, (re, im) in terms.items():
+        part = pending if _classify(w, ctx, sites) else canonical
+        part[w] = (dict(re), dict(im))
+    return pending, canonical
+
+
+def _order(word: Word) -> Tuple[int, Word]:
+    return len(word), word
+
+
+def _step(pending: State, canonical: State, ctx: AlgebraContext,
+          strategy: str, rng: Optional[random.Random], sites: Sites) -> bool:
+    """Apply one rule instance to the state pending + canonical in place;
+    False at a fixed point, which is when pending is empty.
 
     The candidates are the words in (length, word) order, each with its
     rule_sites; leftmost takes the first, rightmost the last and random
-    draws one with rng.choice.  sites memoizes rule_sites per word.
+    draws one with rng.choice.  Canonical words have no sites, so only the
+    pending words are looked at: leftmost and rightmost take the first or
+    last site of the min or max pending word, and random draws from the
+    same candidate list as over the whole state.  Each replacement term
+    goes to the part its word belongs to; a word's class never changes, so
+    a cancellation in either part is the cancellation in the whole state.
+    sites memoizes rule_sites per word.
     """
-    for word in state:
-        if word not in sites:
-            sites[word] = rule_sites(word, ctx)
-    candidates = [(word, site)
-                  for word in sorted(state, key=lambda w: (len(w), w))
-                  for site in sites[word]]
-    if not candidates:
+    if not pending:
         return False
     if strategy == LEFTMOST:
-        word, site = candidates[0]
+        word = min(pending, key=_order)
+        site = sites[word][0]
     elif strategy == RIGHTMOST:
-        word, site = candidates[-1]
+        word = max(pending, key=_order)
+        site = sites[word][-1]
     else:
-        word, site = rng.choice(candidates)
-    coeff = state.pop(word)
+        word, site = rng.choice([(w, s) for w in sorted(pending, key=_order)
+                                 for s in sites[w]])
+    coeff = pending.pop(word)
     for lp, w in apply_rule(word, site, ctx.n):
-        _addmul(state, w, lp, coeff)
+        _addmul(pending if _classify(w, ctx, sites) else canonical,
+                w, lp, coeff)
     return True
 
 
@@ -230,23 +261,29 @@ def reduce_step(p: NCPoly, ctx: AlgebraContext,
                 rng: Optional[random.Random] = None) -> NCPoly:
     """Apply exactly one rule instance to one word; fixed points unchanged."""
     _check_step_args(p, ctx, strategy, rng, "an rng")
-    state = _copy(p.terms)
-    if not _step(state, ctx, strategy, rng, {}):
+    sites: Sites = {}
+    pending, canonical = _split(p.terms, ctx, sites)
+    if not _step(pending, canonical, ctx, strategy, rng, sites):
         return p
-    return NCPoly(ctx.n, state, p.den)
+    return NCPoly(ctx.n, {**pending, **canonical}, p.den)
 
 
 _MAX_STEPS = 200000
 
 
-def _fixed_point(state: State, ctx: AlgebraContext, strategy: str,
-                 seed: Optional[int], max_steps: int) -> State:
-    """Step state in place until no rule applies, and return it."""
+def _fixed_point(terms: State, ctx: AlgebraContext, strategy: str,
+                 seed: Optional[int], max_steps: int, sites: Sites) -> State:
+    """Step a copy of terms until no rule applies, and return the copy.
+
+    The fixed point is reached when no pending word is left, and the
+    canonical part is then the whole state.  sites memoizes rule_sites
+    and may be shared by several runs on one input.
+    """
     rng = random.Random(seed) if strategy == RANDOM else None
-    sites: Dict[Word, List[Optional[int]]] = {}
+    pending, canonical = _split(terms, ctx, sites)
     for _ in range(max_steps + 1):
-        if not _step(state, ctx, strategy, rng, sites):
-            return state
+        if not _step(pending, canonical, ctx, strategy, rng, sites):
+            return canonical
     raise RuntimeError(f"no fixed point within {max_steps} steps")
 
 
@@ -263,8 +300,8 @@ def normalize_by_steps(p: NCPoly, ctx: AlgebraContext,
     applications.
     """
     _check_step_args(p, ctx, strategy, seed, "a seed")
-    return NCPoly(ctx.n, _fixed_point(_copy(p.terms), ctx, strategy, seed,
-                                      max_steps), p.den)
+    return NCPoly(ctx.n, _fixed_point(p.terms, ctx, strategy, seed,
+                                      max_steps, {}), p.den)
 
 
 # The (strategy, seed) runs that confluent compares with normalize.
@@ -274,12 +311,14 @@ CONFLUENCE_RUNS = ((LEFTMOST, None), (RIGHTMOST, None),
 
 def confluent(p: NCPoly, ctx: AlgebraContext) -> bool:
     """Whether every run of CONFLUENCE_RUNS reaches normalize's normal form,
-    compared exactly as lifted states over p's one denominator."""
+    compared exactly as lifted states over p's one denominator.  The runs
+    share one rule_sites memo, so each word is classified once."""
     if p.n != ctx.n:
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
     expected = _normal_state(p.terms, ctx)
-    return all(_fixed_point(_copy(p.terms), ctx, strategy, seed,
-                            _MAX_STEPS) == expected
+    sites: Sites = {}
+    return all(_fixed_point(p.terms, ctx, strategy, seed, _MAX_STEPS,
+                            sites) == expected
                for strategy, seed in CONFLUENCE_RUNS)
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,11 +11,13 @@ from qball.algebra import (
     NCPoly,
     is_holomorphic,
 )
+from qball import rewrite
 from qball.parsing import parse_expression
 from qball.rewrite import (
     _NF_CACHE,
     apply_rule,
     canonical_monomials,
+    confluent,
     is_canonical_word,
     normalize,
     normalize_by_steps,
@@ -95,6 +98,47 @@ def test_confluence_strategies(mode):
         for strategy, seed in strategies:
             assert normalize_by_steps(p, ctx, strategy, seed) == expected
 
+
+
+@pytest.mark.parametrize("mode", [BALL, SPHERE])
+def test_confluent_classifies_each_word_once(mode, monkeypatch):
+    # The five runs share one rule_sites memo, and a step classifies only
+    # the words its replacement terms bring in.
+    calls = Counter()
+    real = rewrite.rule_sites
+
+    def counting(word, ctx):
+        calls[word] += 1
+        return real(word, ctx)
+
+    monkeypatch.setattr(rewrite, "rule_sites", counting)
+    rng = random.Random(19)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        calls.clear()
+        assert confluent(random_poly(rng, n), AlgebraContext(n, mode))
+        assert max(calls.values(), default=1) == 1
+
+
+@pytest.mark.parametrize("mode", [BALL, SPHERE])
+def test_confluent_catches_a_wrong_rule(mode, monkeypatch):
+    # R1 with q where it should have q^-1 leaves two ambiguities at n = 2
+    # unresolved; z2'*z2*z1 meets one of them.
+    p = parse_expression("z2'*z2*z1", 2)
+    ctx = AlgebraContext(2, mode)
+    assert confluent(p, ctx)
+    real = rewrite.apply_rule
+
+    def wrong_r1(word, site, n):
+        out = real(word, site, n)
+        if site is not None and not (word[site].starred
+                                     or word[site + 1].starred):
+            return [({1: 1}, w) for _, w in out]
+        return out
+
+    monkeypatch.setattr(rewrite, "apply_rule", wrong_r1)
+    monkeypatch.setattr(rewrite, "_NF_CACHE", {})
+    assert not confluent(p, ctx)
 
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
 def test_star_compatibility(mode):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from oracles import fraction_constant, reference_step
 from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly
+from qball.parsing import parse_expression
 from qball.rewrite import normalize, normalize_by_steps, reduce_step
 
 # (strategy, seed) pairs run by confluence-fuzz.
@@ -84,6 +85,27 @@ def test_step_budget_matches_reference(case):
     if steps:
         with pytest.raises(RuntimeError):
             normalize_by_steps(p, ctx, strategy, seed, max_steps=steps - 1)
+
+
+
+@pytest.mark.parametrize("mode", [BALL, SPHERE])
+@pytest.mark.parametrize("text", ["z1'*z1 - q^2*z1*z1'", "z1'*z1 + q^2 - 1"])
+@pytest.mark.parametrize("strategy, seed", CLI_STRATEGIES)
+def test_step_cancels_another_word_of_the_input(mode, text, strategy, seed):
+    # The first step rewrites z1'*z1 by R4 into terms one of which cancels
+    # the other word of the input exactly; in sphere mode z1*z1' is itself
+    # rewritten by R5, and the constant is canonical in both modes.
+    ctx = AlgebraContext(1, mode)
+    p = parse_expression(text, 1)
+    cancelled, = set(p.terms) - {(Letter(1, True), Letter(1, False))}
+    path = reference_trajectory(p, ctx, strategy, seed)
+    assert cancelled not in path[1].terms
+    rng = random.Random(seed) if strategy == "random" else None
+    for current, expected in zip(path, path[1:] + path[-1:]):
+        assert reduce_step(current, ctx, strategy, rng) == expected
+    assert normalize_by_steps(p, ctx, strategy, seed,
+                              max_steps=len(path) - 1) == path[-1]
+    assert path[-1] == normalize(p, ctx)
 
 
 def test_fixed_point_needs_no_step():
