@@ -397,8 +397,7 @@ def _nested_values(parts: Sequence[MatPoly], rep: RepMatrices, q_val: float,
     of unity omega of sum_d omega^d part_d; without, the stack's value (one
     phase row, M unused).  Each value is at least the one before it."""
     Ns = [N for N, _ in schedule]
-    if rep.cutoff is not None:
-        _check_trunc(Ns[0], L)
+    _check_trunc(Ns[0], L)
     A = rep_entries(parts, rep, q_val, certify_compression(rep, L))
     # each point's certified rows are a prefix of the last point's
     sizes = [len(certify_compression(rep, L + Ns[-1] - N)) for N in Ns]
@@ -447,8 +446,9 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
       entry of the block at N, summed in the same word order, is bit for
       bit the entry of the last block at the same row and column: the
       block at N is the leading principal restriction of each r x r tile
-      of the last block (_nested_values).  The exact n = 1 boundary block
-      is the same 1 x 1 block at every N.
+      of the last block (_nested_values).  At n = 1 the boundary block
+      is the same 1 x 1 block at every N, its one vector of level 0
+      certified at every N >= L + 1.
     - Compression.  Point i - 1's grid is a subgroup of point i's: the
       node t of M_{i-1} is the node t M_i / M_{i-1} of M_i (on the half
       grid too, below), with the same phases, since
@@ -583,7 +583,18 @@ def pbw_gram_min_singular(n: int, max_degree: int, N: int, q_val: float) -> floa
     starred letters act first and only lower the level, then the unstarred
     ones only raise it, so the truncated matrix is the compression
     P_N w P_N.
+
+    N >= max_degree is needed, else TruncationError.  It suffices: within a
+    class of charge c, w_beta = z^(beta + c) z*^beta kills e_m unless
+    m >= beta (componentwise), and w_beta e_beta != 0 when
+    max(|alpha|, |beta|) <= N, so the rows at m = beta of V_c, ordered by
+    |beta|, form a triangular matrix with a nonzero diagonal.  It is
+    needed: z1^max_degree vanishes in P_N when N < max_degree, and the
+    probe would report a false 0.
     """
+    if N < max_degree:
+        raise TruncationError(
+            f"truncation too small: N={N} < degree={max_degree}")
     classes: dict = {}
     for word in canonical_monomials(n, max_degree):
         classes.setdefault(_charges(word, n), []).append(

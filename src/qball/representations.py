@@ -7,7 +7,9 @@ Two families are built:
 * the boundary family, one character block per root of unity omega, on
   l^2({m in Z_+^{n-1}}): the first generator acts as omega times a
   diagonal q-weight and the remaining generators are the Fock generators
-  of n - 1 variables.
+  of n - 1 variables.  One construction serves every n >= 1: at n = 1 the
+  Fock space of 0 variables is the one vector of level 0, so the block is
+  the 1 x 1 block omega (the circle), truncated at N like every other.
 
 Each generator, hence each word, sends a basis vector to at most one basis
 vector times one weight.  A block is a stack of D >= 1 matrices over one
@@ -32,9 +34,10 @@ call.
 rep_entries evaluates in float64 when every map and every coefficient
 value is real, and in complex128 otherwise.
 
-Truncation control: products of at most L generator letters act exactly on
-basis vectors of level <= N - L, which yields certified lower bounds for
-operator norms downstream.
+Truncation control: every representation carries its level bound N, and
+products of at most L generator letters act exactly on basis vectors of
+level <= N - L, which yields certified lower bounds for operator norms
+downstream.
 """
 
 from __future__ import annotations
@@ -90,17 +93,16 @@ Map = Tuple[np.ndarray, np.ndarray]
 class RepMatrices:
     """One weighted index map per generator plus grading metadata.
 
-    levels[i] is the truncation grading of basis vector i; cutoff is the
-    level bound N, or None when the representation is exact (no truncation,
-    e.g. the n = 1 boundary representation).  A starred letter acts by
-    the adjoint of its map, which rep_entries builds for each call.
+    levels[i] is the truncation grading of basis vector i and cutoff is the
+    level bound N, on every side at every n.  A starred letter acts by the
+    adjoint of its map, which rep_entries builds for each call.
     """
 
     n: int
     maps: List[Map]
     dim: int
     levels: np.ndarray
-    cutoff: Optional[int]
+    cutoff: int
 
 
 def graded_lex_basis(n: int, N: int) -> List[Tuple[int, ...]]:
@@ -154,38 +156,42 @@ def _adjoint(target: np.ndarray, weight: np.ndarray) -> Map:
     return inverse, conj
 
 
+def _fock(n: int, N: int, q_val: float) -> RepMatrices:
+    """The truncated Fock representation of n >= 0 variables; n = 0 is
+    the one basis vector e_() of level 0, with no maps."""
+    basis = _basis_array(n, N)
+    maps = [_fock_raising(basis, j, N, q_val) for j in range(1, n + 1)]
+    return RepMatrices(n=n, maps=maps, dim=len(basis),
+                       levels=basis.sum(axis=1), cutoff=N)
+
+
 def fock_generators(cfg: FockConfig) -> RepMatrices:
     """Truncated Fock representation on {e_m : |m| <= N}."""
-    basis = _basis_array(cfg.n, cfg.N)
-    maps = [_fock_raising(basis, j, cfg.N, cfg.q_val)
-            for j in range(1, cfg.n + 1)]
-    return RepMatrices(n=cfg.n, maps=maps, dim=len(basis),
-                       levels=basis.sum(axis=1), cutoff=cfg.N)
+    return _fock(cfg.n, cfg.N, cfg.q_val)
 
 
 def boundary_block_generators(cfg: BoundaryConfig, omega: complex) -> RepMatrices:
     """One character block of the boundary representation.
 
     The M-cycle block-diagonalizes over the M-th roots of unity; this builds
-    the block where the cycle acts as the scalar omega.  z1 is the diagonal
-    omega * q^|m|, for n = 1 the exact 1 x 1 block omega.  A real omega
-    (a complex one with imaginary part 0 included) gives a float64
-    diagonal, each weight the real part of the complex one bit for bit, so
-    with the real Fock maps the whole block is real; any other omega gives
-    a complex diagonal.
+    the block where the cycle acts as the scalar omega.  The block lives on
+    the truncated Fock space of the n - 1 variables m = (m_2, ..., m_n),
+    whose basis, levels and cutoff N it shares: z2..zn act as the Fock
+    generators there and z1 is the diagonal omega * q^|m|.  At n = 1 that
+    space is the one vector of level 0, so z1 is the 1 x 1 block omega
+    (q^0 = 1), certified up to words of N letters as at every n.
+    A real omega (a complex one with imaginary part 0 included) gives a
+    float64 diagonal, each weight the real part of the complex one bit for
+    bit, so with the real Fock maps the whole block is real; any other
+    omega gives a complex diagonal.
     """
-    if cfg.n == 1:
-        rest, levels, cutoff = [], np.zeros(1, dtype=int), None
-    else:
-        # z2..zn act on the first n - 1 indices as the Fock generators do
-        fock = fock_generators(FockConfig(cfg.n - 1, cfg.N, cfg.q_val))
-        rest, levels, cutoff = fock.maps, fock.levels, cfg.N
+    fock = _fock(cfg.n - 1, cfg.N, cfg.q_val)
     omega = complex(omega)
     scale = omega.real if omega.imag == 0 else omega
-    z1 = (np.arange(len(levels) + 1),
-          np.append(scale * _powers(cfg.q_val, cfg.N + 1)[levels], 0))
-    return RepMatrices(n=cfg.n, maps=[z1] + rest, dim=len(levels),
-                       levels=levels, cutoff=cutoff)
+    z1 = (np.arange(fock.dim + 1),
+          np.append(scale * _powers(cfg.q_val, cfg.N + 1)[fock.levels], 0))
+    return RepMatrices(n=cfg.n, maps=[z1] + fock.maps, dim=fock.dim,
+                       levels=fock.levels, cutoff=cfg.N)
 
 
 class Entries(NamedTuple):
@@ -289,12 +295,10 @@ def certify_compression(rep: RepMatrices, word_length_bound: int) -> np.ndarray:
 
     Each generator letter moves the truncation level by at most one, so
     below level N - L the truncated products agree with the untruncated
-    operator.  Exact representations certify everything.
+    operator.  L > N raises TruncationError.
     """
     if word_length_bound < 0:
         raise ValueError("word length bound must be >= 0")
-    if rep.cutoff is None:
-        return np.arange(rep.dim)
     limit = rep.cutoff - word_length_bound
     if limit < 0:
         raise TruncationError(

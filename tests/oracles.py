@@ -146,12 +146,13 @@ def reference_block_maps(cfg: BoundaryConfig, omega: complex):
 def boundary_generators(cfg: BoundaryConfig) -> RepMatrices:
     """Boundary-family representation annihilating the sphere relation.
 
-    For n = 1 this is just the unitary M-cycle (exact, no truncation).
+    For n = 1 this is just the unitary M-cycle: every vector has level 0,
+    and the cutoff is N, as at every n.
     """
     if cfg.n == 1:
         return RepMatrices(n=1, maps=[matrix_map(cycle_matrix(cfg.M))],
                            dim=cfg.M, levels=np.zeros(cfg.M, dtype=int),
-                           cutoff=None)
+                           cutoff=cfg.N)
     basis = graded_lex_basis(cfg.n - 1, cfg.N)
     index = {m: i for i, m in enumerate(basis)}
     dim0 = len(basis)
@@ -278,8 +279,7 @@ def reference_schedules(f: Union[NCPoly, MatPoly], q_val: float,
     for N, M in schedule:
         rep = boundary_block_generators(
             BoundaryConfig(n=F.n, N=N, M=M, q_val=q_val), 1.0)
-        if rep.cutoff is not None:
-            _check_trunc(N, L)
+        _check_trunc(N, L)
         indices = certify_compression(rep, L)
         A = rep_entries(parts, rep, q_val, indices)
         if invariant:

@@ -222,6 +222,39 @@ def test_pbw_rank_rejects_negative_degree(capsys):
     assert "PASS" not in out
 
 
+def test_pbw_rank_below_its_degree_is_an_input_error(capsys):
+    """z1^3 vanishes in P_2: a truncation below the degree cannot show
+    independence, so it is refused rather than reported as a FAIL."""
+    code, out, err = run(capsys, "pbw-rank", "--n", "2", "--degree", "3",
+                         "--trunc", "2")
+    assert code == 2
+    assert "truncation too small" in err
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("argv", [
+    ("--expr", "z1^3", "--trunc", "3"),
+    ("--expr", "z1'*z1", "--trunc", "1,4"),
+])
+def test_boundary_norm_below_degree_plus_one_is_an_input_error(capsys, n,
+                                                               argv):
+    """The truncation rule N >= deg + 1 holds on the boundary side at every
+    n, the n = 1 circle included."""
+    code, out, err = run(capsys, "norm", "--side", "boundary", "--n", str(n),
+                         "--theta", "8", *argv)
+    assert code == 2
+    assert "truncation too small" in err
+    assert "PASS" not in out
+
+
+def test_boundary_residual_below_two_letters_is_an_input_error(capsys):
+    code, _, err = run(capsys, "relations-residual", "--side", "boundary",
+                       "--n", "1", "--trunc", "1")
+    assert code == 2
+    assert "truncation too small" in err
+
+
 def test_confluence_fuzz_rejects_negative_count(capsys):
     code, out, err = run(capsys, "confluence-fuzz", "--n", "2",
                          "--count", "-3")

@@ -251,16 +251,26 @@ def test_pbw_gram_min_singular():
 
 
 @settings(max_examples=60)
-@given(n=st.integers(1, 3), degree=st.integers(0, 3), N=st.integers(1, 6),
+@given(n=st.integers(1, 3), degree=st.integers(0, 3), extra=st.integers(0, 3),
        q=st.sampled_from([1 / 2, 2 / 3, 3 / 4, 4 / 5]))
-def test_pbw_gram_by_class_is_the_flattened_gram(n, degree, N, q):
-    """The min over charge classes is the SVD of all monomials at once."""
+def test_pbw_gram_by_class_is_the_flattened_gram(n, degree, extra, q):
+    """The min over charge classes is the SVD of all monomials at once, at
+    every truncation N >= max(degree, 1) the probe accepts."""
+    N = max(degree, 1) + extra
     value = pbw_gram_min_singular(n, degree, N, q)
     expected = reference_pbw_gram(n, degree, N, q)
-    if value == 0.0 or expected == 0.0:
-        assert value == expected == 0.0
-    else:
-        assert abs(value - expected) <= 1e-12 * max(value, expected)
+    assert value > 0 and expected > 0
+    assert abs(value - expected) <= 1e-12 * max(value, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_pbw_gram_needs_the_truncation_at_least_the_degree(n, degree):
+    """z1^degree vanishes in P_N below N = degree, so such an N is an
+    input error; at N = degree every class has full rank."""
+    with pytest.raises(TruncationError, match="truncation too small"):
+        pbw_gram_min_singular(n, degree, degree - 1, Q)
+    assert pbw_gram_min_singular(n, degree, degree, Q) > 0
 
 
 def test_monomials_of_different_charge_are_orthogonal():

@@ -134,8 +134,23 @@ def test_certify_compression_bounds():
     assert len(certify_compression(rep, 0)) == rep.dim
     with pytest.raises(TruncationError):
         certify_compression(rep, 5)
-    exact = boundary_generators(BoundaryConfig(1, 1, 8, Q))
-    assert len(certify_compression(exact, 100)) == 8
+    circle = boundary_generators(BoundaryConfig(1, 1, 8, Q))
+    assert len(certify_compression(circle, 1)) == 8
+    with pytest.raises(TruncationError):
+        certify_compression(circle, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_boundary_block_is_graded_as_the_fock_space_of_n_minus_1(n, N):
+    """One construction for every n: the block lives on the truncated
+    Fock basis of n - 1 variables (at n = 1 the one vector of level 0) and
+    carries its cutoff."""
+    rep = boundary_block_generators(BoundaryConfig(n, N, 4, Q), 1.0)
+    basis = graded_lex_basis(n - 1, N)
+    assert rep.dim == len(basis)
+    assert rep.levels.tolist() == [sum(m) for m in basis]
+    assert rep.cutoff == N
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
