@@ -13,41 +13,26 @@ pair (rule R5): its first z_1* commutes left past the unstarred letters of
 index >= 2 to its last z_1, a factor q^-1 each, and z_1 z_1* becomes
 1 - sum_{k>=2} z_k z_k*.  So sphere normal forms satisfy alpha_1 * beta_1 = 0.
 
-The rules are one table, which normalize and the single-step path both
-read: rule_sites lists a word's rule instances (pair positions, or None
-for R5 where no pair rule applies; none exactly when the word is
-canonical), and apply_rule gives the terms that replace the word.
-
-Every rule coefficient lies in Z[q, q^-1], so rule replacements and the
-cached normal form of each word are integer Laurent polynomials
-{q-exponent: int}.  Words are normalized prefix first, one letter at a
-time, so the one word cache holds the normal forms of prefixes and the
-products canonical word * letter: the PBW product table.  The user's
-Gaussian-rational coefficients are applied once, exactly, when normalize
-assembles the result.
-
-normalize and the single-step path (reduce_step, normalize_by_steps, and
-confluent, which compares their fixed points exactly) work on the input's
-own lifted state over Z[i][q, q^-1] (NCPoly.terms over NCPoly.den), updated
-by one multiply-add; the steppers update a copy in place, so the input is
-never changed.  The stepper splits its copy into pending words, which a
-rule applies to, and canonical words, and a step looks at the pending
-words only; the canonical part is the fixed point once nothing is pending.
-The steps are those taken over the whole state, because a canonical word
-has no rule instance, and one rule_sites memo serves the five runs of
-confluent, so each word is classified once per call.  pbw_product exposes
-the word cache as the product of the quotient, u, v -> NF(uv); qball
-normal-form parses with it, so its input is never expanded in the free
-algebra.
+rule_sites and apply_rule are the rule table; the single-step path
+(reduce_step, normalize_by_steps) applies it one instance at a time.
+normalize instead folds a word's letters into the PBW product table, which
+_times_letter gives in closed form, and takes only R5 from the rules, so
+confluent compares two independent codes.  Coefficients lie in Z[q, q^-1]
+until normalize applies the input's own Gaussian-rational ones, once, to
+its lifted state (NCPoly.terms over NCPoly.den), which is never changed.
+pbw_product is the product of the quotient, u, v -> NF(uv), which qball
+normal-form parses with, so its input is never expanded freely.
 defining_relations gives the relations R1-R5 orient, as polynomials.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .algebra import (BALL, SPHERE, AlgebraContext, Laurent, Letter, NCPoly,
+from .algebra import (SPHERE, AlgebraContext, Laurent, Letter, NCPoly,
                       State, Word, WordProduct, _addmul, _laurent_addmul,
                       compositions)
 
@@ -58,6 +43,7 @@ Sites = Dict[Word, List[Optional[int]]]
 _ONE_MINUS_Q2: Laurent = {0: 1, 2: -1}
 _Q2_MINUS_ONE: Laurent = {0: -1, 2: 1}
 _Z1, _Z1_STAR = Letter(1, False), Letter(1, True)
+_STARRED = itemgetter(1)
 
 
 def _violates(a: Letter, b: Letter) -> bool:
@@ -83,8 +69,7 @@ def apply_rule(word: Word, site: Optional[int], n: int) -> Expansion:
     """The terms that replace word under the rule instance at site, a
     position of rule_sites(word, ctx)."""
     if site is None:
-        # R5: the first z_1* moves left past the unstarred letters of
-        # index >= 2 to the last z_1; z_1 z_1* = 1 - sum_{k>=2} z_k z_k*.
+        # R5, as in the module docstring: the first z_1* meets the last z_1.
         last, first = word.count(_Z1) - 1, word.index(_Z1_STAR)
         head, tail = word[:last], word[last + 1:first] + word[first + 1:]
         shift = last + 1 - first
@@ -103,64 +88,101 @@ def apply_rule(word: Word, site: Optional[int], n: int) -> Expansion:
 
 
 def exponents_word(alpha: Tuple[int, ...], beta: Tuple[int, ...]) -> Word:
-    word: List[Letter] = []
-    for j, e in enumerate(alpha, start=1):
-        word.extend([Letter(j, False)] * e)
-    for j, e in enumerate(beta, start=1):
-        word.extend([Letter(j, True)] * e)
-    return tuple(word)
+    return tuple(Letter(j, s) for s, exps in ((False, alpha), (True, beta))
+                 for j, e in enumerate(exps, start=1) for _ in range(e))
 
 
 def is_canonical_word(word: Word, ctx: AlgebraContext) -> bool:
     return not rule_sites(word, ctx)
 
 
-# -- full normalization (prefix first, memoized) ---------------------
+# -- full normalization: the PBW product table in closed form ---------
 
 _NF_CACHE: Dict[Tuple[int, str, Word], Dict[Word, Laurent]] = {}
 
 
-def _normalize_word(word: Word, ctx: AlgebraContext) -> Dict[Word, Laurent]:
-    """Normal form of one word, over Z[q, q^-1]; the result is shared.
+def _times_letter(u: Word, letter: Letter, n: int) -> Expansion:
+    """The ball normal form of u * letter for canonical u = z^a z*^b.
 
-    The word is normalized prefix first: NF(w) is the sum of lp_u NF(u w[-1])
-    over the terms lp_u u of NF(w[:-1]).  Once the prefix is canonical, a
-    pair rule can apply only where it meets the last letter, and otherwise
-    R5 to the whole word, so the cache holds prefix normal forms and the
-    products canonical word * letter.
-    """
-    key = (ctx.n, ctx.mode, word)
-    cached = _NF_CACHE.get(key)
-    if cached is not None:
-        return cached
-    head = word[:-1]
-    head_nf = _normalize_word(head, ctx) if head else {head: {0: 1}}
-    if head not in head_nf:
-        expansion = [(lp, u + word[-1:]) for u, lp in head_nf.items()]
-    elif head and _violates(word[-2], word[-1]):
-        expansion = apply_rule(word, len(word) - 2, ctx.n)
-    elif _r5_applies(word, ctx):
-        expansion = apply_rule(word, None, ctx.n)
-    else:
-        result = {word: {0: 1}}
-        _NF_CACHE[key] = result
-        return result
+    With A>l = sum_{j>l} a_j, B<k = sum_{j<k} b_j, B>k and B(k,l) alike
+    (k < j < l), and y_{k+1} = 1 - sum_{l>k} z_l z_l*:
+      u z_k* = q^{B>k} z^a z*^{b+e_k},
+      u z_k  = q^{B>k+2b_k+B<k-A>k} z^{a+e_k} z*^b
+               + q^{B>k} (1-q^{2b_k}) (z^a z*^{b-e_k} - sum_{l>k}
+                 q^{b_k-1+B<k-A>l+B(k,l)} z^{a+e_l} z*^{b-e_k+e_l}).
+    Each letter passed gives q (R2, R3) or q^-1 (R1).  z_k* passes the
+    z_j*, j > k.  z_k passes them too, and z_k*^b z_k = q^{2b} z_k z_k*^b
+    + (1-q^{2b}) z_k*^{b-1} y_{k+1}: b = 1 is R4, and z_k* times the case
+    b-1 is the case b by R4, as q^{2b-2}(1-q^2) + 1-q^{2b-2} = 1-q^{2b},
+    because z_k* commutes with y_{k+1}: z_k* z_l z_l* = q z_l z_k* z_l*
+    (R3) = z_l z_l* z_k* (R2) for l > k.  Then z_k passes the z_j*, j < k,
+    and the z_j, j > k; the z_l of y_{k+1} passes the other z_k*, the z_j*,
+    j < k, and the z_j, j > l, and z_l* the z_j*, k < j < l.  The steps
+    are identities and the words canonical, so this is the normal form
+    (Bergman's diamond lemma).  Each word is a few slices of u."""
+    k, starred = letter
+    # u[:a] = z^a and u[a:] = z*^b are sorted; u[r:t] = z_k*^{b_k}
+    a = bisect_left(u, True, key=_STARRED)
+    r, t = bisect_left(u, (k, True), a), bisect_right(u, (k, True), a)
+    above = len(u) - t
+    if starred:
+        return [({above: 1}, u[:t] + (letter,) + u[t:])]
+    p, below, bk = bisect_right(u, letter, 0, a), r - a, t - r
+    terms = [({above + 2 * bk + below - a + p: 1},
+              u[:p] + (letter,) + u[p:])]
+    if bk:
+        terms.append(({above: 1, above + 2 * bk: -1}, u[:r] + u[r + 1:]))
+        base = above + bk - 1 + below - a - t
+        for l in range(k + 1, n + 1):
+            z, z_star = Letter(l, False), Letter(l, True)
+            p, s = bisect_right(u, z, 0, a), bisect_right(u, z_star, t)
+            e = base + p + bisect_left(u, z_star, t)
+            terms.append(({e: -1, e + 2 * bk: 1}, u[:p] + (z,) + u[p:r]
+                          + u[r + 1:s] + (z_star,) + u[s:]))
+    return terms
+
+
+def _fold(nf: Dict[Word, Laurent], letter: Letter,
+          ctx: AlgebraContext) -> Dict[Word, Laurent]:
+    """The normal form of nf * letter for a normal form nf.  The sphere is
+    a quotient of the ball: its product is the ball product, then R5 on
+    each word where a_1 b_1 >= 1, with the replacements normalized."""
     acc: Dict[Word, Laurent] = {}
-    for coeff, replacement in expansion:
-        for w, lp in _normalize_word(replacement, ctx).items():
-            _laurent_addmul(acc.setdefault(w, {}), coeff, lp)
-    result = {w: lp for w, lp in acc.items() if lp}
-    _NF_CACHE[key] = result
-    return result
+    for u, lp in nf.items():
+        for coeff, w in _times_letter(u, letter, ctx.n):
+            _laurent_addmul(acc.setdefault(w, {}), lp, coeff)
+    for w in [w for w in acc if _r5_applies(w, ctx)]:
+        lp = acc.pop(w)
+        for c5, r in apply_rule(w, None, ctx.n):
+            scaled: Laurent = {}
+            _laurent_addmul(scaled, lp, c5)
+            for w5, lp5 in _normalize_word(r, ctx).items():
+                _laurent_addmul(acc.setdefault(w5, {}), scaled, lp5)
+    return {w: lp for w, lp in acc.items() if lp}
+
+
+def _normalize_word(word: Word, ctx: AlgebraContext,
+                    start: int = 0) -> Dict[Word, Laurent]:
+    """Normal form of one word over Z[q, q^-1], shared: the letters after
+    the longest cached prefix, or after word[:start], which is canonical,
+    are folded in by a loop, and each longer prefix's normal form cached."""
+    n, mode, i = ctx.n, ctx.mode, len(word)
+    while i > start and (nf := _NF_CACHE.get((n, mode, word[:i]))) is None:
+        i -= 1
+    if i == start:
+        nf = {word[:start]: {0: 1}}
+    for i in range(i, len(word)):
+        nf = _fold(nf, word[i], ctx)
+        _NF_CACHE[(n, mode, word[:i + 1])] = nf
+    return nf
 
 
 def pbw_product(ctx: AlgebraContext) -> WordProduct:
-    """The product of the quotient on words: u, v -> the terms of NF(uv),
-    read from the word cache.  For canonical u and v this is the PBW
-    product, so algebra.mul_lifted of two normal states is the normal state
-    of their product."""
+    """The product of the quotient on words, u, v -> the terms of NF(uv),
+    folded from u: for canonical u and v the PBW product, so mul_lifted of
+    two normal states is the normal state of their product."""
     def product(u: Word, v: Word):
-        return _normalize_word(u + v, ctx).items()
+        return _normalize_word(u + v, ctx, len(u)).items()
     return product
 
 
@@ -182,9 +204,7 @@ def normalize(p: NCPoly, ctx: AlgebraContext) -> NCPoly:
 
 # -- single-step reduction with pluggable strategy --------------------
 
-LEFTMOST = "leftmost"
-RIGHTMOST = "rightmost"
-RANDOM = "random"
+LEFTMOST, RIGHTMOST, RANDOM = "leftmost", "rightmost", "random"
 STRATEGIES = (LEFTMOST, RIGHTMOST, RANDOM)
 
 
@@ -226,18 +246,11 @@ def _order(word: Word) -> Tuple[int, Word]:
 def _step(pending: State, canonical: State, ctx: AlgebraContext,
           strategy: str, rng: Optional[random.Random], sites: Sites) -> bool:
     """Apply one rule instance to the state pending + canonical in place;
-    False at a fixed point, which is when pending is empty.
-
-    The candidates are the words in (length, word) order, each with its
-    rule_sites; leftmost takes the first, rightmost the last and random
-    draws one with rng.choice.  Canonical words have no sites, so only the
-    pending words are looked at: leftmost and rightmost take the first or
-    last site of the min or max pending word, and random draws from the
-    same candidate list as over the whole state.  Each replacement term
-    goes to the part its word belongs to; a word's class never changes, so
-    a cancellation in either part is the cancellation in the whole state.
-    sites memoizes rule_sites per word.
-    """
+    False at a fixed point, when pending is empty.  The candidates are the
+    pending words in (length, word) order with their rule_sites (memoized in
+    sites): leftmost takes the first, rightmost the last, and random draws
+    one with rng.choice.  A word's class never changes, so each replacement
+    term goes to the part its word belongs to."""
     if not pending:
         return False
     if strategy == LEFTMOST:
@@ -256,8 +269,7 @@ def _step(pending: State, canonical: State, ctx: AlgebraContext,
     return True
 
 
-def reduce_step(p: NCPoly, ctx: AlgebraContext,
-                strategy: str = LEFTMOST,
+def reduce_step(p: NCPoly, ctx: AlgebraContext, strategy: str = LEFTMOST,
                 rng: Optional[random.Random] = None) -> NCPoly:
     """Apply exactly one rule instance to one word; fixed points unchanged."""
     _check_step_args(p, ctx, strategy, rng, "an rng")
@@ -273,12 +285,8 @@ _MAX_STEPS = 200000
 
 def _fixed_point(terms: State, ctx: AlgebraContext, strategy: str,
                  seed: Optional[int], max_steps: int, sites: Sites) -> State:
-    """Step a copy of terms until no rule applies, and return the copy.
-
-    The fixed point is reached when no pending word is left, and the
-    canonical part is then the whole state.  sites memoizes rule_sites
-    and may be shared by several runs on one input.
-    """
+    """Step a copy of terms until no pending word is left, and return its
+    canonical part.  sites memoizes rule_sites for several runs."""
     rng = random.Random(seed) if strategy == RANDOM else None
     pending, canonical = _split(terms, ctx, sites)
     for _ in range(max_steps + 1):
@@ -291,14 +299,9 @@ def normalize_by_steps(p: NCPoly, ctx: AlgebraContext,
                        strategy: str = LEFTMOST,
                        seed: Optional[int] = None,
                        max_steps: int = _MAX_STEPS) -> NCPoly:
-    """Apply single rule steps until none applies.
-
-    The steps are those of repeated reduce_step calls, with one
-    random.Random(seed) for the random strategy, which therefore needs a
-    seed.  A copy of p's lifted state is updated in place, and RuntimeError
-    is raised if the fixed point needs more than max_steps rule
-    applications.
-    """
+    """Apply single rule steps until none applies: those of repeated
+    reduce_step calls, with one random.Random(seed) for the random strategy,
+    on a copy of p's lifted state; RuntimeError after max_steps steps."""
     _check_step_args(p, ctx, strategy, seed, "a seed")
     return NCPoly(ctx.n, _fixed_point(p.terms, ctx, strategy, seed,
                                       max_steps, {}), p.den)
@@ -327,16 +330,13 @@ def confluent(p: NCPoly, ctx: AlgebraContext) -> bool:
 def canonical_monomials(n: int, max_degree: int,
                         ctx: Optional[AlgebraContext] = None) -> Iterator[Word]:
     """All canonical words of total degree <= max_degree, graded order."""
-    if ctx is None:
-        ctx = AlgebraContext(n, BALL)
+    sphere = (ctx or AlgebraContext(n)).mode == SPHERE
     for degree in range(max_degree + 1):
         for da in range(degree + 1):
             betas = compositions(degree - da, n)
             for alpha in compositions(da, n):
-                for beta in betas:
-                    if ctx.mode == SPHERE and alpha[0] * beta[0] != 0:
-                        continue
-                    yield exponents_word(alpha, beta)
+                yield from (exponents_word(alpha, beta) for beta in betas
+                            if not (sphere and alpha[0] * beta[0]))
 
 
 def defining_relations(ctx: AlgebraContext) -> List[NCPoly]:

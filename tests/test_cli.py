@@ -8,7 +8,8 @@ import sys
 import pytest
 
 import qball
-from qball import SPHERE, AlgebraContext, BoundaryConfig, relation_residual
+from qball import (BALL, SPHERE, AlgebraContext, BoundaryConfig,
+                   relation_residual)
 from qball.cli import main
 
 from oracles import boundary_generators
@@ -529,29 +530,39 @@ def test_one_process_reports_equal_fresh_processes(capsys, tmp_path):
         assert again.read_bytes() == fresh.read_bytes()
 
 
+def _low_recursion_limit(argv):
+    """argv run as a qball command in a fresh process whose recursion
+    limit is 300."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qball.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; sys.setrecursionlimit(300); "
+         "from qball.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("argv, deep, shallow", [
-    (["normal-form", "--n", "2"], "(z1*z2)^600", "(z1*z2)^40"),
     (["norm", "--n", "1", "--trunc", "2,3", "--theta", "4"],
      "(" * 300 + "z1" + ")" * 300, "(" * 40 + "z1" + ")" * 40),
-], ids=["rewriter", "parser"])
+], ids=["parser"])
 def test_too_deep_expression_is_an_input_error(argv, deep, shallow):
-    """A word too long for the rewriter's recursion, or parentheses nested
-    too deep for the parser's, exits 2 with an error line and no
-    traceback.  The recursion limit is lowered to 300 so that the long
-    word fails in about a second (at the default limit the rewriter takes
-    some 45 s on a 2-vCPU machine to reach it); a shallow input still
-    succeeds under that limit."""
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qball.__file__).parents[1]))
-    limited = [sys.executable, "-c", "import sys; sys.setrecursionlimit(300); "
-               "from qball.cli import main; sys.exit(main(sys.argv[1:]))",
-               *argv, "--expr"]
-    done = subprocess.run(limited + [deep], env=env, capture_output=True,
-                          text=True)
+    """Parentheses nested too deep for the parser's recursion exit 2 with
+    an error line and no traceback; a shallow input still succeeds under
+    the same lowered limit."""
+    done = _low_recursion_limit(argv + ["--expr", deep])
     assert done.returncode == 2
     assert done.stderr.startswith("error: expression too deep")
     assert "Traceback" not in done.stderr
-    assert subprocess.run(limited + [shallow], env=env,
-                          capture_output=True).returncode == 0
+    assert _low_recursion_limit(argv + ["--expr", shallow]).returncode == 0
+
+
+@pytest.mark.parametrize("mode", [BALL, SPHERE])
+def test_long_word_normalizes_without_recursion(mode):
+    """The rewriter folds a word's letters in a loop, so a product of
+    1 200 letters normalizes under a recursion limit of 300."""
+    done = _low_recursion_limit(["normal-form", "--n", "2", "--mode", mode,
+                                 "--expr", "(z1*z2)^600"])
+    assert done.returncode == 0, done.stderr
+    assert "result    : q^-179700*z1^600*z2^600\n" in done.stdout
 
 
 # Runs that share representations in one process: two values of q, both

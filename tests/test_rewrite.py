@@ -244,10 +244,10 @@ def test_word_cache_holds_integer_laurent_polynomials():
 
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
 def test_word_cache_is_filled_prefix_first(mode):
-    # Prefix first, the cache holds prefix normal forms and canonical word *
-    # letter products: 6 288 (ball) and 5 481 (sphere) entries here, where
-    # rewriting the leftmost violation caches 12 486 and 12 790 words.
+    # The cache holds one normal form per folded prefix: the 3 + 9 + ... +
+    # 3^7 = 3 279 prefixes of the free expansion's words in ball mode, and
+    # in sphere mode 285 more from normalizing R5 replacements.
     p = parse_expression("(z1'+z2'+z3')^3*(z1+z2+z3)^4", 3)
     _NF_CACHE.clear()
     normalize(p, AlgebraContext(3, mode))
-    assert len(_NF_CACHE) <= 6500
+    assert len(_NF_CACHE) <= {BALL: 3279, SPHERE: 3564}[mode]
