@@ -69,7 +69,6 @@ from .parsing import (ParseError, parse_expression, parse_lifted, print_matrix,
 from .representations import (
     BoundaryConfig,
     FockConfig,
-    TruncationError,
     boundary_block_generators,
     fock_generators,
 )
@@ -414,8 +413,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args._started = time.monotonic()
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ContextError, TruncationError, DomainError,
-            ValueError, OSError) as exc:
+    # ParseError, ContextError, DomainError and TruncationError are
+    # ValueErrors.
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:

@@ -1,4 +1,5 @@
-"""Seeded random polynomial generators and the fixed experiment catalog."""
+"""Seeded random polynomial generators: the input stream of
+confluence-fuzz, and random inputs for the tests."""
 
 from __future__ import annotations
 
@@ -46,21 +47,3 @@ def random_poly_stream(seed: int, count: int, n_max: int = 3,
         out.append((n, random_poly(rng, n, max_degree)))
     return out
 
-
-CATALOG_SEED = 7
-
-
-def holomorphic_catalog() -> List[Tuple[str, int, NCPoly]]:
-    """The fixed star-free catalog: named entries plus seeded random ones."""
-    from .parsing import parse_expression, print_poly
-
-    entries: List[Tuple[str, int, NCPoly]] = []
-    for text, n in [("1+z1", 1), ("z1+z2", 2), ("z1*z2+q*z2^2", 2)]:
-        entries.append((text, n, parse_expression(text, n)))
-    rng = random.Random(CATALOG_SEED)
-    for _ in range(3):
-        p = random_poly(rng, 2, max_degree=3, star_free=True)
-        while p.is_zero():
-            p = random_poly(rng, 2, max_degree=3, star_free=True)
-        entries.append((print_poly(p), 2, p))
-    return entries

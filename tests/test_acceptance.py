@@ -16,7 +16,7 @@ from qball.norms import (
     pbw_gram_min_singular,
     relation_residual,
 )
-from qball.parsing import parse_expression
+from qball.parsing import parse_expression, print_poly
 from qball.representations import (
     BoundaryConfig,
     FockConfig,
@@ -26,7 +26,7 @@ from qball.representations import (
     rep_entries,
 )
 from qball.rewrite import canonical_monomials, normalize, normalize_by_steps
-from qball.sampling import holomorphic_catalog, random_poly, random_poly_stream
+from qball.sampling import random_poly, random_poly_stream
 
 from oracles import boundary_generators, fraction_terms, fraction_value
 
@@ -34,6 +34,21 @@ Q = 0.5
 STREAM_SEED = 7
 N1_SCHEDULE = make_schedule([10, 20, 40], 4096)
 N2_SCHEDULE = make_schedule([6, 9, 12], 64)
+CATALOG_SEED = 7
+
+
+def holomorphic_catalog():
+    """The fixed star-free catalog: named entries plus seeded random ones,
+    as (text, n, polynomial)."""
+    entries = [(text, n, parse_expression(text, n))
+               for text, n in [("1+z1", 1), ("z1+z2", 2), ("z1*z2+q*z2^2", 2)]]
+    rng = random.Random(CATALOG_SEED)
+    for _ in range(3):
+        p = random_poly(rng, 2, max_degree=3, star_free=True)
+        while p.is_zero():
+            p = random_poly(rng, 2, max_degree=3, star_free=True)
+        entries.append((print_poly(p), 2, p))
+    return entries
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -61,6 +62,63 @@ def _graph_and_arpack_modules_after(statement):
 def _scipy_modules_after(statement):
     return [m for m in _modules_after(statement)
             if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_symbolic_run_loads_no_numerics():
+    """import qball loads a module only when one of its names is used, so
+    parsing, normalizing, printing and a confluence check stay numpy-free."""
+    loaded = set(_modules_after(
+        "import qball; "
+        + "; ".join(f"import qball.{module}" for module in SYMBOLIC) + "; "
+        "from qball import AlgebraContext, normalize, parse_expression, "
+        "print_poly; from qball.rewrite import confluent; "
+        "f = parse_expression(\"z1'*z1 + q*z2*z1'\", 2); "
+        "ctx = AlgebraContext(2, 'sphere'); "
+        "assert print_poly(normalize(f, ctx)) and confluent(f, ctx)"))
+    assert not loaded & {"numpy", "scipy", "qball.norms",
+                         "qball.representations"}
+
+
+def test_cli_import_loads_the_numeric_layer():
+    """A maxprinciple op must not pay numpy's import: qball.cli imports the
+    norm layer when it is imported."""
+    loaded = set(_modules_after("import qball.cli"))
+    assert {"numpy", "qball.norms", "qball.representations"} <= loaded
+
+
+def test_from_import_loads_the_defining_module():
+    assert "qball.norms" in _modules_after("from qball import ball_norm")
+
+
+# The public names of the package, by defining module.
+PUBLIC = {
+    "scalars": ["DomainError"],
+    "algebra": ["BALL", "SPHERE", "AlgebraContext", "ContextError", "Letter",
+                "MatPoly", "NCPoly", "is_holomorphic"],
+    "rewrite": ["canonical_monomials", "is_canonical_word", "normalize",
+                "normalize_by_steps", "reduce_step"],
+    "representations": ["BoundaryConfig", "Entries", "FockConfig",
+                        "RepMatrices", "TruncationError",
+                        "boundary_block_generators", "certify_compression",
+                        "fock_generators", "rep_apply", "rep_entries"],
+    "norms": ["GapReport", "NormConvergenceError", "NormEstimate", "ball_norm",
+              "boundary_norm", "make_schedule", "max_principle_report",
+              "operator_norm", "pbw_gram_min_singular", "relation_residual"],
+    "parsing": ["ParseError", "parse_expression", "print_matrix",
+                "print_poly"],
+}
+
+
+def test_public_names_resolve_to_their_modules():
+    assert sorted(qball.__all__) == sorted(
+        name for names in PUBLIC.values() for name in names)
+    assert len(qball.__all__) == 38
+    for module, names in PUBLIC.items():
+        owner = importlib.import_module(f"qball.{module}")
+        assert getattr(qball, module) is owner
+        for name in names:
+            assert getattr(qball, name) is getattr(owner, name)
+    assert set(qball.__all__) | set(PUBLIC) <= set(dir(qball))
 
 
 def test_cli_import_leaves_graph_and_arpack_modules_unloaded():
