@@ -35,6 +35,16 @@ whether one boundary block gave the sup over the whole circle, and
 over the whole circle (null where none is proved; for maxprinciple and
 ci-check, of the boundary side).
 
+Each subcommand has one handler, _cmd_<name>(args), registered on its
+subparser.  A handler computes and returns (report, check): the JSON report,
+and for the four checks (ci-check, relations-residual, confluence-fuzz,
+pbw-rank) the outcome (failed, message), None for the other subcommands.
+It prints and writes nothing.  main alone prints the summary, writes --json
+and --csv, prints PASS or "FAIL: message", and maps exceptions and check
+outcomes to exit codes.  Handlers call the library through the names this
+module imports, looked up at call time, so a wrapper set on a qball.cli
+attribute sees every call.
+
 Exit codes: 0 success, 2 input error (including a flag the subcommand does
 not take, and an expression too deep to parse or rewrite), 3 numerical
 non-convergence, 4 acceptance-check failure.
@@ -50,28 +60,18 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .algebra import (BALL, SPHERE, AlgebraContext, ContextError, MatPoly,
                       NCPoly)
-from .norms import (
-    NormConvergenceError,
-    ball_norm,
-    boundary_norm,
-    make_schedule,
-    max_principle_report,
-    pbw_gram_min_singular,
-    relation_residual,
-)
+from .norms import (DEFAULT_TOL, NormConvergenceError, ball_norm,
+                    boundary_norm, make_schedule, max_principle_report,
+                    pbw_gram_min_singular, relation_residual)
 from .parsing import (ParseError, parse_expression, parse_lifted, print_matrix,
                       print_state)
-from .representations import (
-    BoundaryConfig,
-    FockConfig,
-    boundary_block_generators,
-    fock_generators,
-)
+from .representations import (BoundaryConfig, FockConfig,
+                              boundary_block_generators, fock_generators)
 from .rewrite import confluent, pbw_product
 from .sampling import random_poly_stream
 from .scalars import DomainError
@@ -80,6 +80,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
+
+# What a handler returns: the report, and a check's (failed, message).
+Outcome = Tuple[dict, Optional[Tuple[bool, str]]]
 
 
 def _finite_float(positive: bool):
@@ -100,7 +103,7 @@ _FLAGS = {
     "--trunc": dict(default="8", help="comma-separated truncation schedule"),
     "--theta": dict(type=int, default=1024,
                     help="final cyclic order (theta samples)"),
-    "--tol": dict(type=_finite_float(True), default=1e-8,
+    "--tol": dict(type=_finite_float(True), default=DEFAULT_TOL,
                   help="numerical tolerance of norms"),
     "--seed": dict(type=int, default=0),
     "--json": dict(dest="json_path", help="write the JSON report here"),
@@ -108,10 +111,12 @@ _FLAGS = {
 }
 
 
-def _command(subs, name: str, help: str, *flags: str,
+def _command(subs, name: str, help: str, handler, *flags: str,
              n_help: str = "number of generators") -> argparse.ArgumentParser:
-    """A subcommand taking --n and exactly the named shared flags."""
+    """A subcommand run by handler, taking --n and exactly the named shared
+    flags."""
     sub = subs.add_parser(name, help=help)
+    sub.set_defaults(handler=handler)
     sub.add_argument("--n", type=int, required=True, help=n_help)
     for flag in flags:
         if flag == "--expr":
@@ -136,51 +141,55 @@ def build_parser() -> argparse.ArgumentParser:
     single_point = ("--q", "--trunc", "--json", "--csv")
 
     _command(subs, "normal-form", "rewrite to canonical form",
-             "--mode", "--expr", "--json")
+             _cmd_normal_form, "--mode", "--expr", "--json")
 
-    sub = _command(subs, "norm", "certified norm schedule",
+    sub = _command(subs, "norm", "certified norm schedule", _cmd_norm,
                    "--expr", *schedule, "--tol", "--json", "--csv")
     sub.add_argument("--side", choices=["ball", "boundary"], default="ball")
 
     _command(subs, "maxprinciple", "ball vs boundary norm gap report",
-             "--expr", *schedule, "--tol", "--json", "--csv")
+             _cmd_maxprinciple, "--expr", *schedule, "--tol", "--json",
+             "--csv")
 
     sub = _command(subs, "ci-check",
                    "complete-isometry gap check at a matrix level",
-                   "--expr", *schedule, "--json", "--csv")
+                   _cmd_ci_check, "--expr", *schedule, "--json", "--csv")
     sub.add_argument("--level", type=int, help="scalar copies on the diagonal")
     sub.add_argument("--threshold", type=_finite_float(False), default=2e-2,
                      help="largest gap that passes")
 
     sub = _command(subs, "relations-residual",
                    "defining-relation residuals of a representation",
-                   *single_point)
+                   _cmd_relations_residual, *single_point)
     sub.add_argument("--side", choices=["fock", "boundary"], default="fock")
     sub.add_argument("--threshold", type=_finite_float(False), default=1e-12,
                      help="largest residual that passes")
 
     sub = _command(subs, "confluence-fuzz",
                    "strategy-independence fuzzing of the rewriter",
-                   "--mode", "--seed", "--json",
+                   _cmd_confluence_fuzz, "--mode", "--seed", "--json",
                    n_help="each input draws its n from 1..N")
     sub.add_argument("--count", type=int, default=100)
 
     sub = _command(subs, "pbw-rank",
-                   "linear independence of canonical monomials", *single_point)
+                   "linear independence of canonical monomials",
+                   _cmd_pbw_rank, *single_point)
     sub.add_argument("--degree", type=int, default=3)
     sub.add_argument("--threshold", type=_finite_float(False), default=1e-8,
                      help="smallest singular value that passes")
     return parser
 
 
-def _parse_q(text: str) -> Fraction:
+def _parse_q(text: str) -> float:
+    """--q read exactly, as a rational or decimal, and rounded once to a
+    float, which must lie in (0, 1)."""
     try:
-        if "/" in text or "." not in text:
-            value = Fraction(text)
-        else:
-            value = Fraction(text).limit_denominator(10 ** 12)
+        exact = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad q value {text!r}", 0) from exc
+    # float() of a large value overflows, and one within 2^-54 of 1 (or
+    # below the least subnormal) rounds onto the boundary of (0, 1).
+    value = float(exact) if 0 < exact < 1 else 0.0
     if not 0 < value < 1:
         raise DomainError(f"q must lie in (0, 1), got {text}")
     return value
@@ -201,20 +210,20 @@ def _single_trunc(text: str) -> int:
 
 
 def _load_expr(args) -> str:
-    if getattr(args, "expr", None) is not None:
+    if args.expr is not None:
         return args.expr
-    if getattr(args, "expr_file", None):
+    if args.expr_file:
         with open(args.expr_file, "r", encoding="utf-8") as handle:
             return handle.read().strip()
     raise ParseError("an expression is required (--expr or --expr-file)", 0)
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args, started: float) -> None:
     print(f"operation : {report['operation']}")
     print(f"input     : {report['input']}")
     print("context   : " + " ".join(f"{k}={report[k]}" for k in ("n", "q", "mode")
                                      if report[k] is not None))
-    for point in report.get("schedule", []):
+    for point in report["schedule"]:
         bits = [f"N={point.get('N')}"]
         if point.get("M") is not None:
             bits.append(f"M={point['M']}")
@@ -225,7 +234,7 @@ def _emit(report: dict, args) -> None:
         print(f"gap       : {report['gap']:.12g}")
     if "holomorphic" in report:
         print(f"holomorphic: {report['holomorphic']}")
-    print(f"wall-clock: {time.monotonic() - args._started:.3f}s")
+    print(f"wall-clock: {time.monotonic() - started:.3f}s")
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as handle:
             json.dump(report, handle, indent=2)
@@ -234,96 +243,78 @@ def _emit(report: dict, args) -> None:
         with open(args.csv_path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["N", "M", "value"])
-            for point in report.get("schedule", []):
+            for point in report["schedule"]:
                 writer.writerow([point.get("N"), point.get("M"),
                                  point.get("value")])
 
 
-def _base_report(args, operation: str, input_text: str) -> dict:
-    return {
-        "input": input_text,
-        "n": args.n,
-        "q": getattr(args, "q", None),
-        "mode": getattr(args, "mode", None),
-        "operation": operation,
-        "schedule": [],
-        "result": None,
-        "tolerances": {},
-        "seed": getattr(args, "seed", None),
-        "version": __version__,
-    }
+def _report(args, operation: str, input_text: str, **fields) -> dict:
+    """The JSON report: the keys every subcommand has, in this order, with
+    fields replacing their defaults in place; any other field follows."""
+    return {"input": input_text, "n": args.n, "q": getattr(args, "q", None),
+            "mode": getattr(args, "mode", None), "operation": operation,
+            "schedule": [], "result": None, "tolerances": {},
+            "seed": getattr(args, "seed", None), "version": __version__,
+            **fields}
 
 
-def _verdict(report: dict, args, failed: bool, failure: str) -> int:
-    """Emit a check's report, then its PASS or FAIL line and exit code."""
-    _emit(report, args)
-    if failed:
-        print(f"FAIL: {failure}")
-        return EXIT_CHECK_FAILED
-    print("PASS")
-    return EXIT_OK
+def _point_report(args, operation: str, input_text: str, N: int,
+                  value: float, bound: str) -> dict:
+    """The report of a check evaluated at the one truncation N, its pass
+    bound --threshold named bound."""
+    return _report(args, operation, input_text,
+                   schedule=[{"N": N, "M": None, "value": value}],
+                   result=value, tolerances={bound: args.threshold})
 
 
-def _cmd_normal_form(args) -> int:
+def _cmd_normal_form(args) -> Outcome:
     text = _load_expr(args)
     ctx = AlgebraContext(args.n, args.mode)
     parsed = parse_lifted(text, args.n, pbw_product(ctx))
-    report = _base_report(args, "normal-form", text)
-    if isinstance(parsed, list):
-        report["result"] = print_matrix(parsed, lambda e: print_state(*e))
-    else:
-        report["result"] = print_state(*parsed)
-    _emit(report, args)
-    return EXIT_OK
+    result = (print_matrix(parsed, lambda e: print_state(*e))
+              if isinstance(parsed, list) else print_state(*parsed))
+    return _report(args, "normal-form", text, result=result), None
 
 
-def _norm_schedule(args):
-    return make_schedule(_parse_trunc(args.trunc), args.theta)
-
-
-def _cmd_norm(args) -> int:
+def _cmd_norm(args) -> Outcome:
     text = _load_expr(args)
     parsed = parse_expression(text, args.n)
     q = _parse_q(args.q)
-    schedule = _norm_schedule(args)
+    schedule = make_schedule(_parse_trunc(args.trunc), args.theta)
     norm = ball_norm if args.side == "ball" else boundary_norm
-    estimate = norm(parsed, float(q), schedule, args.tol)
-    report = _base_report(args, f"norm-{args.side}", text)
-    report["schedule"] = estimate.points
-    report["result"] = estimate.final
-    report["stabilized"] = estimate.stabilized
-    report["omega"] = estimate.omega
-    report["tolerances"] = {"tol": args.tol}
-    _emit(report, args)
-    return EXIT_OK
+    estimate = norm(parsed, q, schedule, args.tol)
+    return _report(args, f"norm-{args.side}", text,
+                   schedule=estimate.points, result=estimate.final,
+                   tolerances={"tol": args.tol},
+                   stabilized=estimate.stabilized, omega=estimate.omega), None
 
 
-def _gap_report(args, operation: str, parsed, text: str, tol: float) -> dict:
+def _gap_report(args, operation: str, parsed, text: str, tol: float,
+                tolerances: dict) -> dict:
     q = _parse_q(args.q)
-    schedule = _norm_schedule(args)
-    gap = max_principle_report(parsed, float(q), schedule, tol)
-    report = _base_report(args, operation, text)
-    report["schedule"] = [dict(point, value=g)
-                          for point, g in zip(gap.ball.points, gap.gaps())]
-    report["result"] = {"ball": gap.ball.final, "boundary": gap.boundary.final}
-    report["gap"] = gap.gap
-    report["stabilized"] = {"ball": gap.ball.stabilized,
-                            "boundary": gap.boundary.stabilized}
-    report["holomorphic"] = gap.holomorphic
-    report["omega"] = gap.boundary.omega
-    report["tolerances"] = {"tol": tol}
-    return report
+    schedule = make_schedule(_parse_trunc(args.trunc), args.theta)
+    gap = max_principle_report(parsed, q, schedule, tol)
+    return _report(
+        args, operation, text,
+        schedule=[dict(point, value=g)
+                  for point, g in zip(gap.ball.points, gap.gaps())],
+        result={"ball": gap.ball.final, "boundary": gap.boundary.final},
+        tolerances=tolerances,
+        gap=gap.gap,
+        stabilized={"ball": gap.ball.stabilized,
+                    "boundary": gap.boundary.stabilized},
+        holomorphic=gap.holomorphic,
+        omega=gap.boundary.omega)
 
 
-def _cmd_maxprinciple(args) -> int:
+def _cmd_maxprinciple(args) -> Outcome:
     text = _load_expr(args)
     parsed = parse_expression(text, args.n)
-    report = _gap_report(args, "maxprinciple", parsed, text, args.tol)
-    _emit(report, args)
-    return EXIT_OK
+    return _gap_report(args, "maxprinciple", parsed, text, args.tol,
+                       {"tol": args.tol}), None
 
 
-def _cmd_ci_check(args) -> int:
+def _cmd_ci_check(args) -> Outcome:
     text = _load_expr(args)
     parsed = parse_expression(text, args.n)
     if isinstance(parsed, MatPoly) and args.level is not None:
@@ -340,34 +331,31 @@ def _cmd_ci_check(args) -> int:
         text = print_matrix(MatPoly([[parsed if r == c else zero
                                       for c in range(level)]
                                      for r in range(level)]))
-    report = _gap_report(args, "ci-check", parsed, text, 1e-8)
-    report["tolerances"] = {"gap": args.threshold}
-    return _verdict(report, args, report["gap"] > args.threshold,
+    report = _gap_report(args, "ci-check", parsed, text, DEFAULT_TOL,
+                         {"gap": args.threshold})
+    return report, (report["gap"] > args.threshold,
                     f"gap {report['gap']:.3e} exceeds {args.threshold:.3e}")
 
 
-def _cmd_relations_residual(args) -> int:
-    q = _parse_q(args.q)
-    N = _single_trunc(args.trunc)
+def _cmd_relations_residual(args) -> Outcome:
+    q, N = _parse_q(args.q), _single_trunc(args.trunc)
     if args.side == "fock":
-        rep = fock_generators(FockConfig(n=args.n, N=N, q_val=float(q)))
+        rep = fock_generators(FockConfig(n=args.n, N=N, q_val=q))
         ctx = AlgebraContext(args.n, BALL)
     else:
         # Every defining relation is homogeneous in z1-charge, so on each
         # character block its residual is a phase times the omega = 1 one.
         rep = boundary_block_generators(
-            BoundaryConfig(n=args.n, N=N, M=1, q_val=float(q)), 1.0)
+            BoundaryConfig(n=args.n, N=N, M=1, q_val=q), 1.0)
         ctx = AlgebraContext(args.n, SPHERE)
-    residual = relation_residual(rep, ctx, float(q))
-    report = _base_report(args, f"relations-residual-{args.side}", f"n={args.n}")
-    report["schedule"] = [{"N": N, "M": None, "value": residual}]
-    report["result"] = residual
-    report["tolerances"] = {"residual": args.threshold}
-    return _verdict(report, args, residual > args.threshold,
-                    f"residual {residual:.3e} exceeds {args.threshold:.3e}")
+    residual = relation_residual(rep, ctx, q)
+    return (_point_report(args, f"relations-residual-{args.side}",
+                          f"n={args.n}", N, residual, "residual"),
+            (residual > args.threshold,
+             f"residual {residual:.3e} exceeds {args.threshold:.3e}"))
 
 
-def _cmd_confluence_fuzz(args) -> int:
+def _cmd_confluence_fuzz(args) -> Outcome:
     if args.n < 1:
         raise ContextError(f"--n must be at least 1, got {args.n}")
     if args.count < 0:
@@ -375,44 +363,29 @@ def _cmd_confluence_fuzz(args) -> int:
     failures = sum(not confluent(p, AlgebraContext(pn, args.mode))
                    for pn, p in random_poly_stream(args.seed, args.count,
                                                    n_max=args.n))
-    report = _base_report(args, "confluence-fuzz", f"count={args.count}")
-    report["result"] = {"checked": args.count, "failures": failures}
-    return _verdict(report, args, failures > 0,
-                    f"{failures} strategy disagreements")
+    return (_report(args, "confluence-fuzz", f"count={args.count}",
+                    result={"checked": args.count, "failures": failures}),
+            (failures > 0, f"{failures} strategy disagreements"))
 
 
-def _cmd_pbw_rank(args) -> int:
+def _cmd_pbw_rank(args) -> Outcome:
     if args.degree < 0:
         raise ValueError(f"--degree must be nonnegative, got {args.degree}")
-    q = _parse_q(args.q)
-    N = _single_trunc(args.trunc)
-    value = pbw_gram_min_singular(args.n, args.degree, N, float(q))
-    report = _base_report(args, "pbw-rank", f"degree<={args.degree}")
-    report["schedule"] = [{"N": N, "M": None, "value": value}]
-    report["result"] = value
-    report["tolerances"] = {"min_singular": args.threshold}
-    return _verdict(report, args, value < args.threshold,
-                    f"minimum singular value {value:.3e} below "
-                    f"{args.threshold:.3e}")
-
-
-_COMMANDS = {
-    "normal-form": _cmd_normal_form,
-    "norm": _cmd_norm,
-    "maxprinciple": _cmd_maxprinciple,
-    "ci-check": _cmd_ci_check,
-    "relations-residual": _cmd_relations_residual,
-    "confluence-fuzz": _cmd_confluence_fuzz,
-    "pbw-rank": _cmd_pbw_rank,
-}
+    q, N = _parse_q(args.q), _single_trunc(args.trunc)
+    value = pbw_gram_min_singular(args.n, args.degree, N, q)
+    return (_point_report(args, "pbw-rank", f"degree<={args.degree}", N,
+                          value, "min_singular"),
+            (value < args.threshold,
+             f"minimum singular value {value:.3e} below "
+             f"{args.threshold:.3e}"))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._started = time.monotonic()
+    args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return _COMMANDS[args.command](args)
+        report, check = args.handler(args)
+        _emit(report, args, started)
     # ParseError, ContextError, DomainError and TruncationError are
     # ValueErrors.
     except (ValueError, OSError) as exc:
@@ -426,6 +399,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"numerical error: {exc} (last value {exc.last_value:.6g})",
               file=sys.stderr)
         return EXIT_NUMERICAL
+    if check is None:
+        return EXIT_OK
+    failed, message = check
+    print(f"FAIL: {message}" if failed else "PASS")
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -595,3 +596,114 @@ def test_reports_do_not_depend_on_run_order(capsys, tmp_path):
     assert len(reports) == len(_MIXED_RUNS)
     for first, second in reports.values():
         assert first == second
+
+
+@pytest.mark.parametrize("q", ["0.50000000000001", "0.0000000000001",
+                               "1e-13", "0.3", "2/3"])
+def test_q_is_read_exactly(capsys, tmp_path, q):
+    """A decimal --q is the float nearest its exact value, however many
+    places it has: ||q*z1|| = q."""
+    path = tmp_path / "report.json"
+    code, _, err = run(capsys, "norm", "--n", "1", "--q", q, "--expr", "q*z1",
+                       "--trunc", "4,6", "--theta", "8", "--json", str(path))
+    assert code == 0, err
+    report = json.loads(path.read_text())
+    assert report["q"] == q
+    assert report["result"] == float(Fraction(q))
+
+
+@pytest.mark.parametrize("q", ["1e400", "0.99999999999999999", "1e-400",
+                               "0", "-1/2"])
+def test_q_outside_the_unit_interval_as_a_float_is_an_input_error(capsys, q):
+    """q is checked after its rounding to a float, so a value that rounds
+    to 0 or 1 is refused."""
+    code, out, err = run(capsys, "norm", "--n", "1", f"--q={q}", "--expr",
+                         "z1", "--trunc", "4", "--theta", "8")
+    assert code == 2
+    assert "q must lie in (0, 1)" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["norm", "maxprinciple", "ci-check",
+                                     "normal-form"])
+def test_expr_file_reads_the_stripped_text(capsys, tmp_path, command):
+    source = tmp_path / "expr.txt"
+    source.write_text("\n  z1 + z2*z1'\n\n")
+    argv = [command, "--n", "2"] + (["--mode", "sphere"]
+                                    if command == "normal-form"
+                                    else ["--trunc", "4,6", "--theta", "8"])
+    reports = []
+    for expr in (["--expr", "z1 + z2*z1'"], ["--expr-file", str(source)]):
+        path = tmp_path / "report.json"
+        code, _, _ = run(capsys, *argv, *expr, "--json", str(path))
+        assert code in (0, 4)
+        reports.append(path.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_missing_expr_file_is_an_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "norm", "--n", "1", "--trunc", "4",
+                         "--expr-file", str(tmp_path / "missing.txt"))
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", sorted(_BASE_ARGV))
+def test_unwritable_json_path_is_an_input_error(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, *_BASE_ARGV[command],
+                         "--json", str(tmp_path / "missing" / "report.json"))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not any(line == "PASS" or line.startswith("FAIL")
+                   for line in out.splitlines())
+
+
+_CHECKS = {"ci-check", "relations-residual", "confluence-fuzz", "pbw-rank"}
+
+
+@pytest.mark.parametrize("command, extra, verdict", [
+    (command, [], "PASS" if command in _CHECKS else None)
+    for command in sorted(_BASE_ARGV)
+] + [
+    ("ci-check", ["--threshold", "-1"], "FAIL"),
+    ("relations-residual", ["--threshold", "-1"], "FAIL"),
+    ("pbw-rank", ["--threshold", "1e9"], "FAIL"),
+])
+def test_checks_end_with_one_verdict_line(capsys, command, extra, verdict):
+    code, out, _ = run(capsys, command, *_BASE_ARGV[command], *extra)
+    lines = out.splitlines()
+    verdicts = [line for line in lines
+                if line == "PASS" or line.startswith("FAIL: ")]
+    if verdict is None:
+        assert code == 0 and verdicts == []
+    else:
+        assert code == (0 if verdict == "PASS" else 4)
+        assert verdicts == [lines[-1]]
+        assert lines[-1].startswith(verdict)
+
+
+@pytest.mark.parametrize("command, attribute", [
+    ("norm", "parse_expression"),
+    ("norm", "ball_norm"),
+    ("maxprinciple", "max_principle_report"),
+    ("ci-check", "print_matrix"),
+    ("confluence-fuzz", "random_poly_stream"),
+    ("pbw-rank", "pbw_gram_min_singular"),
+])
+def test_handlers_call_the_library_through_the_module(capsys, monkeypatch,
+                                                      command, attribute):
+    """A wrapper set on a qball.cli attribute, as the benchmark's tracer
+    sets them, sees the handler's call."""
+    calls = []
+    original = getattr(qball.cli, attribute)
+
+    def wrapped(*args, **kwargs):
+        calls.append(attribute)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qball.cli, attribute, wrapped)
+    code, _, _ = run(capsys, command, *_BASE_ARGV[command])
+    assert code == 0
+    assert calls
