@@ -56,18 +56,34 @@ every omega, so one split of the stack serves all M blocks.  A polynomial
 is the 1 x 1 case throughout (MatPoly.of): rep_entries' parts, ball_norm
 and boundary_norm may be either, so matrix levels are these same calls.
 
-The gauge torus also acts on the boundary side.  When omega_invariant(F)
-holds (an exact rank test on the charge vectors of F's words), every block
-is a phase times a unitary conjugate of the omega = 1 block, so that one
-block is evaluated and its value is the sup over the whole circle.  For
-any other input a schedule reports, per point, the whole-circle upper
-bound grid max / (1 - pi K / M) when M > pi K, where 2K is the spread of
-the z1-charges (Bernstein's inequality; every angle lies within pi / M of
-a node).  The bracket covers the omega discretisation at fixed N only.
-When every A_d is real, the conjugate grid points are evaluated once:
-block(conj omega) = sum_d conj(omega)^d A_d = conj(block(omega)) has the
-same singular values, and conj(omega_t) = omega_{M-t}, so the grid points
-t = 0..M // 2 give the max over all M.
+The gauge torus z_j -> lambda_j z_j, with row and column phases on a
+matrix and a global phase, acts in both families by diagonal unitaries,
+which commute with the certified compression and change no norm.  When
+omega_invariant(F) holds (an exact rank test on the charge vectors of F's
+words), every boundary block is a phase times a unitary conjugate of the
+omega = 1 block, so that one block is evaluated and its value is the sup
+over the whole circle.  For any other input a schedule reports, per
+point, the whole-circle upper bound grid max / (1 - pi K / M) when
+M > pi K, where 2K is the spread of the z1-charges (Bernstein's
+inequality; every angle lies within pi / M of a node).  The bracket
+covers the omega discretisation at fixed N only.
+
+real_gauge(F) decides exactly, in Q(i) at the exact ratio of the float q,
+whether some gauge makes every coefficient of F real; one integer row
+reduction (_echelon) answers this and omega_invariant.  The angles beta
+are floats.  With them the Fock side multiplies the map of z_j by
+e^{i beta_j} and the stack by its tile and constant phases, drops the
+imaginary parts (rounding only, tested below 1e-14 of the largest entry)
+and goes to the real kernel.  On the boundary side, the gauged F' has
+real coefficients, so block_F'(conj omega) = conj(block_F'(omega)) has
+the singular values of block_F'(omega); undoing the gauge, block_F(omega)
+and block_F(rho conj omega) have the same ones, rho = e^{2 i beta_1}.
+When rho is the M-th root of unity omega_s, conj(omega_t) rho =
+omega_{s-t}, so the nodes t with 0 <= 2t - s <= M give the max over all
+M (the proof is in _schedules).  A real F has beta = 0 and s = 0: the
+Fock stack is the one rep_entries gives and the nodes are t = 0..M // 2.
+An F with no gauge takes complex arithmetic and every node, and an F
+whose rho is no root of unity of the first grid order every node.
 
 Every schedule is one pass (_schedules), over a nested schedule: N
 non-decreasing and each grid order M dividing the next.  Once per input it
@@ -87,8 +103,8 @@ single-point value is a one-point schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -105,6 +121,7 @@ from .representations import (
     rep_entries,
 )
 from .rewrite import canonical_monomials, defining_relations
+from .scalars import coefficient_numerators
 
 DEFAULT_TOL = 1e-8
 _DENSE_LIMIT = 2048
@@ -320,7 +337,8 @@ def fock_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
     Fock side of a one-point schedule."""
     F = MatPoly.of(f)
     return _nested_values([F], fock_generators(FockConfig(F.n, N, q_val)),
-                          q_val, F.degree(), [(N, 1)], tol)[0]
+                          q_val, F.degree(), [(N, 1)], tol,
+                          beta=real_gauge(F, q_val, 1)[0])[0]
 
 
 def _charges(word, n: int) -> Tuple[int, ...]:
@@ -329,18 +347,83 @@ def _charges(word, n: int) -> Tuple[int, ...]:
                  for j in range(1, n + 1))
 
 
-def _rank(vectors: List[List[int]]) -> int:
-    """Rank over the rationals of integer vectors, by fraction-free
-    elimination in Python integers (exact)."""
-    basis: dict = {}            # pivot column -> row, zero at earlier pivots
-    for row in vectors:
-        for col, b in basis.items():
-            if row[col]:
-                row = [b[col] * x - row[col] * y for x, y in zip(row, b)]
-        pivot = next((k for k, x in enumerate(row) if x), None)
-        if pivot is not None:
-            basis[pivot] = row
-    return len(basis)
+# A row (v, g) of a gauge system: an integer vector v and a nonzero Gaussian
+# integer g = (re, im), standing for beta . v = -arg g (mod pi).
+GaugeRow = Tuple[Tuple[int, ...], Tuple[int, int]]
+
+
+def _gauge_rows(F: MatPoly, q_val: Optional[float] = None) -> List[GaugeRow]:
+    """One row per word w of F, in entry (a, b): v(w) = (c(w), e_a, -e_b, 1)
+    with c_j(w) = #z_j - #z_j', but with c_1 moved to the last column, and
+    g = 1 without q_val, else den times w's coefficient at the exact ratio
+    of q_val, times a positive integer (coefficient_numerators); a word
+    whose coefficient is 0 there has no row."""
+    k, l = F.shape
+    rows = []
+    for a, row in enumerate(F.entries):
+        for b, p in enumerate(row):
+            tile = (tuple(int(i == a) for i in range(k))
+                    + tuple(-int(i == b) for i in range(l)) + (1,))
+            for word, coeff in p.terms.items():
+                re, im, _ = ((1, 0, 1) if q_val is None else
+                             coefficient_numerators(coeff, p.den, q_val))
+                if re or im:
+                    c = _charges(word, F.n)
+                    rows.append((c[1:] + tile + c[:1], (re, im)))
+    return rows
+
+
+def _gauss_mul(g: Tuple[int, int], h: Tuple[int, int]) -> Tuple[int, int]:
+    return g[0] * h[0] - g[1] * h[1], g[0] * h[1] + g[1] * h[0]
+
+
+def _echelon(rows: List[GaugeRow]) -> Optional[List[GaugeRow]]:
+    """An echelon form of the rows by integer Euclid steps, or None when the
+    system beta . v = -arg g (mod pi) has no real solution beta.
+
+    A step takes (v, g) - k (v', g') to (v - k v', g conj(g')^k), with
+    g g'^|k| for k < 0 (the same up to a positive factor): then
+    beta . (v - k v') = -arg g + k arg g' = -arg(g conj(g')^k), and the
+    steps are invertible over Z, so the solutions stay the same.  Column
+    by column, the row of least nonzero |v_j| reduces the others until one
+    row is nonzero there, that column's pivot.  The rows left have v = 0
+    and hold iff their g is real.  Each g is divided by the gcd of its
+    parts, which leaves its argument alone.  The rows span the same
+    lattice as the input, so a vector of it that is 0 but in the last
+    column is a multiple of the last pivot row."""
+    pivots: List[GaugeRow] = []
+    for j in range(len(rows[0][0]) if rows else 0):
+        live = [row for row in rows if row[0][j]]
+        rows = [row for row in rows if not row[0][j]]
+        while len(live) > 1:
+            live.sort(key=lambda row: abs(row[0][j]))
+            (p, (x, y)), reduced = live[0], []
+            for v, g in live[1:]:
+                k = v[j] // p[j]
+                for _ in range(abs(k)):     # times conj(g')^k, or g'^-k
+                    g = _gauss_mul(g, (x, -y if k > 0 else y))
+                d = math.gcd(*g)
+                reduced.append((tuple(a - k * b for a, b in zip(v, p)),
+                                (g[0] // d, g[1] // d)))
+            rows += [row for row in reduced if not row[0][j]]
+            live = live[:1] + [row for row in reduced if row[0][j]]
+        pivots += live
+    return pivots if all(g[1] == 0 for _, g in rows) else None
+
+
+def _angles(pivots: List[GaugeRow], width: int) -> List[float]:
+    """A float solution beta of an echelon system, by back-substitution
+    with the free columns at 0; a real g stands for the angle 0, so a
+    system whose every g is real gives beta = 0."""
+    beta = [0.0] * width
+    for v, (re, im) in reversed(pivots):
+        # arg g mod pi, without a float of either part: both ratios are <= 1
+        arg = (math.atan(im / re) if abs(im) <= abs(re)
+               else math.pi / 2 - math.atan(re / im))
+        j = next(i for i, x in enumerate(v) if x)
+        beta[j] = (-arg - sum(x * b for x, b in zip(v[j + 1:], beta[j + 1:]))
+                   ) / v[j]
+    return beta
 
 
 def omega_invariant(f: Union[NCPoly, MatPoly]) -> bool:
@@ -348,29 +431,65 @@ def omega_invariant(f: Union[NCPoly, MatPoly]) -> bool:
     conjugate of the omega = 1 block, so that block alone gives the sup
     over the whole circle.
 
-    A word w in entry (a, b) of F has v(w) = (c(w), e_a, -e_b), where
-    c_j(w) = #z_j - #z_j'.  F is invariant iff e_1 is not in the rational
-    span of the differences v(w) - v(w0): then an integer (x, alpha, beta)
-    with x_1 != 0 makes x.c(w) + alpha_a - beta_b one constant K.  With
+    A word w in entry (a, b) of F has v(w) = (c(w), e_a, -e_b, 1), where
+    c_j(w) = #z_j - #z_j'.  F is invariant iff (e_1, 0) is not in the
+    rational span of the v(w), that is e_1 not in the span of the
+    differences v(w) - v(w0): then an integer (x, alpha, beta) with
+    x_1 != 0 makes x.c(w) + alpha_a - beta_b one constant K.  With
     mu^{x_1} = omega, conjugating by diag(prod_{j>=2} mu^{-x_j m_{j-1}})
     (z_j -> mu^{-x_j} z_j for j >= 2) with row phases mu^{-alpha_a} and
     column phases mu^{beta_b} maps block(1) to mu^{-K} block(omega); these
-    diagonal unitaries commute with the certified compression.  Decided by
-    comparing two exact integer ranks; n = 1 and scalars are the small
-    cases.
+    diagonal unitaries commute with the certified compression.  Decided
+    exactly by one echelon form (_echelon, every g = 1, c_1 last): some
+    P e_1 is in the lattice of the v(w) iff its last pivot row is 0 but in
+    the last column; n = 1 and scalars are the small cases.
     """
+    pivots = _echelon(sorted(set(_gauge_rows(MatPoly.of(f)))))
+    return not pivots or any(pivots[-1][0][:-1])
+
+
+def real_gauge(f: Union[NCPoly, MatPoly], q_val: float, M0: int
+               ) -> Tuple[Optional[List[float]], Optional[int]]:
+    """(beta, s0): gauge angles beta = (beta_1..beta_n, rows, columns,
+    constant) that make every coefficient of f real, and the axis s0 of
+    the boundary grid of order M0, each None where there is none (beta
+    None too when every coefficient is real already).
+
+    The gauge multiplies each word w in entry (a, b), v(w) as in
+    omega_invariant, by chi(v(w)) = exp(i beta . v(w)): z_j -> e^{i beta_j}
+    z_j, row phases, column phases and a global phase, each a diagonal
+    unitary in both families that commutes with the certified compression.
+    chi(v(w)) c_w is real, +-|c_w|, iff beta . v(w) = -arg c_w (mod pi):
+    the system of _gauge_rows at q_val, decided exactly by _echelon.
+
+    The axis asks for a gauge with M0 beta_1 = 0 (mod pi), so that
+    rho = e^{2 i beta_1} is the M0-th root of unity exp(2 pi i s0 / M0)
+    (see _schedules).  Back-substitution solves every other row for any
+    beta_1, so with c_1 last the beta_1 of the gauges are those with
+    P beta_1 = -arg g (mod pi) for the last pivot row (0, .., 0, P | g),
+    and every beta_1 when there is none.  The angle of a Gaussian integer
+    is a rational multiple of pi only when it is m pi / 4, g (1 - i)^m
+    real, so beta_1 = pi t / M0 needs 4 P t = -m M0 (mod 4 M0), solved
+    exactly in integers; no Gaussian integer grows with M0."""
     F = MatPoly.of(f)
-    k, l = F.shape
-    vectors = sorted({
-        _charges(word, F.n) + tuple(int(i == a) for i in range(k))
-        + tuple(-int(i == b) for i in range(l))
-        for a, row in enumerate(F.entries) for b, p in enumerate(row)
-        for word in p.terms})
-    if not vectors:
-        return True
-    diffs = [[x - y for x, y in zip(v, vectors[0])] for v in vectors[1:]]
-    e1 = [1] + [0] * (len(vectors[0]) - 1)
-    return _rank(diffs + [e1]) > _rank(diffs)
+    rows = _gauge_rows(F, q_val)
+    if not any(im for _, (_, im) in rows):
+        return None, 0
+    pivots = _echelon(rows)
+    if pivots is None:
+        return None, None
+    beta = _angles(pivots, F.n + sum(F.shape) + 1)
+    beta = beta[-1:] + beta[:-1]                # c_1 back in front
+    v, (re, im) = pivots[-1]
+    if any(v[:-1]):
+        return beta, 0                          # beta_1 = 0 is a gauge
+    # arg g = m pi / 4 (mod pi); None: no rational multiple of pi
+    m = {(re, 0): 0, (0, im): 2, (re, re): 1, (re, -re): 3}.get((re, im))
+    P, d = v[-1], 4 * math.gcd(v[-1], M0)
+    if m is None or m * M0 % d:
+        return beta, None
+    mod = M0 * 4 // d
+    return beta, -(m * M0 // d) * pow(P * 4 // d, -1, mod) % mod
 
 
 def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> float:
@@ -388,21 +507,32 @@ def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> fl
 
 def _nested_values(parts: Sequence[MatPoly], rep: RepMatrices, q_val: float,
                    L: int, schedule: Sequence[SchedulePoint], tol: float,
-                   charges: Optional[Sequence[int]] = None) -> List[float]:
+                   phases: Optional[Callable[[int], np.ndarray]] = None,
+                   beta: Optional[Sequence[float]] = None) -> List[float]:
     """The certified value of the stack of parts (words of length <= L) at
     each point (N, M) of a nested schedule, rep built at the last N: one
     rep_entries call, and each point's block is a leading principal
-    restriction of that stack (see _schedules).  With charges, part d has
-    z1-charge charges[d] and a point's value is the max over its M-th roots
-    of unity omega of sum_d omega^d part_d; without, the stack's value (one
-    phase row, M unused).  Each value is at least the one before it."""
+    restriction of that stack (see _schedules).  With phases, a point's
+    value is the max over the rows of phases(M) (operator_norm); without,
+    the stack's value.  With beta (real_gauge), rep's map of z_j is taken
+    times e^{i beta_j} and the stack times its tile and constant phases,
+    which makes it real up to rounding, and its real part is evaluated.
+    Each value is at least the one before it."""
     Ns = [N for N, _ in schedule]
     _check_trunc(Ns[0], L)
+    if beta is not None:
+        angle = np.asarray(beta)
+        rep = replace(rep, maps=[(t, w * z) for (t, w), z in
+                                 zip(rep.maps, np.exp(1j * angle))])
     A = rep_entries(parts, rep, q_val, certify_compression(rep, L))
     # each point's certified rows are a prefix of the last point's
     sizes = [len(certify_compression(rep, L + Ns[-1] - N)) for N in Ns]
     r = sizes[-1]
     k, l = A.shape[0] // r, A.shape[1] // r
+    if beta is not None:
+        angle = angle[rep.n:]                   # rows, columns, constant
+        tile = angle[A.rows // r] - angle[k + A.cols // r] + angle[-1]
+        A = A._replace(values=(A.values * np.exp(1j * tile)).real)
     values: List[float] = []
     value = 0.0
     for size, (_, M) in zip(sizes, schedule):
@@ -411,14 +541,9 @@ def _nested_values(parts: Sequence[MatPoly], rep: RepMatrices, q_val: float,
         block = Entries(rows // r * size + rows % r,
                         cols // r * size + cols % r, A.values[:, keep],
                         (k * size, l * size))
-        phases = None
-        if charges is not None:
-            # a real stack needs t <= M // 2 only; exp(2 pi i (t d mod M)
-            # / M): nested grids share exact phases
-            grid = np.arange(M // 2 + 1 if np.isrealobj(A.values) else M)
-            phases = np.exp(2j * np.pi * (np.outer(grid, charges) % M) / M)
         try:
-            value = max(value, operator_norm(block, tol, phases))
+            value = max(value, operator_norm(
+                block, tol, None if phases is None else phases(M)))
         except NormConvergenceError as exc:
             exc.last_value = max(exc.last_value, value)
             raise
@@ -467,14 +592,20 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
     of a node, hence sup <= value / (1 - pi K / M) when M > pi K (None
     where no bound is proved).
 
-    A non-invariant F whose stack is real (rep_entries gives float64: every
-    A_d real) evaluates the grid points t = 0..M // 2 only.  With
-    omega_t = exp(2 pi i t / M), conj(omega_t) = omega_{M-t}, and
-    P(omega_{M-t}) = sum_d conj(omega_t)^d A_d = conj(P(omega_t)), which
-    has the singular values of P(omega_t); every t in M // 2 + 1..M - 1
-    has its partner M - t in 1..M // 2, so the max over the half grid is
-    the max over all M nodes.  The grids stay nested: t -> k t sends
-    0..M // 2 into 0..kM // 2, the half grid at kM.
+    A non-invariant F with an axis (real_gauge at M0, the first grid
+    order) evaluates half its grid.  Let F' be F gauged by beta, with
+    real coefficients, and rho = e^{2 i beta_1} = omega_s, s = s0 M / M0.
+    The gauge is z1 -> e^{i beta_1} z1 and diagonal unitaries, so
+    block_F(e^{i beta_1} omega) has the singular values of
+    block_F'(omega); block_F'(conj omega) = conj(block_F'(omega)) has
+    the same ones, so block_F(nu) and block_F(rho conj nu) do, and
+    rho conj(omega_t) = omega_{s-t}.  This pairs t with s - t (mod M),
+    2t - s with s - 2t: of two partners, one has 2t - s mod 2M in [0, M]
+    (the other in (-M, 0) then), so the nodes with 0 <= 2t - s <= M give
+    the max over all M.  As s < M, they lie in 0..M - 1.  The grids stay
+    nested: at kM the axis is ks, and t -> kt sends 0 <= 2t - s <= M to
+    0 <= 2kt - ks <= kM.  A real F has beta = 0 and s = 0, the nodes
+    t = 0..M // 2; an F with no axis evaluates all M nodes.
     """
     if not schedule:
         raise ValueError("empty schedule")
@@ -488,6 +619,8 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
                 "N non-decreasing and each grid order dividing the next")
     L = F.degree()
     invariant = omega_invariant(F)
+    M0 = schedule[0][1]
+    beta, axis = real_gauge(F, q_val, M0)
     charge = {word: _charges(word, F.n)[0]
               for row in F.entries for p in row for word in p.terms}
     order = sorted(set(charge.values())) or [0]
@@ -495,8 +628,19 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
                                     if charge[w] == d}, p.den)
                        for p in row] for row in F.entries]) for d in order]
     K = (order[-1] - order[0]) / 2
+
+    def phases(M: int) -> np.ndarray:
+        # the nodes with 0 <= 2t - s <= M about the axis s, else all M;
+        # exp(2 pi i (t d mod M) / M): nested grids share exact phases
+        if axis is None:
+            t = np.arange(M)
+        else:
+            s = axis * M // M0
+            t = np.arange((s + 1) // 2, (s + M) // 2 + 1)
+        return np.exp(2j * np.pi * (np.outer(t, order) % M) / M)
+
     bdry = _nested_values(parts, boundary_block_generators(cfg, 1.0), q_val,
-                          L, schedule, tol, None if invariant else order)
+                          L, schedule, tol, None if invariant else phases)
     upper = [value if invariant else
              value / (1 - np.pi * K / M) if M > np.pi * K else None
              for value, (_, M) in zip(bdry, schedule)]
@@ -506,7 +650,7 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
     if not ball:
         return None, boundary
     fock = _nested_values([F], fock_generators(FockConfig(F.n, cfg.N, q_val)),
-                          q_val, L, schedule, tol)
+                          q_val, L, schedule, tol, beta=beta)
     values = [max(a, b) for a, b in zip(fock, bdry)]
     omega = {"invariant": invariant, "circle_upper": [
         None if u is None else max(a, u) for a, u in zip(fock, upper)]}

@@ -24,7 +24,11 @@ These are oracles only; no library code calls them.
   at every schedule point it builds both representations at that N,
   evaluates the whole certified block and takes its norm over the whole
   grid.  The library builds once per schedule, at the last N, and takes
-  each point's block as a restriction of that one.
+  each point's block as a restriction of that one.  Both take the same
+  per-input decisions: omega_invariant, and real_gauge's angles for the
+  Fock block and axis for the boundary nodes.  gauged_block applies the
+  angles to a dense block, tile by tile; the library applies them to the
+  maps and to the stack's values (norms._nested_values).
 * reference_pbw_gram is the PBW Gram probe pbw_gram_min_singular replaced:
   every canonical monomial's full dense Fock matrix flattened into one
   column of V, one SVD of all of V.  The library takes one SVD per charge
@@ -61,6 +65,7 @@ from qball.norms import (
     _check_trunc,
     omega_invariant,
     operator_norm,
+    real_gauge,
 )
 from qball.representations import (
     BoundaryConfig,
@@ -244,15 +249,36 @@ def reference_pbw_gram(n: int, max_degree: int, N: int, q_val: float) -> float:
     return float(s[-1] ** 2) if len(s) == V.shape[1] else 0.0
 
 
+def gauged_block(F: MatPoly, rep: RepMatrices, q_val: float,
+                 indices: np.ndarray, beta: Sequence[float]) -> np.ndarray:
+    """The dense block of F in rep, with the map of z_j times e^{i beta_j}
+    and each k x l tile times its row, column and constant phase: real up
+    to rounding when beta is a real gauge of F (norms.real_gauge)."""
+    k, l = F.shape
+    rows, cols = beta[F.n:F.n + k], beta[F.n + k:F.n + k + l]
+    gauged = RepMatrices(rep.n, [(t, w * z) for (t, w), z in
+                                 zip(rep.maps, np.exp(1j * np.asarray(beta)))],
+                         rep.dim, rep.levels, rep.cutoff)
+    return np.block([[rep_apply(p, gauged, q_val, indices)
+                      * cmath.exp(1j * (rows[a] - cols[b] + beta[-1]))
+                      for b, p in enumerate(row)]
+                     for a, row in enumerate(F.entries)])
+
+
 def reference_fock_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
-                         tol: float) -> float:
-    """The certified Fock value of f at one N, built and evaluated whole."""
+                         tol: float, beta: Optional[Sequence[float]] = None
+                         ) -> float:
+    """The certified Fock value of f at one N, built and evaluated whole;
+    with gauge angles beta, the real part of the gauged block."""
     F = MatPoly.of(f)
     degree = F.degree()
     _check_trunc(N, degree)
     rep = fock_generators(FockConfig(F.n, N, q_val))
+    indices = certify_compression(rep, degree)
+    if beta is None:
+        return operator_norm(rep_entries([F], rep, q_val, indices), tol)
     return operator_norm(
-        rep_entries([F], rep, q_val, certify_compression(rep, degree)), tol)
+        entries_of(gauged_block(F, rep, q_val, indices, beta).real), tol)
 
 
 def reference_schedules(f: Union[NCPoly, MatPoly], q_val: float,
@@ -261,13 +287,16 @@ def reference_schedules(f: Union[NCPoly, MatPoly], q_val: float,
                         ) -> Tuple[Optional[NormEstimate], NormEstimate]:
     """Ball (if asked) and boundary schedules of f, one point at a time:
     each point builds its own omega = 1 block and Fock representation and
-    takes the norm of the whole certified block over its whole grid (the
-    half grid for a real stack)."""
+    takes the norm of the whole certified block (gauged real when
+    real_gauge gives angles) over its whole grid (the half grid about the
+    axis when real_gauge gives one)."""
     if not schedule:
         raise ValueError("empty schedule")
     F = MatPoly.of(f)
     L = F.degree()
     invariant = omega_invariant(F)
+    M0 = schedule[0][1]
+    beta, axis = real_gauge(F, q_val, M0)
     charge = {word: _charges(word, F.n)[0]
               for row in F.entries for p in row for word in p.terms}
     order = sorted(set(charge.values())) or [0]
@@ -285,16 +314,17 @@ def reference_schedules(f: Union[NCPoly, MatPoly], q_val: float,
         if invariant:
             phases = None
         else:
-            # a real stack needs t <= M // 2 only; exp(2 pi i (t d mod M)
-            # / M): nested grids share exact phases
-            grid = np.arange(M // 2 + 1 if np.isrealobj(A.values) else M)
+            # the nodes 0 <= 2t - s <= M about the axis s, else all M;
+            # exp(2 pi i (t d mod M) / M): nested grids share exact phases
+            s = None if axis is None else axis * M // M0
+            grid = [t for t in range(M) if s is None or 0 <= 2 * t - s <= M]
             phases = np.exp(2j * np.pi * (np.outer(grid, order) % M) / M)
         value = operator_norm(A, tol, phases)
         bdry.append(value)
         bound = value / (1 - np.pi * K / M) if M > np.pi * K else None
         upper.append(value if invariant else bound)
         if ball:
-            fock.append(reference_fock_value(F, q_val, N, tol))
+            fock.append(reference_fock_value(F, q_val, N, tol, beta))
     params = [{"N": N, "M": M} for N, M in schedule]
     boundary = NormEstimate.from_values(
         params, bdry, tol, {"invariant": invariant, "circle_upper": upper})

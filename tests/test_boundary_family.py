@@ -30,13 +30,20 @@ from qball.norms import (
 from qball.parsing import parse_expression
 from qball.representations import (
     BoundaryConfig,
+    FockConfig,
     boundary_block_generators,
     certify_compression,
+    fock_generators,
     rep_apply,
 )
 from qball.sampling import random_poly
 
-from oracles import circle_grid_max, fraction_constant, reference_schedules
+from oracles import (
+    circle_grid_max,
+    fraction_constant,
+    gauged_block,
+    reference_schedules,
+)
 
 Q = 0.5
 TOL = 1e-12
@@ -82,10 +89,12 @@ def test_boundary_matrix_value_matches_per_omega_oracle(text, n):
 def test_chunking_and_dense_limit_fallback(monkeypatch, batch_bytes,
                                            dense_limit):
     """One block per batch, and a component above the dense limit going
-    through svds once per omega evaluated, give the batched value.  Both
-    inputs are not omega-invariant; the real one evaluates only the grid
-    points t <= M // 2, since block(conj omega) = conj(block(omega)), and
-    the complex one all 16."""
+    through svds once per omega evaluated, give the batched value.  No
+    input is omega-invariant.  The real one evaluates only the grid points
+    t <= M // 2, since block(conj omega) = conj(block(omega)); the second
+    is real after a gauge with rho(e_1) = -1, s = 8, and evaluates the
+    nodes t = 4..12; the third has no gauge (two words of charge 0 whose
+    phases differ by pi / 2) and evaluates all 16."""
     calls = []
     svds = scipy.sparse.linalg.svds
 
@@ -94,7 +103,8 @@ def test_chunking_and_dense_limit_fallback(monkeypatch, batch_bytes,
         return svds(A, *args, **kwargs)
 
     for text, blocks in (("z1 + z2*z1' + q*z2'*z2", 9),
-                         ("i*z1 + z2*z1' + q*z2'*z2", 16)):
+                         ("i*z1 + z2*z1' + q*z2'*z2", 9),
+                         ("i*z1 + z2*z1' + q*z2'*z2 + i*z1'*z1", 16)):
         f = parse_expression(text, 2)
         expected = boundary_norm(f, Q, [(6, 16)]).final
         with monkeypatch.context() as patch:
@@ -391,3 +401,175 @@ def test_convergence_error_carries_the_value_before_it(monkeypatch):
     with pytest.raises(NormConvergenceError) as err:
         boundary_norm(f, Q, [(3, 1), (5, 1)])
     assert first > 0 and err.value.last_value == first
+
+
+# -- real gauges: a diagonal unitary that makes every coefficient real ---
+
+def dense_fock_value(F, q_val, N):
+    """The certified Fock block of F at N, complex, by a dense SVD."""
+    rep = fock_generators(FockConfig(F.n, N, q_val))
+    indices = certify_compression(rep, F.degree())
+    return float(np.linalg.norm(np.block(
+        [[rep_apply(p, rep, q_val, indices) for p in row]
+         for row in F.entries]), 2))
+
+
+def test_gauge_with_an_axis():
+    """beta . v(w) = -arg c_w (mod pi) for (1-i)*z2, 1/2*z1*z2, i*z2*z2:
+    beta_2 = pi/4 (mod pi), beta_1 = -pi/4, so rho(e_1) = -i = omega_s
+    with s = 3M/4, and the gauged coefficients are real."""
+    F = parse_expression("(1-i)*z2 + 1/2*z1*z2 + i*z2*z2", 2)
+    assert norms.real_gauge(F, 0.75, 2)[1] is None
+    for M0 in (4, 8, 64, 128):
+        beta, axis = norms.real_gauge(F, 0.75, M0)
+        assert axis == 3 * M0 // 4
+        assert cmath.exp(2j * beta[0]) == pytest.approx(-1j, abs=1e-15)
+    # beta = (beta_1, beta_2, row, column, constant); a scalar's one
+    # entry (0, 0) has the row and column phases e^{i(beta_3 - beta_4)}
+    for c, word in ((1 - 1j, "z2"), (0.5, "z1*z2"), (1j, "z2*z2")):
+        v = charges(next(iter(parse_expression(word, 2).terms)), 2) + [
+            1, -1, 1]
+        assert abs((c * cmath.exp(1j * np.dot(beta, v))).imag) < 1e-15
+
+
+def test_an_axis_for_two_gauges():
+    """i*z1*z1 + 1: 2 beta_1 = -pi/2 (mod pi), so beta_1 = pi/4 or 3pi/4
+    and rho = i or -i, a 4th root of unity: no axis at M0 = 2, s0 = M0/4
+    from 4 on, and the nodes about it give the full-grid max."""
+    f = parse_expression("i*z1*z1 + 1", 1)
+    assert [norms.real_gauge(f, Q, M0)[1] for M0 in (1, 2, 4, 8, 32)] == [
+        None, None, 1, 2, 8]
+    for M in (4, 8, 32):
+        assert boundary_norm(f, Q, [(3, M)]).final == pytest.approx(
+            per_omega_value(f, Q, 3, M), rel=1e-14)
+
+
+def test_the_axis_pairs_the_nodes():
+    """At q = 3/4, N = 10, M = 64, rho(e_1) = -i and s = 48: the block
+    norm at node t is that at s - t, to rounding, but not that at -t.  So
+    the nodes 24..56 about the axis give the full-grid max, which the
+    half grid about 0 misses."""
+    f = parse_expression("(1-i)*z2 + 1/2*z1*z2 + i*z2*z2", 2)
+    cfg = BoundaryConfig(n=2, N=10, M=64, q_val=0.75)
+    sigma = []
+    for t in range(64):
+        rep = boundary_block_generators(cfg, cmath.exp(2j * cmath.pi * t / 64))
+        sigma.append(np.linalg.norm(rep_apply(
+            f, rep, 0.75, certify_compression(rep, 2)), 2))
+    sigma = np.array(sigma)
+    t = np.arange(64)
+    assert np.abs(sigma - sigma[(48 - t) % 64]).max() <= 1e-14
+    assert np.abs(sigma - sigma[-t % 64]).max() > 0.1
+    assert sigma[:33].max() < sigma.max() - 0.02
+    assert boundary_norm(f, 0.75, [(10, 64)]).final == pytest.approx(
+        sigma.max(), rel=1e-14)
+
+
+@pytest.mark.parametrize("text, n", [
+    ("(-1)*z1 + i*z1'*z1 + 1*z1*z1'", 1),   # two charge-0 phases, pi/2 apart
+    ("1/2*z3 + i*z3'*z3' + 2*z2*z2'", 3),   # 2v(z3) + v(z3'z3') - 3v(z2z2') = 0
+    ("(2*q-1)*i*z1'*z1 + z1 + z1*z1'", 1),  # at q = 2/3: as the first
+])
+def test_no_gauge(text, n):
+    assert norms.real_gauge(parse_expression(text, n), 2 / 3, 64) == (
+        None, None)
+
+
+def test_gauge_without_an_axis():
+    """(1+2i)*z1 + z1*z1: beta_1 = arg(1+2i) (mod pi), so rho(e_1) =
+    (1+2i)^2/5 = (-3+4i)/5, no root of unity: the Fock side gauges, the
+    boundary evaluates every node."""
+    beta, axis = norms.real_gauge(parse_expression("(1+2*i)*z1 + z1*z1", 1),
+                                  0.5, 64)
+    assert axis is None
+    assert cmath.exp(2j * beta[0]) == pytest.approx((-3 + 4j) / 5, abs=1e-15)
+
+
+@pytest.mark.parametrize("text, n", [
+    ("(2*q-1)*i*z1 + z1*z2", 2),
+    ("(2*q-1)*i*z1'*z1 + z1 + z1*z1'", 1),
+])
+def test_a_coefficient_zero_at_q_is_skipped(text, n):
+    """At q = 1/2 the complex word is 0, the rest real: beta = 0, axis 0."""
+    assert norms.real_gauge(parse_expression(text, n), 0.5, 64) == (None, 0)
+
+
+def test_real_inputs_keep_the_half_grid(monkeypatch):
+    """All-real coefficients: beta = 0 and axis 0, so the Fock stack stays
+    as rep_entries gives it and the boundary evaluates t = 0..M // 2.  A
+    gauged input evaluates the nodes 0 <= 2t - s <= M about its axis."""
+    grids = []
+    kernel = norms.operator_norm
+
+    def recorded(A, tol, phases=None):
+        grids.append(phases)
+        return kernel(A, tol, phases)
+
+    def nodes(text, q_val, d):
+        """The nodes t of each point of a (4, 16), (6, 32) schedule, read
+        from the phases' column of z1-charge 1, d = that column."""
+        grids.clear()
+        boundary_norm(parse_expression(text, 2), q_val, [(4, 16), (6, 32)])
+        return [(np.round(np.angle(p[:, d]) * M / (2 * np.pi)) % M).tolist()
+                for p, M in zip(grids, (16, 32))]
+
+    monkeypatch.setattr(norms, "operator_norm", recorded)
+    real = "z1 + z2*z1' + q*z2'*z2"             # charges -1, 0, 1
+    assert norms.real_gauge(parse_expression(real, 2), Q, 16) == (None, 0)
+    assert nodes(real, Q, 2) == [list(range(9)), list(range(17))]
+    # rho(e_1) = -i: s = 12 at M = 16, s = 24 at M = 32; charges 0, 1
+    gauged = "(1-i)*z2 + 1/2*z1*z2 + i*z2*z2"
+    assert nodes(gauged, 0.75, 1) == [list(range(6, 15)),
+                                      list(range(12, 29))]
+
+
+COEFFS = ["1", "(-1)", "i", "(-i)", "(1+i)", "(1-i)", "1/2", "2"]
+
+
+@st.composite
+def small_phase_inputs(draw):
+    """A scalar or 2 x 2 matrix, n <= 3, of 1 to 3 words per entry of
+    <= 3 letters, each coefficient from {+-1, +-i, 1+-i, 1/2, 2} q^k."""
+    n = draw(st.integers(1, 3))
+    size = draw(st.sampled_from([1, 2]))
+    letter = st.tuples(st.integers(1, n), st.booleans()).map(
+        lambda x: f"z{x[0]}" + ("'" if x[1] else ""))
+
+    def entry():
+        terms = draw(st.lists(st.tuples(
+            st.sampled_from(COEFFS), st.integers(-1, 2),
+            st.lists(letter, max_size=3)), min_size=1, max_size=3))
+        return " + ".join(f"{c}*q^{e}*" + ("*".join(w) or "1")
+                          for c, e, w in terms)
+
+    if size == 1:
+        return parse_expression(entry(), n)
+    return parse_expression(
+        "[" + "; ".join(", ".join(entry() for _ in range(2))
+                        for _ in range(2)) + "]", n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=small_phase_inputs(), extra=st.integers(1, 2),
+       M=st.sampled_from([1, 2, 4, 8, 12, 16]))
+def test_gauged_values_equal_the_complex_full_grid(f, extra, M):
+    """Whenever a gauge exists, the gauged Fock value and the boundary
+    value over the nodes about the axis equal the ungauged complex values
+    (dense SVD, every node) to 1e-13 relative, and the imaginary parts the
+    gauge drops are below 1e-14 of the largest entry."""
+    F = MatPoly.of(f)
+    beta, axis = norms.real_gauge(F, Q, M)
+    if beta is None and axis is None:
+        return                      # no gauge: the complex path
+    N = F.degree() + extra
+    want = dense_fock_value(F, Q, N)
+    assert fock_certified_value(F, Q, N) == pytest.approx(want, rel=1e-13,
+                                                          abs=0)
+    if beta is not None:
+        rep = fock_generators(FockConfig(F.n, N, Q))
+        block = gauged_block(F, rep, Q, certify_compression(rep, F.degree()),
+                             beta)
+        assert np.abs(block.imag).max() <= 1e-14 * np.abs(block).max()
+    if not omega_invariant(F):
+        assert boundary_norm(F, Q, [(N, M)]).final == pytest.approx(
+            per_omega_value(F, Q, N, M), rel=1e-13, abs=1e-300)
