@@ -17,7 +17,10 @@ rule_sites and apply_rule are the rule table; the single-step path
 (reduce_step, normalize_by_steps) applies it one instance at a time.
 normalize instead folds a word's letters into the PBW product table, which
 _times_letter gives in closed form, and takes only R5 from the rules, so
-confluent compares two independent codes.  Coefficients lie in Z[q, q^-1]
+confluent compares two independent codes.  An input at which no step has
+two or more candidates is stepped once, by the leftmost run: every
+strategy takes the one candidate there is, so the other runs would repeat
+it step for step.  Coefficients lie in Z[q, q^-1]
 until normalize applies the input's own Gaussian-rational ones, once, to
 its lifted state (NCPoly.terms over NCPoly.den), which is never changed.
 pbw_product is the product of the quotient, u, v -> NF(uv), which qball
@@ -283,15 +286,24 @@ def reduce_step(p: NCPoly, ctx: AlgebraContext, strategy: str = LEFTMOST,
 _MAX_STEPS = 200000
 
 
+def _has_choice(pending: State, sites: Sites) -> bool:
+    """Whether a step from pending has two or more candidates."""
+    return len(pending) > 1 or any(len(sites[w]) > 1 for w in pending)
+
+
 def _fixed_point(terms: State, ctx: AlgebraContext, strategy: str,
-                 seed: Optional[int], max_steps: int, sites: Sites) -> State:
+                 seed: Optional[int], max_steps: int,
+                 sites: Sites) -> Tuple[State, bool]:
     """Step a copy of terms until no pending word is left, and return its
-    canonical part.  sites memoizes rule_sites for several runs."""
+    canonical part and whether some step had two or more candidates.
+    sites memoizes rule_sites for several runs."""
     rng = random.Random(seed) if strategy == RANDOM else None
     pending, canonical = _split(terms, ctx, sites)
+    chose = False
     for _ in range(max_steps + 1):
+        chose = chose or _has_choice(pending, sites)
         if not _step(pending, canonical, ctx, strategy, rng, sites):
-            return canonical
+            return canonical, chose
     raise RuntimeError(f"no fixed point within {max_steps} steps")
 
 
@@ -304,7 +316,7 @@ def normalize_by_steps(p: NCPoly, ctx: AlgebraContext,
     on a copy of p's lifted state; RuntimeError after max_steps steps."""
     _check_step_args(p, ctx, strategy, seed, "a seed")
     return NCPoly(ctx.n, _fixed_point(p.terms, ctx, strategy, seed,
-                                      max_steps, {}), p.den)
+                                      max_steps, {})[0], p.den)
 
 
 # The (strategy, seed) runs that confluent compares with normalize.
@@ -315,14 +327,26 @@ CONFLUENCE_RUNS = ((LEFTMOST, None), (RIGHTMOST, None),
 def confluent(p: NCPoly, ctx: AlgebraContext) -> bool:
     """Whether every run of CONFLUENCE_RUNS reaches normalize's normal form,
     compared exactly as lifted states over p's one denominator.  The runs
-    share one rule_sites memo, so each word is classified once."""
+    share one rule_sites memo, so each word is classified once.
+
+    The first run, leftmost, goes alone first, and if none of its steps had
+    two or more candidates, its comparison is the answer.  At a step with
+    one candidate, leftmost takes the first, rightmost the last and random
+    rng.choice of a one-element list, so every strategy takes that one.  By
+    induction on the steps, every run then visits the same states and takes
+    the same steps to the same fixed point, or to the same max_steps error.
+    About two inputs in three of confluence-fuzz have no choice."""
     if p.n != ctx.n:
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
     expected = _normal_state(p.terms, ctx)
     sites: Sites = {}
-    return all(_fixed_point(p.terms, ctx, strategy, seed, _MAX_STEPS,
-                            sites) == expected
-               for strategy, seed in CONFLUENCE_RUNS)
+    (strategy, seed), *others = CONFLUENCE_RUNS
+    reached, chose = _fixed_point(p.terms, ctx, strategy, seed, _MAX_STEPS,
+                                  sites)
+    return reached == expected and (not chose or all(
+        _fixed_point(p.terms, ctx, strategy, seed, _MAX_STEPS,
+                     sites)[0] == expected
+        for strategy, seed in others))
 
 
 # -- misc -------------------------------------------------------------

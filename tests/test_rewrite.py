@@ -88,14 +88,12 @@ def test_is_holomorphic():
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
 def test_confluence_strategies(mode):
     rng = random.Random(13)
-    strategies = [("leftmost", None), ("rightmost", None),
-                  ("random", 0), ("random", 1), ("random", 2)]
     for _ in range(40):
         n = rng.randint(1, 3)
         ctx = AlgebraContext(n, mode)
         p = random_poly(rng, n)
         expected = normalize(p, ctx)
-        for strategy, seed in strategies:
+        for strategy, seed in rewrite.CONFLUENCE_RUNS:
             assert normalize_by_steps(p, ctx, strategy, seed) == expected
 
 
@@ -118,6 +116,25 @@ def test_confluent_classifies_each_word_once(mode, monkeypatch):
         calls.clear()
         assert confluent(random_poly(rng, n), AlgebraContext(n, mode))
         assert max(calls.values(), default=1) == 1
+
+
+@pytest.mark.parametrize("mode", [BALL, SPHERE])
+@pytest.mark.parametrize("text, runs", [("z2'*z1", 1), ("z2*z1 + z1'*z1", 5),
+                                        ("z2'*z2*z1", 5)])
+def test_confluent_steps_an_input_without_choice_once(mode, text, runs,
+                                                      monkeypatch):
+    # z2'*z1 meets one candidate at each step, R3 and nothing else; the
+    # other two start with two candidates, two words or two sites.
+    stepped = []
+    real = rewrite._fixed_point
+
+    def counting(terms, ctx, strategy, seed, max_steps, sites):
+        stepped.append((strategy, seed))
+        return real(terms, ctx, strategy, seed, max_steps, sites)
+
+    monkeypatch.setattr(rewrite, "_fixed_point", counting)
+    assert confluent(parse_expression(text, 2), AlgebraContext(2, mode))
+    assert stepped == list(rewrite.CONFLUENCE_RUNS[:runs])
 
 
 @pytest.mark.parametrize("mode", [BALL, SPHERE])

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from oracles import fraction_constant, reference_step
 from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly
 from qball.parsing import parse_expression
-from qball.rewrite import normalize, normalize_by_steps, reduce_step
+from qball.rewrite import (CONFLUENCE_RUNS, normalize, normalize_by_steps,
+                           reduce_step, rule_sites)
 
 # (strategy, seed) pairs run by confluence-fuzz.
-CLI_STRATEGIES = [("leftmost", None), ("rightmost", None),
-                  ("random", 0), ("random", 1), ("random", 2)]
+CLI_STRATEGIES = list(CONFLUENCE_RUNS)
 
 
 @st.composite
@@ -86,6 +86,19 @@ def test_step_budget_matches_reference(case):
         with pytest.raises(RuntimeError):
             normalize_by_steps(p, ctx, strategy, seed, max_steps=steps - 1)
 
+
+@settings(max_examples=150)
+@given(cases())
+def test_runs_without_choice_share_one_trajectory(case):
+    # confluent steps only the leftmost run when none of its steps has two
+    # or more candidates: every strategy must then visit the same states.
+    ctx, p, _, _ = case
+    path = reference_trajectory(p, ctx, "leftmost", None)
+    if any(sum(len(rule_sites(w, ctx)) for w in poly.terms) != 1
+           for poly in path[:-1]):
+        return
+    for strategy, seed in CLI_STRATEGIES:
+        assert reference_trajectory(p, ctx, strategy, seed) == path
 
 
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
