@@ -196,8 +196,9 @@ def _parse_q(text: str) -> float:
 
 
 def _parse_trunc(text: str) -> List[int]:
+    # an empty text is an empty schedule, an empty entry an error
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [int(p) for p in text.split(",")] if text.strip() else []
     except ValueError as exc:
         raise ParseError(f"bad truncation schedule {text!r}", 0) from exc
 

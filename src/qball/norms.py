@@ -58,46 +58,46 @@ and boundary_norm may be either, so matrix levels are these same calls.
 
 The gauge torus z_j -> lambda_j z_j, with row and column phases on a
 matrix and a global phase, acts in both families by diagonal unitaries,
-which commute with the certified compression and change no norm.  When
-omega_invariant(F) holds (an exact rank test on the charge vectors of F's
-words), every boundary block is a phase times a unitary conjugate of the
-omega = 1 block, so that one block is evaluated and its value is the sup
-over the whole circle.  For any other input a schedule reports, per
-point, the whole-circle upper bound grid max / (1 - pi K / M) when
-M > pi K, where 2K is the spread of the z1-charges (Bernstein's
-inequality; every angle lies within pi / M of a node).  The bracket
-covers the omega discretisation at fixed N only.
-
-real_gauge(F) decides exactly, in Q(i) at the exact ratio of the float q,
-whether some gauge makes every coefficient of F real; one integer row
-reduction (_echelon) answers this and omega_invariant.  The angles beta
-are floats.  With them the Fock side multiplies the map of z_j by
-e^{i beta_j} and the stack by its tile and constant phases, drops the
-imaginary parts (rounding only, tested below 1e-14 of the largest entry)
-and goes to the real kernel.  On the boundary side, the gauged F' has
-real coefficients, so block_F'(conj omega) = conj(block_F'(omega)) has
-the singular values of block_F'(omega); undoing the gauge, block_F(omega)
-and block_F(rho conj omega) have the same ones, rho = e^{2 i beta_1}.
-When rho is the M-th root of unity omega_s, conj(omega_t) rho =
-omega_{s-t}, so the nodes t with 0 <= 2t - s <= M give the max over all
-M (the proof is in _schedules).  A real F has beta = 0 and s = 0: the
-Fock stack is the one rep_entries gives and the nodes are t = 0..M // 2.
-An F with no gauge takes complex arithmetic and every node, and an F
-whose rho is no root of unity of the first grid order every node.
+which commute with the certified compression and change no norm.  One
+exact decision per input, gauge(F), answers every gauge question by one
+integer row reduction (_echelon) over the charge vectors of the words of F
+whose coefficient is nonzero at the exact ratio of the float q (the others
+add exact zeros to every block).  When F is omega-invariant, every
+boundary block is a phase times a unitary conjugate of the omega = 1
+block, so that one block is evaluated and its value is the sup over the
+whole circle.  For any other input a schedule reports, per point, the
+whole-circle upper bound grid max / (1 - pi K / M) when M > pi K, where 2K
+is the spread of the z1-charges of those words (Bernstein's inequality;
+every angle lies within pi / M of a node); the bracket covers the omega
+discretisation at fixed N only.  gauge also decides, in Q(i), whether
+some gauge makes every coefficient real, and gives float angles beta.
+With them the Fock side multiplies the map of z_j by e^{i beta_j} and
+the stack by its tile and constant phases, drops the imaginary parts
+(rounding only, tested below 1e-14 of the largest entry) and goes to the
+real kernel.  On the boundary side, the gauged F' has real coefficients,
+so block_F'(conj omega) = conj(block_F'(omega)) has the singular values
+of block_F'(omega); undoing the gauge, block_F(omega) and
+block_F(rho conj omega) have the same ones, rho = e^{2 i beta_1}.  When
+rho is the M-th root of unity omega_s, conj(omega_t) rho = omega_{s-t},
+so the nodes t with 0 <= 2t - s <= M give the max over all M (the proof
+is in _schedules).  A real F has beta = 0 and s = 0: the Fock stack is
+the one rep_entries gives and the nodes are t = 0..M // 2.  An F with no
+gauge takes complex arithmetic and every node, and an F whose rho is no
+root of unity of the first grid order every node.
 
 Every schedule is one pass (_schedules), over a nested schedule: N
 non-decreasing and each grid order M dividing the next.  Once per input it
-finds F's degree, omega_invariant(F) and its part of each z1-charge d (a
-MatPoly).  Once per side it builds the representation at the last N (the
-omega = 1 block, or the Fock representation for the ball side) and makes
-one rep_entries call: the stack of the A_d over the union of their
-patterns.  Each point's certified block is a leading principal
-restriction of that stack, bit for bit, and each point's grid a subgroup
-of the next one's, so the value before a point is a lower bound for it;
-each point's value is the max of that and the norm of its own block over
-its own grid (the proof is in _schedules), and the values never
-decrease.  A maximum-principle report is that one pass with both sides; a
-single-point value is a one-point schedule.
+finds F's degree, gauge(F) and the part of each z1-charge d (a MatPoly)
+of its words nonzero at q.  Once per side it builds the representation
+at the last N (the omega = 1 block, or the Fock representation for the
+ball side) and makes one rep_entries call: the stack of the A_d over
+the union of their patterns.  Each point's certified block is a leading
+principal restriction of that stack, bit for bit, and each point's grid
+a subgroup of the next one's, so the value before a point is a lower
+bound for it; each point's value is the max of that and the norm of its
+own block over its own grid (the proof is in _schedules), and the values
+never decrease.  A maximum-principle report is that one pass with both
+sides; a single-point value is a one-point schedule.
 """
 
 from __future__ import annotations
@@ -338,7 +338,7 @@ def fock_certified_value(f: Union[NCPoly, MatPoly], q_val: float, N: int,
     F = MatPoly.of(f)
     return _nested_values([F], fock_generators(FockConfig(F.n, N, q_val)),
                           q_val, F.degree(), [(N, 1)], tol,
-                          beta=real_gauge(F, q_val, 1)[0])[0]
+                          beta=gauge(F, q_val, 1)[1])[0]
 
 
 def _charges(word, n: int) -> Tuple[int, ...]:
@@ -352,12 +352,12 @@ def _charges(word, n: int) -> Tuple[int, ...]:
 GaugeRow = Tuple[Tuple[int, ...], Tuple[int, int]]
 
 
-def _gauge_rows(F: MatPoly, q_val: Optional[float] = None) -> List[GaugeRow]:
-    """One row per word w of F, in entry (a, b): v(w) = (c(w), e_a, -e_b, 1)
-    with c_j(w) = #z_j - #z_j', but with c_1 moved to the last column, and
-    g = 1 without q_val, else den times w's coefficient at the exact ratio
-    of q_val, times a positive integer (coefficient_numerators); a word
-    whose coefficient is 0 there has no row."""
+def _gauge_rows(F: MatPoly, q_val: float) -> List[GaugeRow]:
+    """One row per word w of F whose coefficient is not 0 at the exact
+    ratio of q_val, in entry (a, b): v(w) = (c(w), e_a, -e_b, 1) with
+    c_j(w) = #z_j - #z_j', but with c_1 moved to the last column, and g
+    den times w's coefficient there, times a positive integer
+    (coefficient_numerators)."""
     k, l = F.shape
     rows = []
     for a, row in enumerate(F.entries):
@@ -365,8 +365,7 @@ def _gauge_rows(F: MatPoly, q_val: Optional[float] = None) -> List[GaugeRow]:
             tile = (tuple(int(i == a) for i in range(k))
                     + tuple(-int(i == b) for i in range(l)) + (1,))
             for word, coeff in p.terms.items():
-                re, im, _ = ((1, 0, 1) if q_val is None else
-                             coefficient_numerators(coeff, p.den, q_val))
+                re, im, _ = coefficient_numerators(coeff, p.den, q_val)
                 if re or im:
                     c = _charges(word, F.n)
                     rows.append((c[1:] + tile + c[:1], (re, im)))
@@ -377,9 +376,9 @@ def _gauss_mul(g: Tuple[int, int], h: Tuple[int, int]) -> Tuple[int, int]:
     return g[0] * h[0] - g[1] * h[1], g[0] * h[1] + g[1] * h[0]
 
 
-def _echelon(rows: List[GaugeRow]) -> Optional[List[GaugeRow]]:
-    """An echelon form of the rows by integer Euclid steps, or None when the
-    system beta . v = -arg g (mod pi) has no real solution beta.
+def _echelon(rows: List[GaugeRow]) -> Tuple[List[GaugeRow], bool]:
+    """An echelon form of the rows by integer Euclid steps, and whether the
+    system beta . v = -arg g (mod pi) has a real solution beta.
 
     A step takes (v, g) - k (v', g') to (v - k v', g conj(g')^k), with
     g g'^|k| for k < 0 (the same up to a positive factor): then
@@ -408,7 +407,7 @@ def _echelon(rows: List[GaugeRow]) -> Optional[List[GaugeRow]]:
             rows += [row for row in reduced if not row[0][j]]
             live = live[:1] + [row for row in reduced if row[0][j]]
         pivots += live
-    return pivots if all(g[1] == 0 for _, g in rows) else None
+    return pivots, all(g[1] == 0 for _, g in rows)
 
 
 def _angles(pivots: List[GaugeRow], width: int) -> List[float]:
@@ -426,70 +425,67 @@ def _angles(pivots: List[GaugeRow], width: int) -> List[float]:
     return beta
 
 
-def omega_invariant(f: Union[NCPoly, MatPoly]) -> bool:
-    """Whether every boundary block of f is a phase times a unitary
-    conjugate of the omega = 1 block, so that block alone gives the sup
-    over the whole circle.
+def gauge(f: Union[NCPoly, MatPoly], q_val: float, M0: int
+          ) -> Tuple[bool, Optional[List[float]], Optional[int]]:
+    """(invariant, beta, s0) for f at q_val, all read off one echelon form
+    (_echelon) of the rows of _gauge_rows.  A word whose coefficient is 0
+    at the exact ratio of q_val has no row: it adds exact zeros to every
+    block.
 
-    A word w in entry (a, b) of F has v(w) = (c(w), e_a, -e_b, 1), where
-    c_j(w) = #z_j - #z_j'.  F is invariant iff (e_1, 0) is not in the
-    rational span of the v(w), that is e_1 not in the span of the
-    differences v(w) - v(w0): then an integer (x, alpha, beta) with
-    x_1 != 0 makes x.c(w) + alpha_a - beta_b one constant K.  With
-    mu^{x_1} = omega, conjugating by diag(prod_{j>=2} mu^{-x_j m_{j-1}})
-    (z_j -> mu^{-x_j} z_j for j >= 2) with row phases mu^{-alpha_a} and
-    column phases mu^{beta_b} maps block(1) to mu^{-K} block(omega); these
-    diagonal unitaries commute with the certified compression.  Decided
-    exactly by one echelon form (_echelon, every g = 1, c_1 last): some
-    P e_1 is in the lattice of the v(w) iff its last pivot row is 0 but in
-    the last column; n = 1 and scalars are the small cases.
-    """
-    pivots = _echelon(sorted(set(_gauge_rows(MatPoly.of(f)))))
-    return not pivots or any(pivots[-1][0][:-1])
+    invariant: whether every boundary block of f is a phase times a
+    unitary conjugate of the omega = 1 block, so that block alone gives
+    the sup over the whole circle.  A word w in entry (a, b) of F has
+    v(w) = (c(w), e_a, -e_b, 1), where c_j(w) = #z_j - #z_j'.  F is
+    invariant iff (e_1, 0) is not in the rational span of the v(w), that is
+    e_1 not in the span of the differences v(w) - v(w0): then an integer
+    (x, alpha, gamma) with x_1 != 0 makes x.c(w) + alpha_a - gamma_b one
+    constant K.  With mu^{x_1} = omega, conjugating by
+    diag(prod_{j>=2} mu^{-x_j m_{j-1}}) (z_j -> mu^{-x_j} z_j for j >= 2)
+    with row phases mu^{-alpha_a} and column phases mu^{gamma_b} maps
+    block(1) to mu^{-K} block(omega); these diagonal unitaries commute with
+    the certified compression.  With c_1 last, some P e_1 is in the
+    lattice of the v(w) iff the last pivot row is 0 but in the last
+    column; n = 1, scalars and an f with no row are the small cases.
 
+    beta: gauge angles (beta_1..beta_n, rows, columns, constant) that make
+    every coefficient of f real, None where there is none and where every
+    coefficient is real already.  The gauge multiplies w by
+    chi(v(w)) = exp(i beta . v(w)): z_j -> e^{i beta_j} z_j, row phases,
+    column phases and a global phase, each a diagonal unitary in both
+    families that commutes with the certified compression.
+    chi(v(w)) c_w is real, +-|c_w|, iff beta . v(w) = -arg c_w (mod pi),
+    the system of the rows.
 
-def real_gauge(f: Union[NCPoly, MatPoly], q_val: float, M0: int
-               ) -> Tuple[Optional[List[float]], Optional[int]]:
-    """(beta, s0): gauge angles beta = (beta_1..beta_n, rows, columns,
-    constant) that make every coefficient of f real, and the axis s0 of
-    the boundary grid of order M0, each None where there is none (beta
-    None too when every coefficient is real already).
-
-    The gauge multiplies each word w in entry (a, b), v(w) as in
-    omega_invariant, by chi(v(w)) = exp(i beta . v(w)): z_j -> e^{i beta_j}
-    z_j, row phases, column phases and a global phase, each a diagonal
-    unitary in both families that commutes with the certified compression.
-    chi(v(w)) c_w is real, +-|c_w|, iff beta . v(w) = -arg c_w (mod pi):
-    the system of _gauge_rows at q_val, decided exactly by _echelon.
-
-    The axis asks for a gauge with M0 beta_1 = 0 (mod pi), so that
-    rho = e^{2 i beta_1} is the M0-th root of unity exp(2 pi i s0 / M0)
-    (see _schedules).  Back-substitution solves every other row for any
+    s0: the axis of the boundary grid of order M0 (see _schedules), None
+    where there is none.  It asks for a gauge with M0 beta_1 = 0 (mod pi),
+    so that rho = e^{2 i beta_1} is the M0-th root of unity
+    exp(2 pi i s0 / M0).  Back-substitution solves every other row for any
     beta_1, so with c_1 last the beta_1 of the gauges are those with
     P beta_1 = -arg g (mod pi) for the last pivot row (0, .., 0, P | g),
-    and every beta_1 when there is none.  The angle of a Gaussian integer
-    is a rational multiple of pi only when it is m pi / 4, g (1 - i)^m
-    real, so beta_1 = pi t / M0 needs 4 P t = -m M0 (mod 4 M0), solved
-    exactly in integers; no Gaussian integer grows with M0."""
+    and every beta_1 when there is none: a real or invariant f has the
+    axis 0.  The angle of a Gaussian integer is a rational multiple of pi
+    only when it is m pi / 4, g (1 - i)^m real, so beta_1 = pi t / M0
+    needs 4 P t = -m M0 (mod 4 M0), solved exactly in integers; no
+    Gaussian integer grows with M0."""
     F = MatPoly.of(f)
     rows = _gauge_rows(F, q_val)
-    if not any(im for _, (_, im) in rows):
-        return None, 0
-    pivots = _echelon(rows)
-    if pivots is None:
-        return None, None
+    real = not any(im for _, (_, im) in rows)
+    pivots, solvable = _echelon(rows)
+    invariant = not pivots or any(pivots[-1][0][:-1])
+    if real or not solvable:
+        return invariant, None, 0 if real else None
     beta = _angles(pivots, F.n + sum(F.shape) + 1)
     beta = beta[-1:] + beta[:-1]                # c_1 back in front
+    if invariant:
+        return True, beta, 0                    # beta_1 = 0 is a gauge
     v, (re, im) = pivots[-1]
-    if any(v[:-1]):
-        return beta, 0                          # beta_1 = 0 is a gauge
     # arg g = m pi / 4 (mod pi); None: no rational multiple of pi
     m = {(re, 0): 0, (0, im): 2, (re, re): 1, (re, -re): 3}.get((re, im))
     P, d = v[-1], 4 * math.gcd(v[-1], M0)
     if m is None or m * M0 % d:
-        return beta, None
+        return False, beta, None
     mod = M0 * 4 // d
-    return beta, -(m * M0 // d) * pow(P * 4 // d, -1, mod) % mod
+    return False, beta, -(m * M0 // d) * pow(P * 4 // d, -1, mod) % mod
 
 
 def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> float:
@@ -514,7 +510,7 @@ def _nested_values(parts: Sequence[MatPoly], rep: RepMatrices, q_val: float,
     rep_entries call, and each point's block is a leading principal
     restriction of that stack (see _schedules).  With phases, a point's
     value is the max over the rows of phases(M) (operator_norm); without,
-    the stack's value.  With beta (real_gauge), rep's map of z_j is taken
+    the stack's value.  With beta (gauge), rep's map of z_j is taken
     times e^{i beta_j} and the stack times its tile and constant phases,
     which makes it real up to rounding, and its real part is evaluated.
     Each value is at least the one before it."""
@@ -555,9 +551,10 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
                schedule: Sequence[SchedulePoint], tol: float, ball: bool
                ) -> Tuple[Optional[NormEstimate], NormEstimate]:
     """Ball (if asked) and boundary schedules of f, in one pass (see the
-    module docstring).  A zero F has one zero part, of charge 0.  The ball
-    value is max(Fock, boundary), its whole-circle bound max(Fock,
-    boundary bound).
+    module docstring).  The parts hold only the words nonzero at q, which
+    drops exact zeros from the boundary stack and nothing else; an F with
+    no such word has one zero part, of charge 0.  The ball value is
+    max(Fock, boundary), its whole-circle bound max(Fock, boundary bound).
 
     The schedule must be nested: N non-decreasing and each grid order M
     dividing the next, else a ValueError.  Then each side is built once,
@@ -587,12 +584,13 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
     An invariant F's boundary value is the sup over the whole circle.
     Otherwise <P(omega) u, v> = sum_d omega^d <A_d u, v> is, after the
     factor omega^{(d_max + d_min)/2}, of exponential type
-    K = (d_max - d_min) / 2 in the angle, so by Bernstein's inequality its
-    derivative is at most K times its sup; every angle lies within pi / M
-    of a node, hence sup <= value / (1 - pi K / M) when M > pi K (None
-    where no bound is proved).
+    K = (d_max - d_min) / 2 in the angle (d over the parts), so by
+    Bernstein's inequality its derivative is at most K times its sup;
+    every angle lies within pi / M of a node, hence
+    sup <= value / (1 - pi K / M) when M > pi K (None where no bound is
+    proved).
 
-    A non-invariant F with an axis (real_gauge at M0, the first grid
+    A non-invariant F with an axis (gauge at M0, the first grid
     order) evaluates half its grid.  Let F' be F gauged by beta, with
     real coefficients, and rho = e^{2 i beta_1} = omega_s, s = s0 M / M0.
     The gauge is z1 -> e^{i beta_1} z1 and diagonal unitaries, so
@@ -618,15 +616,18 @@ def _schedules(f: Union[NCPoly, MatPoly], q_val: float,
                 f"schedule not nested at ({N}, {M}) -> ({N2}, {M2}): need "
                 "N non-decreasing and each grid order dividing the next")
     L = F.degree()
-    invariant = omega_invariant(F)
     M0 = schedule[0][1]
-    beta, axis = real_gauge(F, q_val, M0)
+    invariant, beta, axis = gauge(F, q_val, M0)
+    # the words nonzero at q: the others add exact zeros to every block
+    live = [[NCPoly(F.n, {w: c for w, c in p.terms.items() if any(
+        coefficient_numerators(c, p.den, q_val)[:2])}, p.den)
+        for p in row] for row in F.entries]
     charge = {word: _charges(word, F.n)[0]
-              for row in F.entries for p in row for word in p.terms}
+              for row in live for p in row for word in p.terms}
     order = sorted(set(charge.values())) or [0]
     parts = [MatPoly([[NCPoly(F.n, {w: c for w, c in p.terms.items()
                                     if charge[w] == d}, p.den)
-                       for p in row] for row in F.entries]) for d in order]
+                       for p in row] for row in live]) for d in order]
     K = (order[-1] - order[0]) / 2
 
     def phases(M: int) -> np.ndarray:

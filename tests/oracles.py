@@ -25,10 +25,19 @@ These are oracles only; no library code calls them.
   evaluates the whole certified block and takes its norm over the whole
   grid.  The library builds once per schedule, at the last N, and takes
   each point's block as a restriction of that one.  Both take the same
-  per-input decisions: omega_invariant, and real_gauge's angles for the
-  Fock block and axis for the boundary nodes.  gauged_block applies the
-  angles to a dense block, tile by tile; the library applies them to the
-  maps and to the stack's values (norms._nested_values).
+  per-input decision, norms.gauge: whether one block is the whole circle,
+  the angles for the Fock block and the axis for the boundary nodes.  The
+  oracle splits the words by z1-charge after dropping those whose float
+  coefficient value is 0; the library drops those whose exact numerators
+  are.  gauged_block applies the angles to a dense block, tile by tile;
+  the library applies them to the maps and to the stack's values
+  (norms._nested_values).
+* reference_invariant decides omega-invariance by a rank test, by
+  Fraction elimination on the differences of the words' vectors
+  v(w) = (charges, e_a, -e_b), each word kept only if its coefficient,
+  summed exactly at the Fraction of the float q, is not 0.  The library
+  reads the answer off the integer echelon form that also gives the
+  gauge angles (norms.gauge).
 * reference_pbw_gram is the PBW Gram probe pbw_gram_min_singular replaced:
   every canonical monomial's full dense Fock matrix flattened into one
   column of V, one SVD of all of V.  The library takes one SVD per charge
@@ -63,9 +72,8 @@ from qball.norms import (
     SchedulePoint,
     _charges,
     _check_trunc,
-    omega_invariant,
+    gauge,
     operator_norm,
-    real_gauge,
 )
 from qball.representations import (
     BoundaryConfig,
@@ -253,7 +261,7 @@ def gauged_block(F: MatPoly, rep: RepMatrices, q_val: float,
                  indices: np.ndarray, beta: Sequence[float]) -> np.ndarray:
     """The dense block of F in rep, with the map of z_j times e^{i beta_j}
     and each k x l tile times its row, column and constant phase: real up
-    to rounding when beta is a real gauge of F (norms.real_gauge)."""
+    to rounding when beta is a real gauge of F (norms.gauge)."""
     k, l = F.shape
     rows, cols = beta[F.n:F.n + k], beta[F.n + k:F.n + k + l]
     gauged = RepMatrices(rep.n, [(t, w * z) for (t, w), z in
@@ -287,22 +295,25 @@ def reference_schedules(f: Union[NCPoly, MatPoly], q_val: float,
                         ) -> Tuple[Optional[NormEstimate], NormEstimate]:
     """Ball (if asked) and boundary schedules of f, one point at a time:
     each point builds its own omega = 1 block and Fock representation and
-    takes the norm of the whole certified block (gauged real when
-    real_gauge gives angles) over its whole grid (the half grid about the
-    axis when real_gauge gives one)."""
+    takes the norm of the whole certified block (gauged real when gauge
+    gives angles) over its whole grid (the half grid about the axis when
+    gauge gives one).  The charge split and K take only the words whose
+    coefficient value at q_val is not 0."""
     if not schedule:
         raise ValueError("empty schedule")
     F = MatPoly.of(f)
     L = F.degree()
-    invariant = omega_invariant(F)
     M0 = schedule[0][1]
-    beta, axis = real_gauge(F, q_val, M0)
-    charge = {word: _charges(word, F.n)[0]
-              for row in F.entries for p in row for word in p.terms}
+    invariant, beta, axis = gauge(F, q_val, M0)
+    charge = {(a, b, word): _charges(word, F.n)[0]
+              for a, row in enumerate(F.entries) for b, p in enumerate(row)
+              for word, c in p.terms.items()
+              if coefficient_value(c, p.den, q_val) != 0}
     order = sorted(set(charge.values())) or [0]
     parts = [MatPoly([[NCPoly(F.n, {w: c for w, c in p.terms.items()
-                                    if charge[w] == d}, p.den)
-                       for p in row] for row in F.entries]) for d in order]
+                                    if charge.get((a, b, w)) == d}, p.den)
+                       for b, p in enumerate(row)]
+                      for a, row in enumerate(F.entries)]) for d in order]
     K = (order[-1] - order[0]) / 2
     bdry, upper, fock = [], [], []
     for N, M in schedule:
@@ -334,6 +345,47 @@ def reference_schedules(f: Union[NCPoly, MatPoly], q_val: float,
     omega = {"invariant": invariant, "circle_upper": [
         None if u is None else max(a, u) for a, u in zip(fock, upper)]}
     return NormEstimate.from_values(params, values, tol, omega), boundary
+
+
+def reference_invariant(F: MatPoly, q_val: float) -> bool:
+    """Whether e_1 is outside the rational span of the differences
+    v(w) - v(w0), v(w) = (charges of w, e_a, -e_b) for a word w in entry
+    (a, b), over the words whose exact coefficient at Fraction(q_val) is
+    not 0: by Fraction Gaussian elimination, e_1 is in the span iff adding
+    it leaves the rank the same."""
+    k, l = F.shape
+    q = Fraction(q_val)
+    vectors = []
+    for a, row in enumerate(F.entries):
+        for b, p in enumerate(row):
+            for word, coeff in fraction_terms(p).items():
+                if any(sum(part[i] * q ** e for e, part in coeff.items())
+                       for i in (0, 1)):
+                    vectors.append(
+                        [sum(-1 if x.starred else 1 for x in word
+                             if x.index == j) for j in range(1, F.n + 1)]
+                        + [int(i == a) for i in range(k)]
+                        + [-int(i == b) for i in range(l)])
+    differences = [[Fraction(x - y) for x, y in zip(v, vectors[0])]
+                   for v in vectors[1:]]
+    e1 = [Fraction(int(j == 0)) for j in range(F.n + k + l)]
+    return _rank(differences + [e1]) > _rank(differences)
+
+
+def _rank(rows: List[List[Fraction]]) -> int:
+    """The rank of a list of Fraction rows, by Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][j] / rows[rank][j]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 # -- Fraction reference arithmetic ------------------------------------

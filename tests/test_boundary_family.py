@@ -1,7 +1,8 @@
 """The boundary family as a trigonometric polynomial in omega.
 
 A one-point boundary_norm schedule evaluates sum_d omega^d A_d on all M-th
-roots of unity at once, or only at omega = 1 for an omega_invariant input.  The
+roots of unity at once, or only at omega = 1 for an input that gauge finds
+omega-invariant.  The
 oracle below is the direct construction it replaced: one character block
 per omega, built and evaluated on its own.
 """
@@ -23,9 +24,9 @@ from qball.norms import (
     ball_norm,
     boundary_norm,
     fock_certified_value,
+    gauge,
     make_schedule,
     max_principle_report,
-    omega_invariant,
 )
 from qball.parsing import parse_expression
 from qball.representations import (
@@ -42,6 +43,7 @@ from oracles import (
     circle_grid_max,
     fraction_constant,
     gauged_block,
+    reference_invariant,
     reference_schedules,
 )
 
@@ -141,14 +143,14 @@ def test_max_principle_report_builds_boundary_once_per_point(monkeypatch,
     f = parse_expression(text, n)
     sched = make_schedule([4, 6, 8], 16)
     invariance_tests = []
-    invariant = norms.omega_invariant
+    decide = norms.gauge
 
-    def counted_invariant(F):
+    def counted_gauge(F, q_val, M0):
         invariance_tests.append(F)
-        return invariant(F)
+        return decide(F, q_val, M0)
 
-    # omega_invariant runs once per schedule call, not once per point
-    monkeypatch.setattr(norms, "omega_invariant", counted_invariant)
+    # gauge runs once per schedule call, not once per point
+    monkeypatch.setattr(norms, "gauge", counted_gauge)
     ball = ball_norm(f, Q, sched)
     assert len(invariance_tests) == 1
     bdry = boundary_norm(f, Q, sched)
@@ -240,7 +242,7 @@ def gauge_inputs(draw):
 def test_invariant_inputs_one_block_equals_full_grid(case, extra, M):
     f, built_invariant = case
     if built_invariant:
-        assert omega_invariant(f)
+        assert gauge(f, Q, M)[0]
     F = f if isinstance(f, MatPoly) else MatPoly([[f]])
     N = F.degree() + extra
     assert boundary_norm(f, Q, [(N, M)]).final == pytest.approx(
@@ -250,8 +252,9 @@ def test_invariant_inputs_one_block_equals_full_grid(case, extra, M):
 @st.composite
 def real_non_invariant(draw):
     """A polynomial or k x l matrix of polynomials with real coefficients,
-    n <= 3, that is not omega-invariant: entry (0, 0) holds a word w and
-    z1*w, whose charge vectors differ by e_1."""
+    n <= 3, that is not omega-invariant as written: entry (0, 0) holds a
+    word w and z1*w, whose charge vectors differ by e_1 (at q one of them
+    may sum to 0 with a repeated word)."""
     n = draw(st.integers(1, 3))
     k, l = (1, 1) if draw(st.booleans()) else draw(
         st.sampled_from([(1, 2), (2, 1), (2, 2)]))
@@ -278,7 +281,7 @@ def test_real_non_invariant_half_grid_equals_all_roots(f, extra, M):
     """Real coefficients: block(conj omega) = conj(block(omega)) has the
     same singular values, so the grid points t <= M // 2 give the max over
     all M roots."""
-    assert not omega_invariant(f)
+    assert gauge(f, Q, M)[1:] == (None, 0)
     N = MatPoly.of(f).degree() + extra
     assert boundary_norm(f, Q, [(N, M)]).final == pytest.approx(
         per_omega_value(f, Q, N, M), rel=1e-14, abs=0)
@@ -296,7 +299,82 @@ def test_real_non_invariant_half_grid_equals_all_roots(f, extra, M):
     ("[z1, 1; 1, z1]", 1, False),
 ])
 def test_invariance_examples(text, n, invariant):
-    assert omega_invariant(parse_expression(text, n)) is invariant
+    assert gauge(parse_expression(text, n), Q, 1)[0] is invariant
+
+
+def test_one_echelon_per_schedule(monkeypatch):
+    """gauge reads invariance, the angles and the axis off one echelon
+    form, so each schedule call reduces its rows once."""
+    calls = []
+    echelon = norms._echelon
+
+    def counted(rows):
+        calls.append(len(rows))
+        return echelon(rows)
+
+    monkeypatch.setattr(norms, "_echelon", counted)
+    f = parse_expression("(1-i)*z2 + 1/2*z1*z2 + i*z2*z2", 2)
+    sched = make_schedule([4, 6], 16)
+    ball_norm(f, Q, sched)
+    assert len(calls) == 1
+    max_principle_report(f, Q, sched)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("text, n", [
+    ("(2*q-1)*z1*z2 + z2", 2),
+    ("(q-1/2)*z1 + z1*z1'", 1),
+])
+def test_a_word_zero_at_q_leaves_an_invariant_input(text, n):
+    """At q = 1/2 the word of z1-charge 1 is 0 and the words left are
+    invariant: one block gives the whole circle, each circle_upper is its
+    value, and the boundary value is the per-omega max over every node."""
+    f = parse_expression(text, n)
+    report = max_principle_report(f, Q, make_schedule([4, 8], 16))
+    for est in (report.ball, report.boundary):
+        assert est.omega == {"invariant": True, "circle_upper": est.values()}
+    for point in report.boundary.points:
+        assert point["value"] == pytest.approx(
+            per_omega_value(f, Q, point["N"], point["M"]), rel=1e-14)
+
+
+def test_a_word_zero_at_q_leaves_the_charge_split():
+    """(q-1/2)*z1^3 is 0 at q = 1/2, so the z1-charges, K and the circle
+    bounds are those of z1 + z1', and so are the values."""
+    sched = make_schedule([4, 8], 16)
+    got = boundary_norm(parse_expression("(q-1/2)*z1^3 + z1 + z1'", 1), Q,
+                        sched)
+    want = boundary_norm(parse_expression("z1 + z1'", 1), Q, sched)
+    assert not got.omega["invariant"]
+    assert got.omega == want.omega
+    assert got.values() == want.values()
+
+
+@st.composite
+def planted_zero_word(draw):
+    """A gauge_inputs() draw with one more word in a drawn entry, of
+    coefficient (2q - 1) (x + iy) q^k: 0 at q = 1/2 and nowhere else."""
+    F = MatPoly.of(draw(gauge_inputs())[0])
+    letters = st.builds(Letter, st.integers(1, F.n), st.booleans())
+    word = draw(st.lists(letters, min_size=1, max_size=3).map(tuple))
+    a = draw(st.integers(0, F.shape[0] - 1))
+    b = draw(st.integers(0, F.shape[1] - 1))
+    x, y = draw(st.sampled_from([(1, 0), (-2, 0), (0, 1), (1, -1)]))
+    k = draw(st.integers(-1, 1))
+    entries = [list(row) for row in F.entries]
+    entries[a][b] = entries[a][b] + NCPoly.from_word(F.n, word) * (
+        fraction_constant(F.n, (k + 1, 2 * x, 2 * y), (k, -x, -y)))
+    return MatPoly(entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=st.one_of(gauge_inputs().map(lambda case: case[0]),
+                   real_non_invariant(), planted_zero_word()),
+       M0=st.sampled_from([1, 8, 64]))
+def test_invariance_equals_the_fraction_oracle(f, M0):
+    """gauge's invariance is the rank test of reference_invariant over the
+    words nonzero at q, whatever the grid order."""
+    assert gauge(f, Q, M0)[0] is reference_invariant(MatPoly.of(f), Q)
 
 
 def test_circle_upper_bounds_a_4096_point_grid():
@@ -305,7 +383,7 @@ def test_circle_upper_bounds_a_4096_point_grid():
     while checked < 8:
         n = rng.randint(1, 3)
         f = random_poly(rng, n, max_degree=3)
-        if omega_invariant(f):
+        if gauge(f, Q, 1)[0]:
             continue
         sched = make_schedule([f.degree() + 1, f.degree() + 3], 32)
         bdry, ball = boundary_norm(f, Q, sched), ball_norm(f, Q, sched)
@@ -379,7 +457,7 @@ def test_grid_ratio_three_nests():
     """M = 3 -> 9: point 0's roots of unity are every third root of point
     1's, and each point's value is its own grid max."""
     f = parse_expression("(1-i)*z2 + 1/2*z1*z2 + i*z2*z2", 2)
-    assert not omega_invariant(f)
+    assert not gauge(f, Q, 3)[0]
     est = boundary_norm(f, Q, [(4, 3), (6, 9)])
     assert est.is_monotone()
     for point in est.points:
@@ -419,9 +497,10 @@ def test_gauge_with_an_axis():
     beta_2 = pi/4 (mod pi), beta_1 = -pi/4, so rho(e_1) = -i = omega_s
     with s = 3M/4, and the gauged coefficients are real."""
     F = parse_expression("(1-i)*z2 + 1/2*z1*z2 + i*z2*z2", 2)
-    assert norms.real_gauge(F, 0.75, 2)[1] is None
+    assert gauge(F, 0.75, 2)[2] is None
     for M0 in (4, 8, 64, 128):
-        beta, axis = norms.real_gauge(F, 0.75, M0)
+        invariant, beta, axis = gauge(F, 0.75, M0)
+        assert not invariant
         assert axis == 3 * M0 // 4
         assert cmath.exp(2j * beta[0]) == pytest.approx(-1j, abs=1e-15)
     # beta = (beta_1, beta_2, row, column, constant); a scalar's one
@@ -437,7 +516,7 @@ def test_an_axis_for_two_gauges():
     and rho = i or -i, a 4th root of unity: no axis at M0 = 2, s0 = M0/4
     from 4 on, and the nodes about it give the full-grid max."""
     f = parse_expression("i*z1*z1 + 1", 1)
-    assert [norms.real_gauge(f, Q, M0)[1] for M0 in (1, 2, 4, 8, 32)] == [
+    assert [gauge(f, Q, M0)[2] for M0 in (1, 2, 4, 8, 32)] == [
         None, None, 1, 2, 8]
     for M in (4, 8, 32):
         assert boundary_norm(f, Q, [(3, M)]).final == pytest.approx(
@@ -471,17 +550,16 @@ def test_the_axis_pairs_the_nodes():
     ("(2*q-1)*i*z1'*z1 + z1 + z1*z1'", 1),  # at q = 2/3: as the first
 ])
 def test_no_gauge(text, n):
-    assert norms.real_gauge(parse_expression(text, n), 2 / 3, 64) == (
-        None, None)
+    assert gauge(parse_expression(text, n), 2 / 3, 64)[1:] == (None, None)
 
 
 def test_gauge_without_an_axis():
     """(1+2i)*z1 + z1*z1: beta_1 = arg(1+2i) (mod pi), so rho(e_1) =
     (1+2i)^2/5 = (-3+4i)/5, no root of unity: the Fock side gauges, the
     boundary evaluates every node."""
-    beta, axis = norms.real_gauge(parse_expression("(1+2*i)*z1 + z1*z1", 1),
+    invariant, beta, axis = gauge(parse_expression("(1+2*i)*z1 + z1*z1", 1),
                                   0.5, 64)
-    assert axis is None
+    assert not invariant and axis is None
     assert cmath.exp(2j * beta[0]) == pytest.approx((-3 + 4j) / 5, abs=1e-15)
 
 
@@ -491,7 +569,7 @@ def test_gauge_without_an_axis():
 ])
 def test_a_coefficient_zero_at_q_is_skipped(text, n):
     """At q = 1/2 the complex word is 0, the rest real: beta = 0, axis 0."""
-    assert norms.real_gauge(parse_expression(text, n), 0.5, 64) == (None, 0)
+    assert gauge(parse_expression(text, n), 0.5, 64)[1:] == (None, 0)
 
 
 def test_real_inputs_keep_the_half_grid(monkeypatch):
@@ -515,7 +593,7 @@ def test_real_inputs_keep_the_half_grid(monkeypatch):
 
     monkeypatch.setattr(norms, "operator_norm", recorded)
     real = "z1 + z2*z1' + q*z2'*z2"             # charges -1, 0, 1
-    assert norms.real_gauge(parse_expression(real, 2), Q, 16) == (None, 0)
+    assert gauge(parse_expression(real, 2), Q, 16) == (False, None, 0)
     assert nodes(real, Q, 2) == [list(range(9)), list(range(17))]
     # rho(e_1) = -i: s = 12 at M = 16, s = 24 at M = 32; charges 0, 1
     gauged = "(1-i)*z2 + 1/2*z1*z2 + i*z2*z2"
@@ -558,7 +636,7 @@ def test_gauged_values_equal_the_complex_full_grid(f, extra, M):
     (dense SVD, every node) to 1e-13 relative, and the imaginary parts the
     gauge drops are below 1e-14 of the largest entry."""
     F = MatPoly.of(f)
-    beta, axis = norms.real_gauge(F, Q, M)
+    invariant, beta, axis = gauge(F, Q, M)
     if beta is None and axis is None:
         return                      # no gauge: the complex path
     N = F.degree() + extra
@@ -570,6 +648,6 @@ def test_gauged_values_equal_the_complex_full_grid(f, extra, M):
         block = gauged_block(F, rep, Q, certify_compression(rep, F.degree()),
                              beta)
         assert np.abs(block.imag).max() <= 1e-14 * np.abs(block).max()
-    if not omega_invariant(F):
+    if not invariant:
         assert boundary_norm(F, Q, [(N, M)]).final == pytest.approx(
             per_omega_value(F, Q, N, M), rel=1e-13, abs=1e-300)

@@ -416,6 +416,15 @@ def test_single_point_commands_take_one_truncation(capsys, command, trunc):
     assert "PASS" not in out
 
 
+@pytest.mark.parametrize("trunc", ["4,,8", "8,"])
+def test_an_empty_truncation_entry_is_an_input_error(capsys, trunc):
+    code, out, err = run(capsys, "norm", "--n", "2", "--expr", "z1",
+                         "--trunc", trunc, "--theta", "8")
+    assert code == 2
+    assert "bad truncation schedule" in err
+    assert "value=" not in out
+
+
 @pytest.mark.parametrize("command, threshold, key", [
     ("relations-residual", "-1", "residual"),
     ("pbw-rank", "1e9", "min_singular"),
