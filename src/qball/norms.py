@@ -9,7 +9,9 @@ The norm of the ball algebra is taken as the sup over the implemented
 norming family (Fock plus the boundary family); the boundary norm uses the
 boundary family alone.
 
-Every top singular value comes from one kernel, operator_norm.  Each Fock
+Every top singular value comes from one kernel, _block_norms, which takes
+a list of blocks in one pass; operator_norm is its one-block case, and each
+schedule side hands it the blocks of all its points in one call.  Each Fock
 basis vector is a weight vector of the gauge torus z_j -> lambda_j z_j, so
 a certified block is a permuted direct sum of small blocks: the kernel
 splits it into the connected components of its structural nonzeros
@@ -18,10 +20,11 @@ and takes the max of their norms.  It takes a block only as Entries, a
 stack of matrices over one pattern (representations.rep_entries:
 row-major, summed in word order, exact zeros dropped), so no r x c block
 is ever allocated; only the batches of components are dense.  Components
-of up to _DENSE_LIMIT = 2048 rows (or columns) go through batches of
-about 1 MB each that compute only sigma_1: the square root of the top
-eigenvalue (LAPACK eigvalsh) of the Gram matrix on the smaller side, or
-the vector norm of a 1 x k or k x 1 component.  Larger components go
+of up to _DENSE_LIMIT = 2048 rows (or columns), from all blocks of one
+call, go through batches of about 1 MB each that compute only sigma_1:
+the square root of the top eigenvalue (LAPACK eigvalsh) of the Gram
+matrix on the smaller side, or the vector norm of a 1 x k or k x 1
+component.  Larger components go
 through scipy.sparse.linalg.svds; scipy (scipy.sparse and its linalg) is
 imported only for such a component.
 
@@ -96,14 +99,17 @@ principal restriction of that stack, bit for bit, and each point's grid
 a subgroup of the next one's, so the value before a point is a lower
 bound for it; each point's value is the max of that and the norm of its
 own block over its own grid (the proof is in _schedules), and the values
-never decrease.  A maximum-principle report is that one pass with both
-sides; a single-point value is a one-point schedule.
+never decrease.  The blocks of every point of a side go to the kernel in
+one call, so their components are labelled, scattered and batched
+together.  A maximum-principle report is that one pass with both sides; a
+single-point value is a one-point schedule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -144,73 +150,161 @@ def operator_norm(A: Entries, tol: float = DEFAULT_TOL,
     representations.rep_entries returns it: row-major, no position 0 in
     every A_d), and the value is the max over t of the largest singular
     value of sum_d phases[t, d] * A_d; phases=None is one row of ones.
+    This is the one-block case of _block_norms, which says how.
+    """
+    return _block_norms([(A, phases)], tol)[0]
 
-    Rows and columns are labelled by the connected components of the
-    bipartite graph of the structural nonzeros (the union pattern, which
-    holds for every t).  Permuted, each block is the direct sum of its
-    components, so its norm is the max of theirs.
-    The values are first scaled by an exact power of two (see the module
-    docstring).  The components of one shape, over as many t as fit in
-    _BATCH_BYTES (at least one), go to one stacked Gram-eigenvalue batch
-    (_top_singular); a component with more than _DENSE_LIMIT rows and
-    columns goes to ARPACK (svds, k = 1) from the all-ones vector, and a
-    NormConvergenceError carries the unscaled max found before it.  A zero
-    or empty block gives 0, a nan or infinite entry a ValueError.
 
-    One body serves both dtypes: real values are scaled and held in
-    float64, and the combined blocks, their Gram matrices and the svds
-    input are float64 when the phases are real as well (phases=None
-    included), else complex128.
+def _block_norms(items: Sequence[Tuple[Entries, Optional[np.ndarray]]],
+                 tol: float) -> List[float]:
+    """operator_norm(A, tol, phases) of each (A, phases) item in one pass,
+    each bit for bit the value of a call on that item alone.
+
+    Each block keeps its own exact power-of-two scale (module docstring).
+    The blocks of one dtype and one D are labelled together, as the
+    disjoint union of their bipartite graphs of structural nonzeros (the
+    union pattern, which holds for every t).  Permuted, a block is the
+    direct sum of its components, so its norm is the max of theirs.  The
+    dense components of one phase table (None is one table) and one shape
+    form a group; the groups are laid out one after another, and those that
+    start in one _BATCH_BYTES window share one zero buffer and one scatter.
+    Each group goes to _stack_top, and each matrix's value credits its own
+    block.  Each LAPACK and BLAS call sees one matrix, so no value depends
+    on what shares its batch.
+
+    Then each component with more than _DENSE_LIMIT rows and columns goes
+    to ARPACK (svds, k = 1, from the all-ones vector), block by block in
+    order; a NormConvergenceError carries the max of the earlier blocks'
+    values and the unscaled max found in its own block.  A zero or empty
+    block gives 0, a nan or infinite entry a ValueError.  Real values with
+    real phases (None included) stay float64 throughout, else complex128.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rows, cols, found, (r, c) = A
-    if phases is None:
-        phases = np.ones((1, len(found)))
-    if not np.isfinite(found).all():
-        raise ValueError("the block has a nan or infinite entry")
-    if not found.size:
-        return 0.0
-    # an exact power-of-two scale: the largest entry goes to [1/2, 1)
-    e = int(np.frexp(np.abs(found).max())[1])
-    if np.iscomplexobj(found):
-        vals = np.empty(found.shape, dtype=complex)
-        vals.real, vals.imag = (np.ldexp(found.real, -e),
-                                np.ldexp(found.imag, -e))
-    else:
-        vals = np.ldexp(found, -e)
-    dtype = np.result_type(vals, phases)
-    # row i is node i, column j is node r + j
-    count, labels = _components(r + c, rows, r + cols)
-    # position of each row (column) among the rows (columns) of its component
-    part = np.concatenate([labels[:r], count + labels[r:]])
+    scales = [0] * len(items)
+    kinds: dict = {}            # (dtype, D) -> the nonzero blocks of that kind
+    for m, (A, _) in enumerate(items):
+        if not np.isfinite(A.values).all():
+            raise ValueError("the block has a nan or infinite entry")
+        if A.values.size:
+            # an exact power-of-two scale: the largest entry goes to [1/2, 1)
+            scales[m] = int(np.frexp(np.abs(A.values).max())[1])
+            kinds.setdefault((A.values.dtype, len(A.values)), []).append(m)
+    best = np.zeros(len(items))
+    large = []
+    for (dtype, D), ks in kinds.items():
+        ks = np.array(ks)
+        blocks = [items[m][0] for m in ks]
+        vals = np.concatenate([_scaled(A.values, scales[m])
+                               for m, A in zip(ks, blocks)], axis=1)
+        owner = np.repeat(np.arange(len(ks)), [len(A.rows) for A in blocks])
+        n_rows, n_cols, comp, i, j = _union_components(blocks, owner)
+        count = len(n_rows)
+        home = np.zeros(count, dtype=int)       # each component's block
+        home[comp] = owner
+        ids: dict = {}                          # phase table -> its number
+        table = np.array([ids.setdefault(id(items[m][1]), len(ids))
+                          for m in ks])
+        live = (n_rows > 0) & (n_cols > 0)
+        dense = live & (np.minimum(n_rows, n_cols) <= _DENSE_LIMIT)
+        for k in np.nonzero(live & ~dense)[0]:
+            mine = comp == k
+            large.append((ks[home[k]], vals[:, mine], i[mine], j[mine],
+                          (n_rows[k], n_cols[k]), items[ks[home[k]]][1]))
+        # the dense components in groups of one (table, shape), each group a
+        # (D, members, a, b) stack at its offset; slot: place in its group
+        key = ((table[home] * (n_rows.max() + 1) + n_rows)
+               * (n_cols.max() + 1) + n_cols)
+        dense_ids = np.nonzero(dense)[0]
+        ordered = dense_ids[np.argsort(key[dense_ids], kind="stable")]
+        _, first, members = np.unique(key[ordered], return_index=True,
+                                      return_counts=True)
+        group = np.zeros(count, dtype=int)
+        group[ordered] = np.repeat(np.arange(len(members)), members)
+        a, b = n_rows[ordered[first]], n_cols[ordered[first]]
+        size = members * a * b                  # one matrix of a group's stack
+        offset = D * (np.cumsum(size) - size)
+        slot = np.zeros(count, dtype=int)
+        slot[ordered] = np.arange(len(ordered)) - first[group[ordered]]
+        edges = dense[comp]
+        at = comp[edges]                        # each dense entry's component
+        g = group[at]
+        dest = (offset[g] + (slot[at] * a[g] + i[edges]) * b[g] + j[edges]
+                + np.arange(D)[:, None] * size[g])
+        dense_vals = vals[:, edges]
+        # the groups starting in one _BATCH_BYTES window share one buffer;
+        # return_index: a bare np.unique imports numpy.ma (1.3 MB, numpy 2.4)
+        slab = offset * np.dtype(dtype).itemsize // _BATCH_BYTES
+        cuts = [*np.unique(slab, return_index=True)[1], len(size)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            base = offset[lo]
+            buffer = np.zeros(offset[hi - 1] + D * size[hi - 1] - base,
+                              dtype=dtype)
+            here = (lo <= g) & (g < hi)
+            buffer[dest[:, here] - base] = dense_vals[:, here]
+            for k in range(lo, hi):
+                owners = ks[home[ordered[first[k]:first[k] + members[k]]]]
+                np.maximum.at(best, owners, _stack_top(buffer[
+                    offset[k] - base:offset[k] - base + D * size[k]].reshape(
+                        D, members[k], a[k], b[k]), items[owners[0]][1]))
+            del buffer          # not held while the next one or ARPACK runs
+    for m, part_vals, rows, cols, shape, phases in sorted(
+            large, key=lambda item: item[0]):
+        done = max((math.ldexp(best[p], scales[p]) for p in range(m)),
+                   default=0.0)
+        for w in np.ones((1, len(part_vals))) if phases is None else phases:
+            best[m] = max(best[m], _svds_top(
+                w @ part_vals, rows, cols, shape, tol,
+                max(done, math.ldexp(best[m], scales[m]))))
+    return [math.ldexp(float(value), e) for value, e in zip(best, scales)]
+
+
+def _union_components(blocks: Sequence[Entries], owner: np.ndarray
+                      ) -> Tuple[np.ndarray, ...]:
+    """Components of the disjoint union of the blocks' bipartite graphs
+    (owner: each entry's block): each one's rows and columns, and each
+    entry's component and its row's (column's) place among those rows
+    (columns), in node order."""
+    r, c = np.array([A.shape for A in blocks]).T
+    start = np.cumsum(r + c) - (r + c)    # block m's first node; rows first
+    u = np.concatenate([A.rows for A in blocks]) + start[owner]
+    v = np.concatenate([A.cols for A in blocks]) + (start + r)[owner]
+    nodes = int((r + c).sum())
+    count, labels = _components(nodes, u, v)
+    part = labels + count * np.repeat(np.arange(2 * len(blocks)) % 2,
+                                      np.stack([r, c], 1).ravel())
     order = np.argsort(part, kind="stable")
     sizes = np.bincount(part, minlength=2 * count)
-    pos = np.empty(r + c, dtype=int)
-    pos[order] = np.arange(r + c) - (np.cumsum(sizes) - sizes)[part[order]]
-    n_rows, n_cols = sizes[:count], sizes[count:]
-    comp, i, j = labels[rows], pos[rows], pos[r + cols]
-    best = 0.0
-    shape = n_rows * (c + 1) + n_cols         # one key per component shape
-    for key in sorted(set(shape[(n_rows > 0) & (n_cols > 0)].tolist())):
-        a, b = divmod(key, c + 1)
-        group = shape == key
-        if min(a, b) > _DENSE_LIMIT:
-            for k in np.nonzero(group)[0]:
-                mine = comp == k
-                for w in phases:
-                    best = max(best, _svds_top(
-                        w @ vals[:, mine], i[mine], j[mine], (a, b), tol,
-                        math.ldexp(best, e)))
-            continue
-        slot, edges, size = np.cumsum(group) - 1, group[comp], group.sum()
-        sub = np.zeros((len(vals), size, a, b), dtype=vals.dtype)
-        sub[:, slot[comp[edges]], i[edges], j[edges]] = vals[:, edges]
-        chunk = max(1, _BATCH_BYTES // (sub[0].size * dtype.itemsize))
-        for start in range(0, len(phases), chunk):
-            blocks = np.einsum("md,dkij->mkij", phases[start:start + chunk], sub)
-            best = max(best, float(_top_singular(blocks).max()))
-    return math.ldexp(best, e)
+    pos = np.empty(nodes, dtype=int)
+    pos[order] = np.arange(nodes) - (np.cumsum(sizes) - sizes)[part[order]]
+    return sizes[:count], sizes[count:], labels[u], pos[u], pos[v]
+
+
+def _scaled(found: np.ndarray, e: int) -> np.ndarray:
+    """found times 2^-e, exactly (ldexp on the real and imaginary parts)."""
+    if not np.iscomplexobj(found):
+        return np.ldexp(found, -e)
+    vals = np.empty(found.shape, dtype=complex)
+    vals.real, vals.imag = np.ldexp(found.real, -e), np.ldexp(found.imag, -e)
+    return vals
+
+
+def _stack_top(sub: np.ndarray, phases: Optional[np.ndarray]) -> np.ndarray:
+    """Top singular value of each of the k matrices of sum_d phases[t, d]
+    sub[d] (sub a (D, k, a, b) stack), maxed over t, in batches of as many
+    t as fit in _BATCH_BYTES (at least one); with no phases and D = 1,
+    sub[0] itself, since 1.0 x = x."""
+    if phases is None and len(sub) == 1:
+        return _top_singular(sub[0])
+    if phases is None:
+        phases = np.ones((1, len(sub)))
+    chunk = max(1, _BATCH_BYTES // (
+        sub[0].size * np.result_type(sub, phases).itemsize))
+    top = np.zeros(sub.shape[1])
+    for t in range(0, len(phases), chunk):
+        top = np.maximum(top, _top_singular(np.einsum(
+            "md,dkij->mkij", phases[t:t + chunk], sub)).max(axis=0))
+    return top
 
 
 def _top_singular(blocks: np.ndarray) -> np.ndarray:
@@ -495,8 +589,9 @@ def relation_residual(rep: RepMatrices, ctx: AlgebraContext, q_val: float) -> fl
     if ctx.n != rep.n:
         raise ValueError("context dimension mismatch")
     indices = certify_compression(rep, 2)
-    return max((operator_norm(rep_entries([r], rep, q_val, indices))
-                for r in defining_relations(ctx)), default=0.0)
+    return max(_block_norms([(rep_entries([r], rep, q_val, indices), None)
+                             for r in defining_relations(ctx)], DEFAULT_TOL),
+               default=0.0)
 
 
 # -- norm schedules ---------------------------------------------------
@@ -509,11 +604,13 @@ def _nested_values(parts: Sequence[MatPoly], rep: RepMatrices, q_val: float,
     each point (N, M) of a nested schedule, rep built at the last N: one
     rep_entries call, and each point's block is a leading principal
     restriction of that stack (see _schedules).  With phases, a point's
-    value is the max over the rows of phases(M) (operator_norm); without,
-    the stack's value.  With beta (gauge), rep's map of z_j is taken
-    times e^{i beta_j} and the stack times its tile and constant phases,
-    which makes it real up to rounding, and its real part is evaluated.
-    Each value is at least the one before it."""
+    norm is the max over the rows of phases(M) (operator_norm); without,
+    the stack's norm.  Every point's block goes to one _block_norms call,
+    and a point's value is the running max of the norms, so each value is
+    at least the one before it.  With beta (gauge), rep's map of z_j is
+    taken times e^{i beta_j} and the stack times its tile and constant
+    phases, which makes it real up to rounding, and its real part is
+    evaluated."""
     Ns = [N for N, _ in schedule]
     _check_trunc(Ns[0], L)
     if beta is not None:
@@ -529,22 +626,15 @@ def _nested_values(parts: Sequence[MatPoly], rep: RepMatrices, q_val: float,
         angle = angle[rep.n:]                   # rows, columns, constant
         tile = angle[A.rows // r] - angle[k + A.cols // r] + angle[-1]
         A = A._replace(values=(A.values * np.exp(1j * tile)).real)
-    values: List[float] = []
-    value = 0.0
+    tables = {M: phases(M) for _, M in schedule} if phases is not None else {}
+    items = []
     for size, (_, M) in zip(sizes, schedule):
         keep = (A.rows % r < size) & (A.cols % r < size)
         rows, cols = A.rows[keep], A.cols[keep]
-        block = Entries(rows // r * size + rows % r,
-                        cols // r * size + cols % r, A.values[:, keep],
-                        (k * size, l * size))
-        try:
-            value = max(value, operator_norm(
-                block, tol, None if phases is None else phases(M)))
-        except NormConvergenceError as exc:
-            exc.last_value = max(exc.last_value, value)
-            raise
-        values.append(value)
-    return values
+        items.append((Entries(rows // r * size + rows % r,
+                              cols // r * size + cols % r, A.values[:, keep],
+                              (k * size, l * size)), tables.get(M)))
+    return list(accumulate(_block_norms(items, tol), max))
 
 
 def _schedules(f: Union[NCPoly, MatPoly], q_val: float,

@@ -577,11 +577,11 @@ def test_real_inputs_keep_the_half_grid(monkeypatch):
     as rep_entries gives it and the boundary evaluates t = 0..M // 2.  A
     gauged input evaluates the nodes 0 <= 2t - s <= M about its axis."""
     grids = []
-    kernel = norms.operator_norm
+    kernel = norms._block_norms
 
-    def recorded(A, tol, phases=None):
-        grids.append(phases)
-        return kernel(A, tol, phases)
+    def recorded(items, tol):
+        grids.extend(phases for _, phases in items)
+        return kernel(items, tol)
 
     def nodes(text, q_val, d):
         """The nodes t of each point of a (4, 16), (6, 32) schedule, read
@@ -591,7 +591,7 @@ def test_real_inputs_keep_the_half_grid(monkeypatch):
         return [(np.round(np.angle(p[:, d]) * M / (2 * np.pi)) % M).tolist()
                 for p, M in zip(grids, (16, 32))]
 
-    monkeypatch.setattr(norms, "operator_norm", recorded)
+    monkeypatch.setattr(norms, "_block_norms", recorded)
     real = "z1 + z2*z1' + q*z2'*z2"             # charges -1, 0, 1
     assert gauge(parse_expression(real, 2), Q, 16) == (False, None, 0)
     assert nodes(real, Q, 2) == [list(range(9)), list(range(17))]

@@ -13,6 +13,7 @@ the stack of the dense blocks of the word-by-word loop
 import dataclasses
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from oracles import (
 from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, MatPoly, NCPoly
 from qball.norms import (
     NormConvergenceError,
+    ball_norm,
     boundary_norm,
     fock_certified_value,
     operator_norm,
@@ -453,3 +455,92 @@ def test_complex_coefficient_or_omega_gives_complex128():
         assert [_adjoint(*m)[1].dtype for m in rep.maps] == [dtype, np.float64]
         assert rep_entries([real], rep, Q).values.dtype == dtype
         assert rep_entries([phased], rep, Q).values.dtype == np.complex128
+
+
+# -- one pass over many blocks --------------------------------------------
+
+def schedule_items(f, schedule):
+    """The (block, phases) items both sides of ball_norm(f) hand the kernel."""
+    seen = []
+    kernel = norms._block_norms
+
+    def recorded(items, tol):
+        seen.extend(items)
+        return kernel(items, tol)
+
+    with mock.patch.object(norms, "_block_norms", recorded):
+        ball_norm(f, Q, schedule)
+    return seen
+
+
+def roots_of_unity(M, D):
+    return np.exp(2j * np.pi * (np.outer(np.arange(M), np.arange(D)) % M) / M)
+
+
+@st.composite
+def dense_items(draw):
+    """A D x r x c stack, r or c possibly 0, of density 0 to 1 (so 1 x k
+    and k x 1 components, and zero blocks), real or complex, with no
+    phases or a table of M roots of unity."""
+    D, r, c = (draw(st.integers(lo, 5)) for lo in (1, 0, 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    A = rng.normal(size=(D, r, c)) * (
+        rng.random((D, r, c)) < draw(st.sampled_from([0.0, 0.2, 0.5, 1.0])))
+    if draw(st.booleans()):
+        A = A + 1j * rng.normal(size=A.shape) * (A != 0)
+    M = draw(st.sampled_from([None, 1, 3, 8]))
+    return entries_of(A), None if M is None else roots_of_unity(M, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=inputs(), steps=st.lists(st.sampled_from([1, 2]), min_size=2,
+                                  max_size=2),
+       M=st.sampled_from([1, 3, 4]), extras=st.lists(dense_items(),
+                                                     max_size=5),
+       limit=st.sampled_from([None, 3]), order=st.randoms())
+def test_one_pass_equals_one_call_per_block(f, steps, M, extras, limit,
+                                            order):
+    """The items of a 3-point schedule (a grid order repeats where a step
+    is 1, so two points share one table), with dense stacks mixed in and
+    shuffled, give each block's own value, compared with ==; with limit,
+    every component over 3 rows and columns goes to ARPACK."""
+    F = as_matrix(f)
+    N = F.degree() + 1
+    grids = [M, M * steps[0], M * steps[0] * steps[1]]
+    schedule = [(N + k, grid) for k, grid in enumerate(grids)]
+    items = schedule_items(f, schedule) + extras
+    order.shuffle(items)
+    with mock.patch.object(norms, "_DENSE_LIMIT", limit or norms._DENSE_LIMIT):
+        assert norms._block_norms(items, TOL) == [
+            operator_norm(A, TOL, phases) for A, phases in items]
+
+
+def test_one_labelling_per_schedule_side(monkeypatch):
+    calls = []
+    label = norms._components
+
+    def counted(*args):
+        calls.append(args[0])
+        return label(*args)
+
+    monkeypatch.setattr(norms, "_components", counted)
+    ball_norm(parse_expression("z1 + z2*z1' + q*z2'*z2", 2), Q,
+              [(4, 4), (6, 8), (8, 16)])
+    assert len(calls) == 2
+
+
+def test_arpack_failure_at_a_later_point_carries_the_value_before(
+        monkeypatch):
+    """Fock certified rows 56, 120 and 220: only the third point's one
+    component goes to ARPACK, which fails; last_value is the Fock value at
+    the second point, bit for bit."""
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("No convergence", [], [])
+
+    monkeypatch.setattr(norms, "_DENSE_LIMIT", 200)
+    f = parse_expression("1+z1+z2+z3", 3)
+    before = max(fock_certified_value(f, Q, N) for N in (6, 8))
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+    with pytest.raises(NormConvergenceError) as err:
+        ball_norm(f, Q, [(6, 1), (8, 1), (10, 1)])
+    assert err.value.last_value == before
