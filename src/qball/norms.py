@@ -14,19 +14,20 @@ a list of blocks in one pass; operator_norm is its one-block case, and each
 schedule side hands it the blocks of all its points in one call.  Each Fock
 basis vector is a weight vector of the gauge torus z_j -> lambda_j z_j, so
 a certified block is a permuted direct sum of small blocks: the kernel
-splits it into the connected components of its structural nonzeros
-(exact zeros only, no threshold; labelled in numpy by hook and compress)
-and takes the max of their norms.  It takes a block only as Entries, a
-stack of matrices over one pattern (representations.rep_entries:
-row-major, summed in word order, exact zeros dropped), so no r x c block
-is ever allocated; only the batches of components are dense.  Components
-of up to _DENSE_LIMIT = 2048 rows (or columns), from all blocks of one
-call, go through batches of about 1 MB each that compute only sigma_1:
+splits the direct sum of its blocks, in one labelling, into the connected
+components of their structural nonzeros (exact zeros only, no threshold;
+labelled in numpy by hook and compress) and takes the max of each block's
+norms.  It takes a block only as Entries, a stack of matrices over one
+pattern (representations.rep_entries: row-major, summed in word order,
+exact zeros dropped), so no r x c block is ever allocated; only the
+stacks of components are dense.  The components of up to _DENSE_LIMIT =
+2048 rows (or columns), from all blocks of one call, go to one stack per
+(phase table, shape) group, released before ARPACK runs, which computes
+only sigma_1, over as many grid nodes at a time as fit in about 1 MB:
 the square root of the top eigenvalue (LAPACK eigvalsh) of the Gram
 matrix on the smaller side, or the vector norm of a 1 x k or k x 1
-component.  Larger components go
-through scipy.sparse.linalg.svds; scipy (scipy.sparse and its linalg) is
-imported only for such a component.
+component.  Larger components go through scipy.sparse.linalg.svds; scipy
+(scipy.sparse and its linalg) is imported only for such a component.
 
 The dtype follows the data.  rep_entries returns float64 values when every
 coefficient value and every map is real (the Fock maps always, the
@@ -131,7 +132,7 @@ from .scalars import coefficient_numerators
 
 DEFAULT_TOL = 1e-8
 _DENSE_LIMIT = 2048
-_BATCH_BYTES = 1 << 20      # size of one stacked batch of components
+_BATCH_BYTES = 1 << 20      # size of one einsum chunk of a stack
 
 
 class NormConvergenceError(RuntimeError):
@@ -161,16 +162,19 @@ def _block_norms(items: Sequence[Tuple[Entries, Optional[np.ndarray]]],
     each bit for bit the value of a call on that item alone.
 
     Each block keeps its own exact power-of-two scale (module docstring).
-    The blocks of one dtype and one D are labelled together, as the
-    disjoint union of their bipartite graphs of structural nonzeros (the
-    union pattern, which holds for every t).  Permuted, a block is the
-    direct sum of its components, so its norm is the max of theirs.  The
-    dense components of one phase table (None is one table) and one shape
-    form a group; the groups are laid out one after another, and those that
-    start in one _BATCH_BYTES window share one zero buffer and one scatter.
-    Each group goes to _stack_top, and each matrix's value credits its own
-    block.  Each LAPACK and BLAS call sees one matrix, so no value depends
-    on what shares its batch.
+    The blocks of one dtype and one D are labelled together, as their
+    direct sum: one block-diagonal Entries, all rows first and then all
+    columns, each block at its own offset.  Its bipartite graph of
+    structural nonzeros (the union pattern, which holds for every t) is
+    the disjoint union of theirs.  Permuted, a block is the direct sum of
+    its components, so its norm is the max of theirs.  The dense
+    components of one phase table (None is one table) and one shape form
+    a group, in the order of their first rows.  Each group is scattered
+    into a (D, members, a, b) stack of its own, one stack per (table,
+    shape) group, released before ARPACK runs; the stack goes to
+    _stack_top, and each matrix's value credits its own block.  Each
+    LAPACK and BLAS call sees one matrix, so no value depends on what
+    shares its stack.
 
     Then each component with more than _DENSE_LIMIT rows and columns goes
     to ARPACK (svds, k = 1, from the all-ones vector), block by block in
@@ -198,56 +202,42 @@ def _block_norms(items: Sequence[Tuple[Entries, Optional[np.ndarray]]],
         vals = np.concatenate([_scaled(A.values, scales[m])
                                for m, A in zip(ks, blocks)], axis=1)
         owner = np.repeat(np.arange(len(ks)), [len(A.rows) for A in blocks])
-        n_rows, n_cols, comp, i, j = _union_components(blocks, owner)
-        count = len(n_rows)
+        # the direct sum: all rows, then all columns, each block at its offset
+        r, c = np.array([A.shape for A in blocks]).T
+        R, nodes = int(r.sum()), int((r + c).sum())
+        row0, col0 = np.cumsum(r) - r, R + np.cumsum(c) - c
+        u = np.concatenate([A.rows for A in blocks]) + row0[owner]
+        v = np.concatenate([A.cols for A in blocks]) + col0[owner]
+        count, labels = _components(nodes, u, v)
+        # each row's (column's) place among the rows (columns) of its component
+        part = np.concatenate([labels[:R], count + labels[R:]])
+        order = np.argsort(part, kind="stable")
+        sizes = np.bincount(part, minlength=2 * count)
+        pos = np.empty(nodes, dtype=int)
+        pos[order] = np.arange(nodes) - (np.cumsum(sizes) - sizes)[part[order]]
+        n_rows, n_cols = sizes[:count], sizes[count:]
+        comp, i, j = labels[u], pos[u], pos[v]
         home = np.zeros(count, dtype=int)       # each component's block
         home[comp] = owner
-        ids: dict = {}                          # phase table -> its number
-        table = np.array([ids.setdefault(id(items[m][1]), len(ids))
-                          for m in ks])
+        tables = [id(items[m][1]) for m in ks]  # None is one table
+        table = np.array([tables.index(t) for t in tables])
         live = (n_rows > 0) & (n_cols > 0)
         dense = live & (np.minimum(n_rows, n_cols) <= _DENSE_LIMIT)
         for k in np.nonzero(live & ~dense)[0]:
             mine = comp == k
             large.append((ks[home[k]], vals[:, mine], i[mine], j[mine],
                           (n_rows[k], n_cols[k]), items[ks[home[k]]][1]))
-        # the dense components in groups of one (table, shape), each group a
-        # (D, members, a, b) stack at its offset; slot: place in its group
-        key = ((table[home] * (n_rows.max() + 1) + n_rows)
-               * (n_cols.max() + 1) + n_cols)
-        dense_ids = np.nonzero(dense)[0]
-        ordered = dense_ids[np.argsort(key[dense_ids], kind="stable")]
-        _, first, members = np.unique(key[ordered], return_index=True,
-                                      return_counts=True)
-        group = np.zeros(count, dtype=int)
-        group[ordered] = np.repeat(np.arange(len(members)), members)
-        a, b = n_rows[ordered[first]], n_cols[ordered[first]]
-        size = members * a * b                  # one matrix of a group's stack
-        offset = D * (np.cumsum(size) - size)
-        slot = np.zeros(count, dtype=int)
-        slot[ordered] = np.arange(len(ordered)) - first[group[ordered]]
-        edges = dense[comp]
-        at = comp[edges]                        # each dense entry's component
-        g = group[at]
-        dest = (offset[g] + (slot[at] * a[g] + i[edges]) * b[g] + j[edges]
-                + np.arange(D)[:, None] * size[g])
-        dense_vals = vals[:, edges]
-        # the groups starting in one _BATCH_BYTES window share one buffer;
-        # return_index: a bare np.unique imports numpy.ma (1.3 MB, numpy 2.4)
-        slab = offset * np.dtype(dtype).itemsize // _BATCH_BYTES
-        cuts = [*np.unique(slab, return_index=True)[1], len(size)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            base = offset[lo]
-            buffer = np.zeros(offset[hi - 1] + D * size[hi - 1] - base,
-                              dtype=dtype)
-            here = (lo <= g) & (g < hi)
-            buffer[dest[:, here] - base] = dense_vals[:, here]
-            for k in range(lo, hi):
-                owners = ks[home[ordered[first[k]:first[k] + members[k]]]]
-                np.maximum.at(best, owners, _stack_top(buffer[
-                    offset[k] - base:offset[k] - base + D * size[k]].reshape(
-                        D, members[k], a[k], b[k]), items[owners[0]][1]))
-            del buffer          # not held while the next one or ARPACK runs
+        # one group, and one stack, per (table, shape) of the dense components
+        key = (table[home] * (R + 1) + n_rows) * (nodes + 1) + n_cols
+        for k in sorted(set(key[dense].tolist())):
+            group = key == k
+            slot, edges = np.cumsum(group) - 1, group[comp]
+            a, b = n_rows[group][0], n_cols[group][0]
+            sub = np.zeros((D, slot[-1] + 1, a, b), dtype=dtype)
+            sub[:, slot[comp[edges]], i[edges], j[edges]] = vals[:, edges]
+            owners = ks[home[group]]
+            np.maximum.at(best, owners, _stack_top(sub, items[owners[0]][1]))
+            del sub                 # no stack is held while ARPACK runs
     for m, part_vals, rows, cols, shape, phases in sorted(
             large, key=lambda item: item[0]):
         done = max((math.ldexp(best[p], scales[p]) for p in range(m)),
@@ -257,27 +247,6 @@ def _block_norms(items: Sequence[Tuple[Entries, Optional[np.ndarray]]],
                 w @ part_vals, rows, cols, shape, tol,
                 max(done, math.ldexp(best[m], scales[m]))))
     return [math.ldexp(float(value), e) for value, e in zip(best, scales)]
-
-
-def _union_components(blocks: Sequence[Entries], owner: np.ndarray
-                      ) -> Tuple[np.ndarray, ...]:
-    """Components of the disjoint union of the blocks' bipartite graphs
-    (owner: each entry's block): each one's rows and columns, and each
-    entry's component and its row's (column's) place among those rows
-    (columns), in node order."""
-    r, c = np.array([A.shape for A in blocks]).T
-    start = np.cumsum(r + c) - (r + c)    # block m's first node; rows first
-    u = np.concatenate([A.rows for A in blocks]) + start[owner]
-    v = np.concatenate([A.cols for A in blocks]) + (start + r)[owner]
-    nodes = int((r + c).sum())
-    count, labels = _components(nodes, u, v)
-    part = labels + count * np.repeat(np.arange(2 * len(blocks)) % 2,
-                                      np.stack([r, c], 1).ravel())
-    order = np.argsort(part, kind="stable")
-    sizes = np.bincount(part, minlength=2 * count)
-    pos = np.empty(nodes, dtype=int)
-    pos[order] = np.arange(nodes) - (np.cumsum(sizes) - sizes)[part[order]]
-    return sizes[:count], sizes[count:], labels[u], pos[u], pos[v]
 
 
 def _scaled(found: np.ndarray, e: int) -> np.ndarray:

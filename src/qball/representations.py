@@ -63,8 +63,8 @@ class FockConfig:
     q_val: float
 
     def __post_init__(self):
-        if self.n < 1 or self.N < 1:
-            raise ValueError("need n >= 1 and N >= 1")
+        if self.n < 1 or self.N < 0:
+            raise ValueError("need n >= 1 and N >= 0")
         if not 0 < self.q_val < 1:
             raise ValueError(f"q must lie in (0, 1), got {self.q_val}")
 
@@ -77,8 +77,8 @@ class BoundaryConfig:
     q_val: float
 
     def __post_init__(self):
-        if self.n < 1 or self.N < 1 or self.M < 1:
-            raise ValueError("need n >= 1, N >= 1, M >= 1")
+        if self.n < 1 or self.N < 0 or self.M < 1:
+            raise ValueError("need n >= 1, N >= 0, M >= 1")
         if not 0 < self.q_val < 1:
             raise ValueError(f"q must lie in (0, 1), got {self.q_val}")
 

@@ -250,6 +250,25 @@ def test_boundary_norm_below_degree_plus_one_is_an_input_error(capsys, n,
     assert "PASS" not in out
 
 
+def test_a_truncation_of_zero_is_the_one_vector_fock_space(capsys, tmp_path):
+    """N = 0 keeps the vacuum alone: the one canonical monomial of degree 0
+    has the 1 x 1 Gram matrix 1, and a norm or a residual at N = 0 is
+    refused by the truncation rule, not by the configuration."""
+    out_path = tmp_path / "pbw.json"
+    code, _, _ = run(capsys, "pbw-rank", "--n", "1", "--degree", "0",
+                     "--trunc", "0", "--json", str(out_path))
+    assert code == 0
+    assert json.loads(out_path.read_text())["result"] == 1.0
+    code, _, err = run(capsys, "norm", "--n", "2", "--expr", "z1",
+                       "--trunc", "0", "--theta", "8")
+    assert code == 2
+    assert "N=0 < deg+1=2" in err
+    code, _, err = run(capsys, "relations-residual", "--n", "2",
+                       "--trunc", "0")
+    assert code == 2
+    assert "N=0 < L=2" in err
+
+
 def test_boundary_residual_below_two_letters_is_an_input_error(capsys):
     code, _, err = run(capsys, "relations-residual", "--side", "boundary",
                        "--n", "1", "--trunc", "1")

@@ -149,11 +149,19 @@ def test_maxprinciple_run_loads_no_scipy():
 
 
 def test_maxprinciple_run_loads_numpy_ma_only_if_numpy_does():
-    """numpy 2.x imports numpy.ma lazily, and np.unique imports it on its
-    first call (~17 ms); the norm kernel groups component shapes without
-    it.  numpy 1.x imports numpy.ma with numpy itself."""
+    """numpy 2.x imports numpy.ma lazily, and a bare np.unique imports it on
+    its first call (~17 ms, 1.3 MB); the norm kernel groups component
+    shapes without it.  numpy 1.x imports numpy.ma with numpy itself.  The
+    runs cover one phase table, a gauged non-invariant input (half grids,
+    complex phase tables) and a matrix ci-check."""
     bare = "numpy.ma" in _modules_after("import numpy")
-    run = "numpy.ma" in _modules_after(
-        "from qball.cli import main; main(['maxprinciple', '--n', '2', "
-        "'--expr', 'z1+z2'])")
-    assert bare or not run
+    for argv in (
+            ['maxprinciple', '--n', '2', '--expr', 'z1+z2'],
+            ['maxprinciple', '--n', '2', '--q', '3/4', '--expr',
+             '(1-i)*z2 + 1/2*z1*z2 + i*z2*z2', '--trunc', '4,8,12',
+             '--theta', '64'],
+            ['ci-check', '--n', '2', '--expr', '[z1, z2; 0, z1]',
+             '--trunc', '6,9,12', '--theta', '64']):
+        run = "numpy.ma" in _modules_after(
+            f"from qball.cli import main; main({argv!r})")
+        assert bare or not run, argv

@@ -12,6 +12,7 @@ the stack of the dense blocks of the word-by-word loop
 
 import dataclasses
 import warnings
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -527,6 +528,78 @@ def test_one_labelling_per_schedule_side(monkeypatch):
     ball_norm(parse_expression("z1 + z2*z1' + q*z2'*z2", 2), Q,
               [(4, 4), (6, 8), (8, 16)])
     assert len(calls) == 2
+
+
+def live_dense_groups(A, phases):
+    """The (phase table, rows, columns) of each live dense component of
+    one block, labelled on its own by csgraph."""
+    r, c = A.shape
+    graph = sp.coo_matrix((np.ones(len(A.rows)), (A.rows, r + A.cols)),
+                          shape=(r + c, r + c))
+    count, labels = connected_components(graph, directed=False)
+    n_rows = np.bincount(labels[:r], minlength=count)
+    n_cols = np.bincount(labels[r:], minlength=count)
+    return {(id(phases), a, b) for a, b in zip(n_rows, n_cols)
+            if 0 < min(a, b) <= norms._DENSE_LIMIT}
+
+
+@pytest.mark.parametrize("text, shared", [
+    ("z1 + z2*z1' + q*z2'*z2", False),     # one component per block
+    ("z1*z2' + z2", True),
+])
+def test_one_stack_per_table_and_shape_on_each_schedule_side(monkeypatch,
+                                                             text, shared):
+    """Each side's dense components, over all its points, make one
+    _stack_top call per (phase table, shape).  Where points share a shape,
+    a call per shape per point would make more."""
+    sides, stacks = [], []
+    kernel, top = norms._block_norms, norms._stack_top
+
+    def recorded(items, tol):
+        sides.append(list(items))
+        return kernel(items, tol)
+
+    def counted(sub, phases):
+        stacks.append(sub.shape)
+        return top(sub, phases)
+
+    monkeypatch.setattr(norms, "_block_norms", recorded)
+    monkeypatch.setattr(norms, "_stack_top", counted)
+    ball_norm(parse_expression(text, 2), Q, [(4, 4), (6, 8), (8, 16)])
+    assert len(sides) == 2
+    per_side = sum(len(set().union(*(live_dense_groups(*item)
+                                      for item in items)))
+                   for items in sides)
+    per_point = sum(len(live_dense_groups(*item))
+                    for items in sides for item in items)
+    assert len(stacks) == per_side
+    assert (per_side < per_point) == shared
+
+
+def test_no_dense_stack_is_alive_while_arpack_runs(monkeypatch):
+    """The iterative path's peak memory rests on it: every stack, and
+    every array it views, is released before the first svds call."""
+    stacks, alive = [], []
+    top, svds_top = norms._stack_top, norms._svds_top
+
+    def kept(sub, phases):
+        view = sub
+        while isinstance(view, np.ndarray):
+            stacks.append(weakref.ref(view))
+            view = view.base
+        return top(sub, phases)
+
+    def checked(*args):
+        alive.append(sum(ref() is not None for ref in stacks))
+        return svds_top(*args)
+
+    monkeypatch.setattr(norms, "_DENSE_LIMIT", 40)
+    monkeypatch.setattr(norms, "_stack_top", kept)
+    monkeypatch.setattr(norms, "_svds_top", checked)
+    ball_norm(parse_expression(
+        "z1'+z2'+z3'+1-z1*z1'-z2*z2'-z3*z3'", 3), Q, [(8, 1), (10, 1)])
+    assert stacks and alive
+    assert alive == [0] * len(alive)
 
 
 def test_arpack_failure_at_a_later_point_carries_the_value_before(
