@@ -169,12 +169,13 @@ def _block_norms(items: Sequence[Tuple[Entries, Optional[np.ndarray]]],
     the disjoint union of theirs.  Permuted, a block is the direct sum of
     its components, so its norm is the max of theirs.  The dense
     components of one phase table (None is one table) and one shape form
-    a group, in the order of their first rows.  Each group is scattered
-    into a (D, members, a, b) stack of its own, one stack per (table,
-    shape) group, released before ARPACK runs; the stack goes to
-    _stack_top, and each matrix's value credits its own block.  Each
-    LAPACK and BLAS call sees one matrix, so no value depends on what
-    shares its stack.
+    a group: one stable sort of the dense components, and one of their
+    entries, by (table, shape) gives every group at once, its members in
+    the order of their first rows.  Each group is scattered into a (D,
+    members, a, b) stack of its own, released before ARPACK runs; the
+    stack goes to _stack_top, and each matrix's value credits its own
+    block.  Each LAPACK and BLAS call sees one matrix, so no value
+    depends on what shares its stack.
 
     Then each component with more than _DENSE_LIMIT rows and columns goes
     to ARPACK (svds, k = 1, from the all-ones vector), block by block in
@@ -227,14 +228,22 @@ def _block_norms(items: Sequence[Tuple[Entries, Optional[np.ndarray]]],
             mine = comp == k
             large.append((ks[home[k]], vals[:, mine], i[mine], j[mine],
                           (n_rows[k], n_cols[k]), items[ks[home[k]]][1]))
-        # one group, and one stack, per (table, shape) of the dense components
+        # one group, and one stack, per (table, shape) key of the dense
+        # components; both sorts split where the key changes, and every
+        # live component has an entry, so the splits pair up
         key = (table[home] * (R + 1) + n_rows) * (nodes + 1) + n_cols
-        for k in sorted(set(key[dense].tolist())):
-            group = key == k
-            slot, edges = np.cumsum(group) - 1, group[comp]
-            a, b = n_rows[group][0], n_cols[group][0]
-            sub = np.zeros((D, slot[-1] + 1, a, b), dtype=dtype)
-            sub[:, slot[comp[edges]], i[edges], j[edges]] = vals[:, edges]
+        members = np.flatnonzero(dense)
+        members = members[np.argsort(key[members], kind="stable")]
+        edges = np.flatnonzero(dense[comp])
+        edges = edges[np.argsort(key[comp[edges]], kind="stable")]
+        groups = zip(
+            np.split(members, np.flatnonzero(np.diff(key[members])) + 1),
+            np.split(edges, np.flatnonzero(np.diff(key[comp[edges]])) + 1))
+        for group, mine in groups if len(members) else ():
+            sub = np.zeros((D, len(group), n_rows[group[0]],
+                            n_cols[group[0]]), dtype=dtype)
+            sub[:, np.searchsorted(group, comp[mine]), i[mine], j[mine]] = \
+                vals[:, mine]
             owners = ks[home[group]]
             np.maximum.at(best, owners, _stack_top(sub, items[owners[0]][1]))
             del sub                 # no stack is held while ARPACK runs

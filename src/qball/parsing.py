@@ -1,6 +1,6 @@
 """Concrete syntax for algebra elements, and the matching pretty-printer.
 
-Grammar (whitespace insignificant):
+Grammar (whitespace, any str.isspace() character, is insignificant):
 
     input    := matrix | expr
     matrix   := '[' row (';' row)* ']'        row := expr (',' expr)*
@@ -10,6 +10,11 @@ Grammar (whitespace insignificant):
     atom     := 'z' digits ["'"] | 'q' | 'i' | rational | '(' expr ')'
     rational := digits ('/' digits)?
     digits   := [0-9]+                        (ASCII digits only)
+
+One regular expression reads every token (_TOKEN, by finditer): each
+match is a run of whitespace, a run of digits, a generator, a symbol or
+an unexpected character.  The parser takes each optional token with
+accept.
 
 The postfix prime denotes the adjoint ('*' is taken by multiplication).
 Generator powers must be nonnegative; a negative power needs a nonzero
@@ -31,6 +36,7 @@ decided on the free value in both cases.
 
 from __future__ import annotations
 
+import re
 from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
@@ -47,8 +53,9 @@ class ParseError(ValueError):
 
 # -- lexer ------------------------------------------------------------
 
-_SYMBOLS = set("+-*^/()[],;")
-_DIGITS = set("0123456789")     # str.isdigit also takes superscripts and others
+# [0-9], not \d, which also takes other scripts' digits (U+0663, say)
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<num>[0-9]+)|(?P<z>z[0-9]*'?)"
+                    r"|(?P<sym>[-+*^/()\[\],;qi])|(?P<bad>.)", re.DOTALL)
 
 
 class _Token:
@@ -60,50 +67,22 @@ class _Token:
         self.pos = pos
 
 
-def _digits_end(text: str, pos: int) -> int:
-    """End of the run of ASCII digits that starts at pos."""
-    while pos < len(text) and text[pos] in _DIGITS:
-        pos += 1
-    return pos
-
-
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    pos = 0
-    size = len(text)
-    while pos < size:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, pos))
-            pos += 1
-            continue
-        if ch in _DIGITS:
-            start, pos = pos, _digits_end(text, pos)
-            tokens.append(_Token("num", int(text[start:pos]), start))
-            continue
-        if ch == "z":
-            start, pos = pos, _digits_end(text, pos + 1)
-            if pos == start + 1:
-                raise ParseError("generator needs an index, e.g. z1", start)
-            index = int(text[start + 1:pos])
-            starred = pos < size and text[pos] == "'"
-            if starred:
-                pos += 1
-            tokens.append(_Token("z", (index, starred), start))
-            continue
-        if ch == "q":
-            tokens.append(_Token("q", "q", pos))
-            pos += 1
-            continue
-        if ch == "i":
-            tokens.append(_Token("i", "i", pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("end", None, size))
+    for match in _TOKEN.finditer(text):
+        kind, lexeme, pos = match.lastgroup, match.group(), match.start()
+        if kind == "sym":
+            tokens.append(_Token(lexeme, lexeme, pos))
+        elif kind == "num":
+            tokens.append(_Token("num", int(lexeme), pos))
+        elif kind == "z":
+            index = lexeme.strip("z'")
+            if not index:
+                raise ParseError("generator needs an index, e.g. z1", pos)
+            tokens.append(_Token("z", (int(index), lexeme[-1] == "'"), pos))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", pos)
+    tokens.append(_Token("end", None, len(text)))
     return tokens
 
 
@@ -129,6 +108,13 @@ class _Parser:
         self.at += 1
         return tok
 
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it has this kind."""
+        if self.tokens[self.at].kind != kind:
+            return False
+        self.at += 1
+        return True
+
     def expect(self, kind: str) -> _Token:
         tok = self.next()
         if tok.kind != kind:
@@ -148,8 +134,7 @@ class _Parser:
     def parse_matrix(self) -> List[List[Lifted]]:
         open_tok = self.expect("[")
         rows = [self.parse_row()]
-        while self.peek().kind == ";":
-            self.next()
+        while self.accept(";"):
             rows.append(self.parse_row())
         self.expect("]")
         if any(len(r) != len(rows[0]) for r in rows):
@@ -158,14 +143,12 @@ class _Parser:
 
     def parse_row(self) -> List[Lifted]:
         row = [self.parse_expr()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.accept(","):
             row.append(self.parse_expr())
         return row
 
     def parse_expr(self) -> Lifted:
-        if self.peek().kind == "-":
-            self.next()
+        if self.accept("-"):
             acc = add_lifted(({}, 1), self.parse_term(), -1)
         else:
             acc = self.parse_term()
@@ -176,8 +159,7 @@ class _Parser:
 
     def parse_term(self) -> Lifted:
         acc = self.parse_factor()
-        while self.peek().kind == "*":
-            self.next()
+        while self.accept("*"):
             acc = mul_lifted(acc, self.parse_factor(), self.product)
         return acc
 
@@ -185,13 +167,9 @@ class _Parser:
         start = self.at
         atom_tok = self.peek()
         atom = self.parse_atom()
-        if self.peek().kind != "^":
+        if not self.accept("^"):
             return atom
-        self.next()
-        negative = False
-        if self.peek().kind == "-":
-            self.next()
-            negative = True
+        negative = self.accept("-")
         exp_tok = self.expect("num")
         exponent = -exp_tok.value if negative else exp_tok.value
         if exponent < 0:
@@ -213,22 +191,23 @@ class _Parser:
         state, den = atom
         if not state:
             raise ParseError("zero has no inverse", pos)
-        re, im = state.get((), ({}, {}))
-        exponents = re.keys() | im.keys()
+        real, imag = state.get((), ({}, {}))
+        exponents = real.keys() | imag.keys()
         if len(state) != 1 or len(exponents) != 1:
             raise ParseError(
                 "negative powers are only allowed for scalar factors", pos)
         (k,) = exponents
-        a, b = re.get(k, 0), im.get(k, 0)
+        a, b = real.get(k, 0), imag.get(k, 0)
         # 1 / ((a + ib)/den q^k) = den (a - ib) / (a^2 + b^2) q^-k
         return self.scalar({-k: den * a} if a else {},
                            {-k: -den * b} if b else {}, a * a + b * b)
 
-    def scalar(self, re: Laurent, im: Laurent, den: int = 1) -> Lifted:
-        """The constant (re + i*im)/den; like an NCPoly, it needs n >= 1."""
+    def scalar(self, real: Laurent, imag: Laurent, den: int = 1) -> Lifted:
+        """The constant (real + i*imag)/den; like an NCPoly, it needs
+        n >= 1."""
         if self.n < 1:
             raise ContextError(f"need n >= 1, got {self.n}")
-        return ({(): (re, im)} if re or im else {}), den
+        return ({(): (real, imag)} if real or imag else {}), den
 
     def parse_atom(self) -> Lifted:
         tok = self.next()
@@ -245,8 +224,7 @@ class _Parser:
             return self.scalar({}, {0: 1})
         if tok.kind == "num":
             den = 1
-            if self.peek().kind == "/":
-                self.next()
+            if self.accept("/"):
                 den_tok = self.expect("num")
                 if den_tok.value == 0:
                     raise ParseError("zero denominator", den_tok.pos)
@@ -289,22 +267,22 @@ def _q_str(exponent: int) -> str:
     return "q" if exponent == 1 else f"q^{exponent}"
 
 
-def _mono_str(exponent: int, re: int, im: int,
+def _mono_str(exponent: int, real: int, imag: int,
               den: int) -> Tuple[bool, Optional[str]]:
-    """(sign, text) for (re + i*im)/den * q^exponent; text None means 1."""
-    if re and im:
-        im_txt = "i" if abs(im) == den else f"{_rat_str(abs(im), den)}*i"
-        text = f"({_rat_str(re, den)}{'+' if im > 0 else '-'}{im_txt})"
+    """(sign, text) for (real + i*imag)/den * q^exponent; text None means 1."""
+    if real and imag:
+        im_txt = "i" if abs(imag) == den else f"{_rat_str(abs(imag), den)}*i"
+        text = f"({_rat_str(real, den)}{'+' if imag > 0 else '-'}{im_txt})"
         if exponent:
             text += f"*{_q_str(exponent)}"
         return False, text
-    mag = abs(re or im)
+    mag = abs(real or imag)
     pieces = [] if mag == den else [_rat_str(mag, den)]
-    if im:
+    if imag:
         pieces.append("i")
     if exponent:
         pieces.append(_q_str(exponent))
-    return (re or im) < 0, "*".join(pieces) or None
+    return (real or imag) < 0, "*".join(pieces) or None
 
 
 def _signed_sum(parts: List[Tuple[bool, str]]) -> str:
@@ -335,9 +313,9 @@ def print_state(state: State, den: int) -> str:
     numerators over the one denominator den, which need not be the least."""
     parts = []
     for word in sorted(state, key=lambda w: (len(w), w)):
-        re, im = state[word]
-        monos = [_mono_str(k, re.get(k, 0), im.get(k, 0), den)
-                 for k in sorted(re.keys() | im.keys())]
+        real, imag = state[word]
+        monos = [_mono_str(k, real.get(k, 0), imag.get(k, 0), den)
+                 for k in sorted(real.keys() | imag.keys())]
         if len(monos) == 1:
             sign, stxt = monos[0]
         else:

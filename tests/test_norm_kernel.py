@@ -543,12 +543,19 @@ def live_dense_groups(A, phases):
             if 0 < min(a, b) <= norms._DENSE_LIMIT}
 
 
-@pytest.mark.parametrize("text, shared", [
-    ("z1 + z2*z1' + q*z2'*z2", False),     # one component per block
-    ("z1*z2' + z2", True),
-])
-def test_one_stack_per_table_and_shape_on_each_schedule_side(monkeypatch,
-                                                             text, shared):
+STACK_CASES = [
+    ("z1 + z2*z1' + q*z2'*z2", False, [(4, 4), (6, 8), (8, 16)]),
+    ("z1*z2' + z2", True, [(4, 4), (6, 8), (8, 16)]),
+    # a maxprinciple benchmark op (--trunc 20,40 --theta 256): 41 groups
+    ("z1 + z2", True, [(20, 128), (40, 256)]),
+]
+
+
+@pytest.mark.parametrize("text, shared, schedule", STACK_CASES,
+                         ids=[f"{text}-{shared}" for text, shared, _ in
+                              STACK_CASES])
+def test_one_stack_per_table_and_shape_on_each_schedule_side(
+        monkeypatch, text, shared, schedule):
     """Each side's dense components, over all its points, make one
     _stack_top call per (phase table, shape).  Where points share a shape,
     a call per shape per point would make more."""
@@ -565,7 +572,7 @@ def test_one_stack_per_table_and_shape_on_each_schedule_side(monkeypatch,
 
     monkeypatch.setattr(norms, "_block_norms", recorded)
     monkeypatch.setattr(norms, "_stack_top", counted)
-    ball_norm(parse_expression(text, 2), Q, [(4, 4), (6, 8), (8, 16)])
+    ball_norm(parse_expression(text, 2), Q, schedule)
     assert len(sides) == 2
     per_side = sum(len(set().union(*(live_dense_groups(*item)
                                       for item in items)))

@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qball import cli
 from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly
 from qball.norms import MatPoly
 from qball.parsing import (
     ParseError,
+    _tokenize,
     parse_expression,
     print_matrix,
     print_poly,
@@ -85,6 +88,49 @@ def test_parse_accepts_ascii_digits_only(text, n, position):
     with pytest.raises(ParseError) as err:
         parse_expression(text, n)
     assert err.value.position == position
+
+
+def lexed(text):
+    """The (kind, value, position) of each token of text before 'end', or
+    the error's message and position."""
+    try:
+        return [(t.kind, t.value, t.pos) for t in _tokenize(text)[:-1]]
+    except ParseError as err:
+        return str(err).rsplit(" (at", 1)[0], err.position
+
+
+def one_token(c, pos):
+    """What the grammar makes of the character c alone at pos: no token,
+    one token, or an error."""
+    if c.isspace():
+        return []
+    if c in "0123456789":
+        return [("num", int(c), pos)]
+    if c in "+-*^/()[],;qi":
+        return [(c, c, pos)]
+    if c == "z":
+        return "generator needs an index, e.g. z1", pos
+    return f"unexpected character {c!r}", pos
+
+
+@given(st.characters())
+@example("\u00a0")     # no-break space
+@example("\u0085")     # next line
+@example("\u001c")     # file separator
+@example("\u2028")     # line separator
+@example("\u00b2")     # superscript two: a digit to str.isdigit
+@example("\u0663")     # Arabic-Indic three: a digit to the \d of re
+def test_every_character_tokenizes_as_the_grammar_says(c):
+    alone = one_token(c, 0)
+    assert lexed(c) == alone
+    if c in "0123456789":
+        assert lexed("z" + c) == [("z", (int(c), False), 0)]
+        assert lexed("1" + c) == [("num", int("1" + c), 0)]
+        return
+    assert lexed("z" + c) == ("generator needs an index, e.g. z1", 0)
+    after = one_token(c, 1)
+    assert lexed("1" + c) == ([("num", 1, 0)] + after
+                              if isinstance(after, list) else after)
 
 
 def test_print_simple():
