@@ -22,11 +22,12 @@ summed in word order into 0, the float additions of a dense +=, and a
 position that is exactly 0 in every part is dropped, so no r x c array is
 allocated; rep_apply scatters the entries of one polynomial into a dense
 block for the callers that want one.
-The maps are built from arrays: a raising map finds its targets by
-searchsorted on integer keys of the basis rows (the basis array is built
-once per (n, N)), and every weight, the boundary z1 diagonal included, is
-read from one table of Python float powers q^k (_powers), so each map is
-bit for bit that of a construction one basis vector at a time.  The Fock
+The maps are built from arrays: a raising map reads its targets off the
+(|m|, lex) order of the basis rows, with no search (the basis array is
+built once per (n, N)), and every weight, the boundary z1 diagonal
+included, is read from one table of Python float powers q^k (_powers), so
+each map is bit for bit that of a construction one basis vector at a
+time.  The Fock
 weights are float64, and so is the boundary z1 diagonal when omega is
 real (the norm paths pass 1.0); a complex omega gives a complex diagonal.
 Adjoint maps keep their map's dtype and are built in each rep_entries
@@ -125,27 +126,6 @@ def _powers(q_val: float, count: int) -> np.ndarray:
     return np.array([q_val ** k for k in range(count)])
 
 
-def _fock_raising(basis: np.ndarray, j: int, N: int, q_val: float) -> Map:
-    """Map of e_m -> q^{sum_{k>j} m_k} sqrt(1-q^{2(m_j+1)}) e_{m+delta_j}
-    on the basis rows m (|m| <= N); each target is found by searchsorted
-    on the base-(N + 2) keys of the rows."""
-    dim, n = basis.shape
-    # keys are Python ints once (N + 2)^n would overflow int64
-    radix = np.array([(N + 2) ** k for k in range(n - 1, -1, -1)],
-                     dtype=np.int64 if (N + 2) ** n < 2 ** 63 else object)
-    keys = basis @ radix
-    order = np.argsort(keys)
-    live = np.nonzero(basis.sum(axis=1) < N)[0]
-    m = basis[live]
-    powers = _powers(q_val, 2 * N + 1)
-    target, weight = np.full(dim + 1, dim), np.zeros(dim + 1)
-    target[live] = order[np.searchsorted(keys, keys[live] + radix[j - 1],
-                                         sorter=order)]
-    weight[live] = powers[m[:, j:].sum(axis=1)] * np.sqrt(
-        1.0 - powers[2 * (m[:, j - 1] + 1)])
-    return target, weight
-
-
 def _adjoint(target: np.ndarray, weight: np.ndarray) -> Map:
     """The adjoint of an injective map: its inverse, by one scatter, in
     the weights' dtype."""
@@ -158,11 +138,27 @@ def _adjoint(target: np.ndarray, weight: np.ndarray) -> Map:
 
 def _fock(n: int, N: int, q_val: float) -> RepMatrices:
     """The truncated Fock representation of n >= 0 variables; n = 0 is
-    the one basis vector e_() of level 0, with no maps."""
+    the one basis vector e_() of level 0, with no maps.
+
+    z_j maps e_m -> q^{sum_{k>j} m_k} sqrt(1-q^{2(m_j+1)}) e_{m+delta_j}
+    for |m| < N, and the rows of level N to the sink.  Its targets are
+    read off the (|m|, lex) order of the basis: m -> m + delta_j raises
+    both levels by one and keeps lex order (delta_j is added to both
+    sides), and each row m' with m'_j >= 1 is the image of m' - delta_j,
+    whose level is below N.  So the rows of level < N go, in order, onto
+    the rows with m_j >= 1, in order."""
     basis = _basis_array(n, N)
-    maps = [_fock_raising(basis, j, N, q_val) for j in range(1, n + 1)]
-    return RepMatrices(n=n, maps=maps, dim=len(basis),
-                       levels=basis.sum(axis=1), cutoff=N)
+    levels = basis.sum(axis=1)
+    live = np.flatnonzero(levels < N)
+    m, powers = basis[live], _powers(q_val, 2 * N + 1)
+    dim, maps = len(basis), []
+    for j in range(1, n + 1):
+        target, weight = np.full(dim + 1, dim), np.zeros(dim + 1)
+        target[live] = np.flatnonzero(basis[:, j - 1] > 0)
+        weight[live] = powers[m[:, j:].sum(axis=1)] * np.sqrt(
+            1.0 - powers[2 * (m[:, j - 1] + 1)])
+        maps.append((target, weight))
+    return RepMatrices(n=n, maps=maps, dim=dim, levels=levels, cutoff=N)
 
 
 def fock_generators(cfg: FockConfig) -> RepMatrices:

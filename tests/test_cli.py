@@ -7,9 +7,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+import scipy.sparse.linalg
 
 import qball
-from qball import (BALL, SPHERE, AlgebraContext, BoundaryConfig,
+from qball import (BALL, SPHERE, AlgebraContext, BoundaryConfig, norms,
                    relation_residual)
 from qball.cli import main
 
@@ -158,10 +159,31 @@ def test_input_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_norm_convergence_exit_code(capsys, monkeypatch):
+    """An ARPACK failure exits 3 with the value before it and no summary:
+    only the 220 x 220 component at N = 10 is above the dense limit, so
+    the last value is the Fock value at N = 8."""
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("No convergence", [], [])
+
+    monkeypatch.setattr(norms, "_DENSE_LIMIT", 200)
+    monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+    code, out, err = run(capsys, "norm", "--n", "3", "--expr", "1+z1+z2+z3",
+                         "--trunc", "6,8,10", "--theta", "1")
+    assert code == 3
+    assert out == ""
+    assert err == ("numerical error: svds did not converge on a 220 x 220 "
+                   "component (last value 2.62345)\n")
+
+
 def test_bad_q_exit_code(capsys):
-    code, _, err = run(capsys, "norm", "--n", "1", "--expr", "z1",
-                       "--q", "2", "--trunc", "4")
-    assert code == 2
+    for q, message in [("2", "q must lie in (0, 1), got 2"),
+                       ("abc", "bad q value 'abc'"),
+                       ("1/0", "bad q value '1/0'")]:
+        code, _, err = run(capsys, "norm", "--n", "1", "--expr", "z1",
+                           "--q", q, "--trunc", "4")
+        assert code == 2
+        assert message in err
 
 
 def test_missing_expression(capsys):
@@ -290,6 +312,10 @@ def test_confluence_fuzz_rejects_zero_generators(capsys):
     assert code == 2
     assert "--n must be at least 1" in err
     assert "PASS" not in out
+    code, out, err = run(capsys, "normal-form", "--n", "0", "--expr", "1")
+    assert code == 2
+    assert "need n >= 1 generators, got 0" in err
+    assert out == ""
 
 
 def test_norm_report_has_stabilized_flag(capsys, tmp_path):

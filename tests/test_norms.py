@@ -76,6 +76,8 @@ def test_make_schedule_doubles_theta():
 def test_make_schedule_rejects_nonincreasing():
     with pytest.raises(ValueError):
         make_schedule([10, 10], 64)
+    with pytest.raises(ValueError, match="^empty schedule$"):
+        make_schedule([], 8)
 
 
 def test_empty_schedule_raises():

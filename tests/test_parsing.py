@@ -41,6 +41,12 @@ def test_parse_syntax_error_position():
     with pytest.raises(ParseError) as err:
         parse_expression("z1 + + z2", 2)
     assert "position" in str(err.value)
+    for text, message in [("1/0", "zero denominator (at position 2)"),
+                          ("[z1, z1",
+                           "expected ']', found 'end' (at position 7)")]:
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, 1)
+        assert str(err.value) == message
 
 
 def test_parse_negative_generator_power_rejected():

@@ -157,6 +157,8 @@ def test_boundary_block_is_graded_as_the_fock_space_of_n_minus_1(n, N):
 def test_fock_relation_residual(n):
     rep = fock_generators(FockConfig(n, 8, Q))
     assert relation_residual(rep, AlgebraContext(n, BALL), Q) < 1e-12
+    with pytest.raises(ValueError, match="context dimension mismatch"):
+        relation_residual(rep, AlgebraContext(n + 1, BALL), Q)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -194,9 +196,12 @@ def maps_equal(got, want):
 @pytest.mark.parametrize("q_val", [1 / 3, 1 / 2, 4 / 5, 0.999])
 def test_maps_equal_the_loop_built_reference(q_val):
     """The array-built maps are bit for bit those of the per-basis-vector
-    loop; (32, 2) takes keys past int64."""
+    loop.  The sizes reach the edges of the order argument that gives the
+    targets: N = 0 (no live row), a level-one basis (40, 1), a square
+    (6, 6), and many variables (32, 2)."""
     sizes = [(n, N) for n in range(1, 5) for N in (1, 2, 5, 10)]
-    for n, N in sizes + [(1, 24), (2, 24), (32, 2)]:
+    for n, N in sizes + [(1, 24), (2, 24), (32, 2), (1, 0), (4, 0), (6, 6),
+                         (40, 1)]:
         assert maps_equal(fock_generators(FockConfig(n, N, q_val)).maps,
                           reference_fock_maps(n, N, q_val))
         for omega in (1.0, cmath.exp(0.3j)):
