@@ -23,12 +23,17 @@ Each subcommand takes --n and exactly the flags its handler reads:
   pbw-rank            --degree --q --trunc (one entry) --threshold --json --csv
 
 --n N is the number of generators, except in confluence-fuzz, where each
-input draws its n from 1..N.  --tol is the numerical tolerance of each
-norm value, a positive finite float; --threshold is the pass/fail bound of
-a check, a finite float.  The JSON report always has the same keys;
-"mode" and "seed" are null where the subcommand has no such flag.  A
-boundary relations-residual is evaluated on the omega = 1 character block,
-which has the residual of every block, so its point reports "M": null.
+input draws its n from 1..N.  --tol, a positive finite float, is ARPACK's
+tolerance for a component with more than 2048 rows and columns and the
+threshold of "stabilized" (the last two values closer than --tol); it does
+not bound a value, since a dense component's value has absolute error
+about eps ||A|| whatever --tol is.  --threshold is the pass/fail bound of
+a check, a finite float.  An expression that starts with "-" is given as
+--expr=-z1, since argparse reads "--expr -z1" as a missing argument.  The
+JSON report always has the same keys; "mode" and "seed" are null where the
+subcommand has no such flag.  A boundary relations-residual is evaluated on
+the omega = 1 character block, which has the residual of every block, so
+its point reports "M": null.
 norm, maxprinciple and ci-check reports add "omega": "invariant" says
 whether one boundary block gave the sup over the whole circle, and
 "circle_upper" holds, per point, an upper bound at that N on the value
@@ -104,7 +109,7 @@ _FLAGS = {
     "--theta": dict(type=int, default=1024,
                     help="final cyclic order (theta samples)"),
     "--tol": dict(type=_finite_float(True), default=DEFAULT_TOL,
-                  help="numerical tolerance of norms"),
+                  help="ARPACK and 'stabilized' tolerance, not an error bound"),
     "--seed": dict(type=int, default=0),
     "--json": dict(dest="json_path", help="write the JSON report here"),
     "--csv": dict(dest="csv_path", help="write the schedule table as CSV here"),
@@ -121,7 +126,7 @@ def _command(subs, name: str, help: str, handler, *flags: str,
     for flag in flags:
         if flag == "--expr":
             group = sub.add_mutually_exclusive_group()
-            group.add_argument("--expr", help="expression text")
+            group.add_argument("--expr", help="expression; -z1 as --expr=-z1")
             group.add_argument("--expr-file", help="file holding the expression")
         else:
             sub.add_argument(flag, **_FLAGS[flag])

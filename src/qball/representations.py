@@ -256,15 +256,9 @@ def rep_entries(parts: Sequence[Union[NCPoly, MatPoly]], rep: RepMatrices,
         keys.append((a * r + rows[keep]) * shape[1] + b * r + keep)
         layer.append(np.full(len(keep), d))
         contributions.append((value.real if real else value) * weight[keep])
-    # the sorted distinct keys and each key's slot among them, by a stable
-    # sort and a first-of-run mask
-    keys = np.concatenate(keys)
-    order = np.argsort(keys, kind="stable")
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[order[1:]] != keys[order[:-1]]
-    found = keys[order[first]]
-    slot = np.empty(len(keys), dtype=int)
-    slot[order] = np.cumsum(first) - 1
+    # the sorted distinct keys and each key's slot among them; asking for
+    # the inverse keeps np.unique on its sorting path, which loads no numpy.ma
+    found, slot = np.unique(np.concatenate(keys), return_inverse=True)
     total = np.zeros((len(Fs), len(found)), dtype=dtype)
     np.add.at(total, (np.concatenate(layer), slot),
               np.concatenate(contributions))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qball.algebra import ContextError, Letter, NCPoly
+from qball.algebra import AlgebraContext, ContextError, Letter, MatPoly, NCPoly
 from qball.sampling import random_poly
 
 ONE = ({0: 1}, {})
@@ -80,6 +80,16 @@ def test_ring_axioms_random():
 def test_context_mismatch():
     with pytest.raises(ContextError):
         z(1, 1) * z(2, 1)
+    with pytest.raises(ContextError, match="unknown mode 'torus'"):
+        AlgebraContext(2, "torus")
+    with pytest.raises(ContextError, match="need n >= 1, got 0"):
+        NCPoly(0)
+    assert (NCPoly.one(1) == 1) is False
+    for rows in ([], [[z(1, 1)], [z(1, 1), z(1, 1)]]):
+        with pytest.raises(ValueError, match="nonempty and equally long"):
+            MatPoly(rows)
+    with pytest.raises(ValueError, match="entries must share the same n"):
+        MatPoly([[z(1, 1), z(2, 1)]])
 
 
 def test_word_validation():

@@ -65,10 +65,11 @@ def _scipy_modules_after(statement):
 
 
 def test_symbolic_run_loads_no_numerics():
-    """import qball loads a module only when one of its names is used, so
-    parsing, normalizing, printing and a confluence check stay numpy-free."""
+    """import qball loads a module only when one of its names is used, or
+    the module itself as an attribute, so parsing, normalizing, printing and
+    a confluence check stay numpy-free."""
     loaded = set(_modules_after(
-        "import qball; "
+        "import qball; assert qball.rewrite.normalize; "
         + "; ".join(f"import qball.{module}" for module in SYMBOLIC) + "; "
         "from qball import AlgebraContext, normalize, parse_expression, "
         "print_poly; from qball.rewrite import confluent; "
@@ -151,9 +152,11 @@ def test_maxprinciple_run_loads_no_scipy():
 def test_maxprinciple_run_loads_numpy_ma_only_if_numpy_does():
     """numpy 2.x imports numpy.ma lazily, and a bare np.unique imports it on
     its first call (~17 ms, 1.3 MB); the norm kernel groups component
-    shapes without it.  numpy 1.x imports numpy.ma with numpy itself.  The
-    runs cover one phase table, a gauged non-invariant input (half grids,
-    complex phase tables) and a matrix ci-check."""
+    shapes without it, and rep_entries asks np.unique for the inverse,
+    which keeps it on the sorting path that loads no numpy.ma.  numpy 1.x
+    imports numpy.ma with numpy itself.  The runs cover one phase table, a
+    gauged non-invariant input (half grids, complex phase tables) and a
+    matrix ci-check."""
     bare = "numpy.ma" in _modules_after("import numpy")
     for argv in (
             ['maxprinciple', '--n', '2', '--expr', 'z1+z2'],

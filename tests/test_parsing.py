@@ -5,12 +5,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qball import cli
-from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly
+from qball.algebra import (BALL, SPHERE, AlgebraContext, ContextError, Letter,
+                           NCPoly)
 from qball.norms import MatPoly
 from qball.parsing import (
     ParseError,
     _tokenize,
     parse_expression,
+    parse_lifted,
     print_matrix,
     print_poly,
 )
@@ -35,6 +37,10 @@ def test_parse_scalar_combination():
 def test_parse_index_out_of_range():
     with pytest.raises(ParseError):
         parse_expression("z3", 2)
+    for parse in (parse_expression, parse_lifted):
+        with pytest.raises(ContextError) as err:
+            parse("1", 0)
+        assert str(err.value) == "need n >= 1, got 0"
 
 
 def test_parse_syntax_error_position():

@@ -25,6 +25,7 @@ from qball.representations import (
     fock_generators,
     graded_lex_basis,
     rep_apply,
+    rep_entries,
 )
 from qball.norms import relation_residual
 from qball.rewrite import normalize
@@ -138,6 +139,20 @@ def test_certify_compression_bounds():
     assert len(certify_compression(circle, 1)) == 8
     with pytest.raises(TruncationError):
         certify_compression(circle, 2)
+    with pytest.raises(ValueError, match="word length bound must be >= 0"):
+        certify_compression(rep, -1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: FockConfig(0, 4, 0.5), "need n >= 1 and N >= 0"),
+    (lambda: FockConfig(1, 4, 1.0), r"q must lie in \(0, 1\), got 1.0"),
+    (lambda: BoundaryConfig(1, 4, 0, 0.5), "need n >= 1, N >= 0, M >= 1"),
+    (lambda: BoundaryConfig(1, 4, 8, 0.0),
+     r"q must lie in \(0, 1\), got 0.0"),
+])
+def test_configs_reject_out_of_range_values(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -369,3 +384,6 @@ def test_rep_apply_of_a_polynomial_is_the_one_by_one_case():
                           rep_apply(p, rep, Q))
     with pytest.raises(ValueError, match="representation has n=2"):
         rep_apply(MatPoly([[NCPoly.generator(3, 3)]]), rep, Q)
+    for parts in ([], [p, MatPoly([[p, p]])]):
+        with pytest.raises(ValueError, match="all of one shape"):
+            rep_entries(parts, rep, Q)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from oracles import fraction_constant, reference_step
 from qball.algebra import BALL, SPHERE, AlgebraContext, Letter, NCPoly
 from qball.parsing import parse_expression
-from qball.rewrite import (CONFLUENCE_RUNS, normalize, normalize_by_steps,
-                           reduce_step, rule_sites)
+from qball.rewrite import (CONFLUENCE_RUNS, confluent, normalize,
+                           normalize_by_steps, reduce_step, rule_sites)
 
 # (strategy, seed) pairs run by confluence-fuzz.
 CLI_STRATEGIES = list(CONFLUENCE_RUNS)
@@ -139,3 +139,8 @@ def test_unknown_strategy_and_missing_seed_rejected():
         reduce_step(fixed, ctx, "random")
     with pytest.raises(ValueError, match="needs a seed"):
         normalize_by_steps(fixed, ctx, "random")
+    wider = AlgebraContext(3, BALL)
+    for check in (normalize, reduce_step, normalize_by_steps, confluent):
+        with pytest.raises(ValueError,
+                           match="polynomial has n=2, context has n=3"):
+            check(NCPoly.generator(2, 1), wider)
