@@ -1,15 +1,15 @@
 """Truncated matrix realizations of the irreducible *-representations.
 
-Two families are built:
-
-* the Fock representation on l^2(Z_+^n), truncated to total degree |m| <= N,
-  where each generator acts as a weighted raising operator; and
-* the boundary family, one character block per root of unity omega, on
-  l^2({m in Z_+^{n-1}}): the first generator acts as omega times a
-  diagonal q-weight and the remaining generators are the Fock generators
-  of n - 1 variables.  One construction serves every n >= 1: at n = 1 the
-  Fock space of 0 variables is the one vector of level 0, so the block is
-  the 1 x 1 block omega (the circle), truncated at N like every other.
+One builder (_stratum) makes the Fock representation of the ball and
+every stratum of the sphere's irreducible representations, truncated to
+total degree |m| <= N.  Stratum k = 0..n lives on the Fock basis of the
+n - k variables (m_{k+1}, ..., m_n): z_j for j < k is 0, z_k is omega
+times a diagonal q-weight, and z_{k+1}..z_n act as weighted raising
+operators.  Stratum 0 is the Fock representation (fock_generators);
+stratum 1 at the M-th roots of unity omega is the boundary family, one
+character block per omega (boundary_block_generators), and at n = 1 it is
+the 1 x 1 block omega (the circle), truncated at N like every other.  The
+norm paths use strata 0 and 1 only.
 
 Each generator, hence each word, sends a basis vector to at most one basis
 vector times one weight.  A block is a stack of D >= 1 matrices over one
@@ -24,12 +24,11 @@ allocated; rep_apply scatters the entries of one polynomial into a dense
 block for the callers that want one.
 The maps are built from arrays: a raising map reads its targets off the
 (|m|, lex) order of the basis rows, with no search (the basis array is
-built once per (n, N)), and every weight, the boundary z1 diagonal
-included, is read from one table of Python float powers q^k (_powers), so
-each map is bit for bit that of a construction one basis vector at a
-time.  The Fock
-weights are float64, and so is the boundary z1 diagonal when omega is
-real (the norm paths pass 1.0); a complex omega gives a complex diagonal.
+built once per (n, N)), and every weight, the diagonal of z_k included, is
+read from one table of Python float powers q^k (_powers), so each map is
+bit for bit that of a construction one basis vector at a time.  The
+raising weights are float64, and so is the diagonal when omega is real
+(the norm paths pass 1.0); a complex omega gives a complex diagonal.
 Adjoint maps keep their map's dtype and are built in each rep_entries
 call.
 rep_entries evaluates in float64 when every map and every coefficient
@@ -136,23 +135,42 @@ def _adjoint(target: np.ndarray, weight: np.ndarray) -> Map:
     return inverse, conj
 
 
-def _fock(n: int, N: int, q_val: float) -> RepMatrices:
-    """The truncated Fock representation of n >= 0 variables; n = 0 is
-    the one basis vector e_() of level 0, with no maps.
+def _stratum(n: int, N: int, q_val: float, k: int,
+             omega: complex = 1.0) -> RepMatrices:
+    """Stratum k = 0..n of n generators, truncated at |m| <= N: k = 0 is
+    the Fock representation, k = 1 the boundary character block at omega,
+    and k = n the 1 x 1 block omega.
 
-    z_j maps e_m -> q^{sum_{k>j} m_k} sqrt(1-q^{2(m_j+1)}) e_{m+delta_j}
-    for |m| < N, and the rows of level N to the sink.  Its targets are
-    read off the (|m|, lex) order of the basis: m -> m + delta_j raises
-    both levels by one and keeps lex order (delta_j is added to both
-    sides), and each row m' with m'_j >= 1 is the image of m' - delta_j,
-    whose level is below N.  So the rows of level < N go, in order, onto
-    the rows with m_j >= 1, in order."""
-    basis = _basis_array(n, N)
+    On l^2(Z_+)^{(x)n} the Fock generators are tensor products,
+    z_j = I^{(x)(j-1)} (x) S (x) Q^{(x)(n-j)}, with S e_m =
+    sqrt(1 - q^{2(m+1)}) e_{m+1} and Q e_m = q^m e_m.  Stratum k is the
+    limit m_k -> infinity: on factor k, Q -> 0, S -> omega and I -> 1.  So
+    z_j = 0 for j < k (the sink map, weight 0), z_k is the diagonal
+    omega q^{|m|}, and z_{k+1}..z_n are the Fock generators of the n - k
+    variables m = (m_{k+1}, ..., m_n), whose truncated basis (one vector
+    of level 0 when k = n) carries the grading and the cutoff N.
+
+    z_j, j > k, maps e_m -> q^{sum_{i>j} m_i} sqrt(1-q^{2(m_j+1)})
+    e_{m+delta_j} for |m| < N, and the rows of level N to the sink.  Its
+    targets are read off the (|m|, lex) order of the basis: m -> m +
+    delta_j raises both levels by one and keeps lex order (delta_j is
+    added to both sides), and each row m' with m'_j >= 1 is the image of
+    m' - delta_j, whose level is below N.  So the rows of level < N go, in
+    order, onto the rows with m_j >= 1, in order.  A real omega (a complex
+    one with imaginary part 0 included) gives a float64 diagonal, each
+    weight the real part of the complex one bit for bit; any other omega
+    gives a complex one."""
+    basis = _basis_array(n - k, N)
     levels = basis.sum(axis=1)
     live = np.flatnonzero(levels < N)
     m, powers = basis[live], _powers(q_val, 2 * N + 1)
-    dim, maps = len(basis), []
-    for j in range(1, n + 1):
+    dim = len(basis)
+    maps = [(np.full(dim + 1, dim), np.zeros(dim + 1))] * (k - 1)
+    if k:
+        omega = complex(omega)
+        scale = omega.real if omega.imag == 0 else omega
+        maps.append((np.arange(dim + 1), np.append(scale * powers[levels], 0)))
+    for j in range(1, n - k + 1):
         target, weight = np.full(dim + 1, dim), np.zeros(dim + 1)
         target[live] = np.flatnonzero(basis[:, j - 1] > 0)
         weight[live] = powers[m[:, j:].sum(axis=1)] * np.sqrt(
@@ -162,32 +180,21 @@ def _fock(n: int, N: int, q_val: float) -> RepMatrices:
 
 
 def fock_generators(cfg: FockConfig) -> RepMatrices:
-    """Truncated Fock representation on {e_m : |m| <= N}."""
-    return _fock(cfg.n, cfg.N, cfg.q_val)
+    """Truncated Fock representation on {e_m : |m| <= N} (stratum 0)."""
+    return _stratum(cfg.n, cfg.N, cfg.q_val, 0)
 
 
 def boundary_block_generators(cfg: BoundaryConfig, omega: complex) -> RepMatrices:
-    """One character block of the boundary representation.
+    """One character block of the boundary representation (stratum 1).
 
     The M-cycle block-diagonalizes over the M-th roots of unity; this builds
-    the block where the cycle acts as the scalar omega.  The block lives on
-    the truncated Fock space of the n - 1 variables m = (m_2, ..., m_n),
-    whose basis, levels and cutoff N it shares: z2..zn act as the Fock
-    generators there and z1 is the diagonal omega * q^|m|.  At n = 1 that
-    space is the one vector of level 0, so z1 is the 1 x 1 block omega
-    (q^0 = 1), certified up to words of N letters as at every n.
-    A real omega (a complex one with imaginary part 0 included) gives a
-    float64 diagonal, each weight the real part of the complex one bit for
-    bit, so with the real Fock maps the whole block is real; any other
-    omega gives a complex diagonal.
+    the block where the cycle acts as the scalar omega: z1 is the diagonal
+    omega * q^|m| on the truncated Fock space of m = (m_2, ..., m_n), and
+    z2..zn act as its Fock generators.  At n = 1 that space is the one
+    vector of level 0, so z1 is the 1 x 1 block omega, certified up to
+    words of N letters as at every n.
     """
-    fock = _fock(cfg.n - 1, cfg.N, cfg.q_val)
-    omega = complex(omega)
-    scale = omega.real if omega.imag == 0 else omega
-    z1 = (np.arange(fock.dim + 1),
-          np.append(scale * _powers(cfg.q_val, cfg.N + 1)[fock.levels], 0))
-    return RepMatrices(n=cfg.n, maps=[z1] + fock.maps, dim=fock.dim,
-                       levels=fock.levels, cutoff=cfg.N)
+    return _stratum(cfg.n, cfg.N, cfg.q_val, 1, omega)
 
 
 class Entries(NamedTuple):

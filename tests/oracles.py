@@ -10,10 +10,12 @@ These are oracles only; no library code calls them.
   The library evaluates one character block per omega instead
   (boundary_block_generators).
 * reference_raising is the Fock raising map built one basis vector at a
-  time (a dict index, Python float powers); reference_fock_maps and
-  reference_block_maps build every generator of fock_generators and
-  boundary_block_generators from it.  The library builds each map from
-  arrays (searchsorted on integer keys, one table of powers).
+  time (a dict index, Python float powers); reference_fock_maps builds
+  every generator of fock_generators from it, and reference_stratum_maps
+  every generator of stratum k (k = 1: boundary_block_generators), the
+  zero maps and the diagonal of z_k included.  The library builds each
+  map from arrays (targets read off the graded order of the basis rows,
+  one table of powers).
 * reference_dense_block is the evaluation loop rep_entries replaced: each
   word's entries added into a zero dense block by +=, in the same word
   order; rep_entries sums in that order but stores only the nonzeros.
@@ -146,14 +148,20 @@ def reference_fock_maps(n: int, N: int, q_val: float):
             for j in range(1, n + 1)]
 
 
-def reference_block_maps(cfg: BoundaryConfig, omega: complex):
-    """The maps of one boundary character block: z1 the diagonal
-    omega * q^|m| (the 1 x 1 block omega for n = 1), z2..zn the Fock maps
-    of n - 1 variables."""
-    levels = [sum(m) for m in graded_lex_basis(cfg.n - 1, cfg.N)]
-    z1 = (np.arange(len(levels) + 1), np.array(
-        [omega * cfg.q_val ** k for k in levels] + [0], dtype=complex))
-    return [z1] + reference_fock_maps(cfg.n - 1, cfg.N, cfg.q_val)
+def reference_stratum_maps(n: int, N: int, q_val: float, k: int,
+                           omega: complex = 1.0):
+    """The maps of stratum k on the Fock basis of the n - k variables
+    (m_{k+1}, ..., m_n), |m| <= N, one basis vector at a time: z_j for
+    j < k sends every vector to the sink with weight 0, z_k is the
+    diagonal omega * q^|m| (the 1 x 1 block omega for k = n), and
+    z_{k+1}..z_n are the Fock maps of n - k variables."""
+    levels = [sum(m) for m in graded_lex_basis(n - k, N)]
+    dim = len(levels)
+    zero = (np.full(dim + 1, dim), np.zeros(dim + 1, dtype=complex))
+    diagonal = (np.arange(dim + 1), np.array(
+        [omega * q_val ** level for level in levels] + [0], dtype=complex))
+    return ([zero] * (k - 1) + [diagonal] * (k > 0)
+            + reference_fock_maps(n - k, N, q_val))
 
 
 def boundary_generators(cfg: BoundaryConfig) -> RepMatrices:

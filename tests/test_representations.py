@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from qball.representations import (
     BoundaryConfig,
     FockConfig,
     TruncationError,
+    _stratum,
     boundary_block_generators,
     certify_compression,
     fock_generators,
@@ -32,8 +34,8 @@ from qball.rewrite import normalize
 from qball.sampling import random_poly
 
 from oracles import (boundary_generators, cycle_matrix, fraction_constant,
-                     fraction_terms, fraction_value, reference_block_maps,
-                     reference_fock_maps)
+                     fraction_terms, fraction_value, reference_fock_maps,
+                     reference_stratum_maps)
 
 Q = 0.5
 
@@ -168,18 +170,34 @@ def test_boundary_block_is_graded_as_the_fock_space_of_n_minus_1(n, N):
     assert rep.cutoff == N
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_fock_relation_residual(n):
+    """Stratum 0, the Fock representation: C(N + n, n) basis vectors, and
+    the ball relations hold."""
     rep = fock_generators(FockConfig(n, 8, Q))
+    assert rep.dim == math.comb(8 + n, n)
     assert relation_residual(rep, AlgebraContext(n, BALL), Q) < 1e-12
     with pytest.raises(ValueError, match="context dimension mismatch"):
         relation_residual(rep, AlgebraContext(n + 1, BALL), Q)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_boundary_relation_residual(n):
+    """The sphere relations hold in the Kronecker-built boundary
+    representation and in every stratum k = 1..n, which lives on the Fock
+    basis of the n - k variables: C(N + n - k, n - k) vectors graded by
+    |m|, cutoff N; at k = n the 1 x 1 block omega."""
+    ctx, omega = AlgebraContext(n, SPHERE), cmath.exp(0.3j)
     rep = boundary_generators(BoundaryConfig(n, 8, 8, Q))
-    assert relation_residual(rep, AlgebraContext(n, SPHERE), Q) < 1e-12
+    assert relation_residual(rep, ctx, Q) < 1e-12
+    for k in range(1, n + 1):
+        rep = _stratum(n, 8, Q, k, omega)
+        assert rep.dim == math.comb(8 + n - k, n - k)
+        assert rep.levels.tolist() == [sum(m) for m in
+                                       graded_lex_basis(n - k, 8)]
+        assert rep.cutoff == 8
+        assert relation_residual(rep, ctx, Q) < 1e-12
+    assert np.array_equal(generator_matrix(rep, n), [[omega]])
 
 
 def test_relation_residual_detects_corruption():
@@ -210,10 +228,11 @@ def maps_equal(got, want):
 
 @pytest.mark.parametrize("q_val", [1 / 3, 1 / 2, 4 / 5, 0.999])
 def test_maps_equal_the_loop_built_reference(q_val):
-    """The array-built maps are bit for bit those of the per-basis-vector
-    loop.  The sizes reach the edges of the order argument that gives the
-    targets: N = 0 (no live row), a level-one basis (40, 1), a square
-    (6, 6), and many variables (32, 2)."""
+    """The array-built maps of every stratum k = 0..n are bit for bit those
+    of the per-basis-vector loop, and real at a real omega.  The sizes
+    reach the edges of the order argument that gives the targets: N = 0
+    (no live row), a level-one basis (40, 1), a square (6, 6), and many
+    variables (32, 2); k = n is the 1 x 1 block omega."""
     sizes = [(n, N) for n in range(1, 5) for N in (1, 2, 5, 10)]
     for n, N in sizes + [(1, 24), (2, 24), (32, 2), (1, 0), (4, 0), (6, 6),
                          (40, 1)]:
@@ -222,7 +241,13 @@ def test_maps_equal_the_loop_built_reference(q_val):
         for omega in (1.0, cmath.exp(0.3j)):
             cfg = BoundaryConfig(n, N, 4, q_val)
             assert maps_equal(boundary_block_generators(cfg, omega).maps,
-                              reference_block_maps(cfg, omega))
+                              reference_stratum_maps(n, N, q_val, 1, omega))
+            for k in range(n + 1):
+                maps = _stratum(n, N, q_val, k, omega).maps
+                assert maps_equal(maps, reference_stratum_maps(
+                    n, N, q_val, k, omega))
+                assert all(w.dtype == float for _, w in maps) == (
+                    omega == 1.0 or k == 0)
 
 
 def test_homomorphism_cross_check():
