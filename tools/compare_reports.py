@@ -3,14 +3,24 @@
     python tools/compare_reports.py REV
 
 REV (a commit, branch or tag) is exported with `git archive` into a
-temporary directory.  Each tree runs one fixed list of argvs through
-qball.cli.main, in one process per BLAS thread count (1 and 2) with the
-tree's own src/ first on the path, and each report goes to a temporary
-file.  The list is every distinct argv of the benchmark's reference pools
-(bench/refs/*.json of this tree, only read) and relations-residual on both
-sides for n = 1..4.  The script prints each argv whose exit code or report
-bytes differ between the two trees at one thread count, then a summary,
-and exits 1 on any difference, else 0.
+temporary directory.  The argvs are the entries of this tree's corpus
+(tests/corpus.py), then every distinct argv of the benchmark's reference
+pools (bench/refs/*.json of this tree, only read).  Each tree, with its own
+src/ first on the path, runs them at 1 and at 2 BLAS threads:
+
+* all argvs through qball.cli.main in one process, each report going to a
+  temporary file;
+* each corpus argv again in a fresh interpreter of its own.
+
+The script prints each argv whose exit code or report bytes differ between
+the two trees at one thread count, each run whose exit code is not the one
+the corpus expects (0 for a reference argv), each run that raised an
+exception out of main (also counted as a difference between the trees), and
+each corpus argv whose fresh-process bytes differ from its one-process
+bytes in either tree.  Then it prints a summary and exits 1 if any of these
+occurred, else 0.  On a 2-vCPU VM a whole comparison took 44-47 s, of
+which the 244 fresh runs (61 corpus argvs, 2 thread counts, 2 trees) took
+about 37 s, 0.15 s each; without them it took 7 s.
 """
 
 from __future__ import annotations
@@ -25,43 +35,48 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 THREADS = (1, 2)
+sys.path.insert(0, str(ROOT / "tests"))
+
+from corpus import CORPUS  # noqa: E402
 
 # Reads a JSON list of argvs on stdin and writes a JSON list of
-# [exit code, report text or null] on stdout; the summaries the CLI prints
-# are discarded.
+# [exit code, report text or null] on stdout; the exit code of a run that
+# raised is the text "raised " and the exception.  The summaries the CLI
+# prints are discarded.
 RUNNER = """
 import contextlib, io, json, os, sys
 from qball.cli import main
 results = []
-for i, argv in enumerate(json.load(sys.stdin)):
-    path = f"report-{i}.json"
+for argv in json.load(sys.stdin):
+    path = "report.json"
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(argv + ["--json", path])
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
     text = None
     if os.path.exists(path):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
+        os.remove(path)
     results.append([code, text])
 json.dump(results, sys.__stdout__)
 """
 
 
 def argv_list() -> list:
-    """The reference pools' distinct argvs, in pool and slot order, then
-    relations-residual on both sides for n = 1..4."""
-    argvs = []
+    """[argv, expected exit code, in the corpus] of the corpus entries,
+    then of the reference pools' distinct argvs in pool and slot order."""
+    runs = [[list(entry.argv), entry.code, True] for entry in CORPUS]
     for pool in sorted((ROOT / "bench" / "refs").glob("*.json")):
         slots = json.loads(pool.read_text(encoding="utf-8"))["slots"]
         for variant in (v for slot in slots for v in slot):
-            if variant["argv"] not in argvs:
-                argvs.append(variant["argv"])
-    return argvs + [["relations-residual", "--side", side, "--n", str(n),
-                     "--q", "1/2", "--trunc", "8"]
-                    for side in ("fock", "boundary") for n in range(1, 5)]
+            if all(variant["argv"] != argv for argv, _, _ in runs):
+                runs.append([variant["argv"], 0, False])
+    return runs
 
 
 def run(tree: pathlib.Path, argvs: list, threads: int) -> list:
@@ -83,25 +98,41 @@ def main(argv: list) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     rev = argv[1]
-    argvs = argv_list()
-    differing = failed = 0
+    runs = argv_list()
+    argvs = [args for args, _, _ in runs]
+    differing = unexpected = fresh_differing = 0
     with tempfile.TemporaryDirectory(prefix="qball-rev-") as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         for threads in THREADS:
-            theirs = run(pathlib.Path(tmp), argvs, threads)
-            ours = run(ROOT, argvs, threads)
-            for args, mine, other in zip(argvs, ours, theirs):
-                failed += mine[0] != 0
-                if mine != other:
+            results = {}
+            for label, tree in ((rev, pathlib.Path(tmp)), ("this tree", ROOT)):
+                shared = run(tree, argvs, threads)
+                results[label] = shared
+                for (args, code, in_corpus), one in zip(runs, shared):
+                    if one[0] != code:
+                        unexpected += 1
+                        print(f"{label} at {threads} BLAS thread(s) exits "
+                              f"{one[0]}, not {code}: "
+                              f"qball {shlex.join(args)}")
+                    if in_corpus and run(tree, [args], threads)[0] != one:
+                        fresh_differing += 1
+                        print(f"{label} at {threads} BLAS thread(s), fresh "
+                              f"process differs: qball {shlex.join(args)}")
+            for args, mine, other in zip(argvs, results["this tree"],
+                                         results[rev]):
+                raised = any(isinstance(code, str)
+                             for code in (mine[0], other[0]))
+                if raised or mine != other:
                     differing += 1
                     print(f"differs at {threads} BLAS thread(s), exit "
                           f"{other[0]} -> {mine[0]}: qball {shlex.join(args)}")
-    print(f"{len(argvs)} argvs at {' and '.join(map(str, THREADS))} BLAS "
-          f"threads against {rev}: {differing} differ; {failed} runs of this "
-          f"tree exit nonzero")
-    return 1 if differing else 0
+    print(f"{len(argvs)} argvs ({len(CORPUS)} of the corpus) at "
+          f"{' and '.join(map(str, THREADS))} BLAS threads against {rev}: "
+          f"{differing} differ; {unexpected} unexpected exit codes; "
+          f"{fresh_differing} fresh-process runs differ from one-process runs")
+    return 1 if differing or unexpected or fresh_differing else 0
 
 
 if __name__ == "__main__":
