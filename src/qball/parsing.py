@@ -18,7 +18,9 @@ accept.
 
 The postfix prime denotes the adjoint ('*' is taken by multiplication).
 Generator powers must be nonnegative; a negative power needs a nonzero
-scalar c*q^k.
+scalar c*q^k.  A power of a scalar is taken by repeated squaring, so
+q^-179700 costs a few dozen products; a power of anything holding a
+generator is the left-to-right product of its copies.
 
 The parser evaluates as it parses, over lifted states (algebra.Lifted):
 Gaussian-integer Laurent numerators over one denominator, the form an
@@ -87,6 +89,20 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 # -- parser -----------------------------------------------------------
+
+def _scalar_power(atom: Lifted, k: int, product: WordProduct) -> Lifted:
+    """atom^k for a scalar atom and k >= 1, by square-and-multiply: at most
+    2*log2(k) products, equal to the k - 1 of the left-to-right loop
+    because scalars commute and products do not reduce."""
+    out = None
+    while True:
+        if k & 1:
+            out = atom if out is None else mul_lifted(out, atom, product)
+        k >>= 1
+        if not k:
+            return out
+        atom = mul_lifted(atom, atom, product)
+
 
 class _Parser:
     """The grammar, evaluated over lifted states with one word product:
@@ -176,6 +192,8 @@ class _Parser:
             atom = self.inverse(atom, start, atom_tok.pos)
         if exponent == 0:
             return self.scalar({0: 1}, {})
+        if all(not word for word in atom[0]):
+            return _scalar_power(atom, abs(exponent), self.product)
         out = atom
         for _ in range(abs(exponent) - 1):
             out = mul_lifted(out, atom, self.product)

@@ -17,12 +17,13 @@ rule_sites and apply_rule are the rule table; the single-step path
 (reduce_step, normalize_by_steps) applies it one instance at a time.
 normalize instead folds a word's letters into the PBW product table, which
 _times_letter gives in closed form, and takes only R5 from the rules, so
-confluent compares two independent codes.  An input at which no step has
-two or more candidates is stepped once, by the leftmost run: every
-strategy takes the one candidate there is, so the other runs would repeat
-it step for step.  Coefficients lie in Z[q, q^-1]
-until normalize applies the input's own Gaussian-rational ones, once, to
-its lifted state (NCPoly.terms over NCPoly.den), which is never changed.
+confluent compares two independent codes.  An input from which no word
+with two or more rule sites can be reached is stepped once, by the
+leftmost run: there every word has one expansion, and every run, whatever
+its order, ends where the leftmost run does (see confluent).  Coefficients
+lie in Z[q, q^-1] until normalize applies the input's own
+Gaussian-rational ones, once, to its lifted state (NCPoly.terms over
+NCPoly.den), which is never changed.
 pbw_product is the product of the quotient, u, v -> NF(uv), which qball
 normal-form parses with, so its input is never expanded freely.
 defining_relations gives the relations R1-R5 orient, as polynomials.
@@ -40,8 +41,6 @@ from .algebra import (SPHERE, AlgebraContext, Laurent, Letter, NCPoly,
                       compositions)
 
 Expansion = List[Tuple[Laurent, Word]]
-# A rule_sites memo: word -> its rule instances.
-Sites = Dict[Word, List[Optional[int]]]
 
 _ONE_MINUS_Q2: Laurent = {0: 1, 2: -1}
 _Q2_MINUS_ONE: Laurent = {0: -1, 2: 1}
@@ -221,23 +220,43 @@ def _check_step_args(p: NCPoly, ctx: AlgebraContext, strategy: str,
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
 
 
+class _Memo:
+    """Memos of the rule table for runs that share them: rule_sites by
+    word (sites) and apply_rule by (word, site) (terms)."""
+
+    __slots__ = ("sites", "terms")
+
+    def __init__(self) -> None:
+        self.sites: Dict[Word, List[Optional[int]]] = {}
+        self.terms: Dict[Tuple[Word, Optional[int]], Expansion] = {}
+
+
 def _classify(word: Word, ctx: AlgebraContext,
-              sites: Sites) -> List[Optional[int]]:
-    """rule_sites(word, ctx), memoized in sites."""
-    found = sites.get(word)
+              memo: _Memo) -> List[Optional[int]]:
+    """rule_sites(word, ctx), memoized in memo."""
+    found = memo.sites.get(word)
     if found is None:
-        found = sites[word] = rule_sites(word, ctx)
+        found = memo.sites[word] = rule_sites(word, ctx)
+    return found
+
+
+def _expand(word: Word, site: Optional[int], n: int,
+            memo: _Memo) -> Expansion:
+    """apply_rule(word, site, n), memoized in memo."""
+    found = memo.terms.get((word, site))
+    if found is None:
+        found = memo.terms[word, site] = apply_rule(word, site, n)
     return found
 
 
 def _split(terms: State, ctx: AlgebraContext,
-           sites: Sites) -> Tuple[State, State]:
+           memo: _Memo) -> Tuple[State, State]:
     """Copies of the pending words of terms (a rule applies) and of its
     canonical words, whose Laurent maps _step may update in place."""
     pending: State = {}
     canonical: State = {}
     for w, (re, im) in terms.items():
-        part = pending if _classify(w, ctx, sites) else canonical
+        part = pending if _classify(w, ctx, memo) else canonical
         part[w] = (dict(re), dict(im))
     return pending, canonical
 
@@ -247,15 +266,17 @@ def _order(word: Word) -> Tuple[int, Word]:
 
 
 def _step(pending: State, canonical: State, ctx: AlgebraContext,
-          strategy: str, rng: Optional[random.Random], sites: Sites) -> bool:
+          strategy: str, rng: Optional[random.Random], memo: _Memo) -> bool:
     """Apply one rule instance to the state pending + canonical in place;
     False at a fixed point, when pending is empty.  The candidates are the
-    pending words in (length, word) order with their rule_sites (memoized in
-    sites): leftmost takes the first, rightmost the last, and random draws
-    one with rng.choice.  A word's class never changes, so each replacement
-    term goes to the part its word belongs to."""
+    pending words in (length, word) order with their rule_sites: leftmost
+    takes the first, rightmost the last, and random draws one with
+    rng.choice.  A word's class never changes, so each replacement term
+    goes to the part its word belongs to.  memo holds the rule_sites and
+    apply_rule results."""
     if not pending:
         return False
+    sites = memo.sites
     if strategy == LEFTMOST:
         word = min(pending, key=_order)
         site = sites[word][0]
@@ -266,8 +287,8 @@ def _step(pending: State, canonical: State, ctx: AlgebraContext,
         word, site = rng.choice([(w, s) for w in sorted(pending, key=_order)
                                  for s in sites[w]])
     coeff = pending.pop(word)
-    for lp, w in apply_rule(word, site, ctx.n):
-        _addmul(pending if _classify(w, ctx, sites) else canonical,
+    for lp, w in _expand(word, site, ctx.n, memo):
+        _addmul(pending if _classify(w, ctx, memo) else canonical,
                 w, lp, coeff)
     return True
 
@@ -276,9 +297,9 @@ def reduce_step(p: NCPoly, ctx: AlgebraContext, strategy: str = LEFTMOST,
                 rng: Optional[random.Random] = None) -> NCPoly:
     """Apply exactly one rule instance to one word; fixed points unchanged."""
     _check_step_args(p, ctx, strategy, rng, "an rng")
-    sites: Sites = {}
-    pending, canonical = _split(p.terms, ctx, sites)
-    if not _step(pending, canonical, ctx, strategy, rng, sites):
+    memo = _Memo()
+    pending, canonical = _split(p.terms, ctx, memo)
+    if not _step(pending, canonical, ctx, strategy, rng, memo):
         return p
     return NCPoly(ctx.n, {**pending, **canonical}, p.den)
 
@@ -286,24 +307,15 @@ def reduce_step(p: NCPoly, ctx: AlgebraContext, strategy: str = LEFTMOST,
 _MAX_STEPS = 200000
 
 
-def _has_choice(pending: State, sites: Sites) -> bool:
-    """Whether a step from pending has two or more candidates."""
-    return len(pending) > 1 or any(len(sites[w]) > 1 for w in pending)
-
-
 def _fixed_point(terms: State, ctx: AlgebraContext, strategy: str,
-                 seed: Optional[int], max_steps: int,
-                 sites: Sites) -> Tuple[State, bool]:
+                 seed: Optional[int], max_steps: int, memo: _Memo) -> State:
     """Step a copy of terms until no pending word is left, and return its
-    canonical part and whether some step had two or more candidates.
-    sites memoizes rule_sites for several runs."""
+    canonical part.  memo may be shared by several runs."""
     rng = random.Random(seed) if strategy == RANDOM else None
-    pending, canonical = _split(terms, ctx, sites)
-    chose = False
+    pending, canonical = _split(terms, ctx, memo)
     for _ in range(max_steps + 1):
-        chose = chose or _has_choice(pending, sites)
-        if not _step(pending, canonical, ctx, strategy, rng, sites):
-            return canonical, chose
+        if not _step(pending, canonical, ctx, strategy, rng, memo):
+            return canonical
     raise RuntimeError(f"no fixed point within {max_steps} steps")
 
 
@@ -316,7 +328,29 @@ def normalize_by_steps(p: NCPoly, ctx: AlgebraContext,
     on a copy of p's lifted state; RuntimeError after max_steps steps."""
     _check_step_args(p, ctx, strategy, seed, "a seed")
     return NCPoly(ctx.n, _fixed_point(p.terms, ctx, strategy, seed,
-                                      max_steps, {})[0], p.den)
+                                      max_steps, _Memo()), p.den)
+
+
+def _branches(terms: State, ctx: AlgebraContext, memo: _Memo) -> bool:
+    """Whether a word with two or more rule sites can be reached from the
+    words of terms by apply_rule; also True once more than _MAX_STEPS
+    words were reached, so that a rule table that does not terminate is
+    left to the runs' step bound.  Each word is visited once, and its one
+    site, if any, expanded through memo."""
+    seen = set(terms)
+    todo = list(seen)
+    while todo:
+        word = todo.pop()
+        sites = _classify(word, ctx, memo)
+        if len(sites) > 1:
+            return True
+        for _, w in (_expand(word, sites[0], ctx.n, memo) if sites else ()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+        if len(seen) > _MAX_STEPS:
+            return True
+    return False
 
 
 # The (strategy, seed) runs that confluent compares with normalize.
@@ -327,26 +361,28 @@ CONFLUENCE_RUNS = ((LEFTMOST, None), (RIGHTMOST, None),
 def confluent(p: NCPoly, ctx: AlgebraContext) -> bool:
     """Whether every run of CONFLUENCE_RUNS reaches normalize's normal form,
     compared exactly as lifted states over p's one denominator.  The runs
-    share one rule_sites memo, so each word is classified once.
+    share one memo, so each word is classified, and each rule instance
+    expanded, at most once per call.
 
-    The first run, leftmost, goes alone first, and if none of its steps had
-    two or more candidates, its comparison is the answer.  At a step with
-    one candidate, leftmost takes the first, rightmost the last and random
-    rng.choice of a one-element list, so every strategy takes that one.  By
-    induction on the steps, every run then visits the same states and takes
-    the same steps to the same fixed point, or to the same max_steps error.
-    About two inputs in three of confluence-fuzz have no choice."""
+    The leftmost run's comparison is the whole answer unless a word with
+    two or more rule sites can be reached from p's words (_branches).  A
+    run chooses a word and a site.  If every reachable word w has at most
+    one site, each rewrite of w has one fixed expansion E(w).  Let
+    R(w) = w for canonical w and R(w) = R(E(w)) otherwise, extended
+    linearly; R is well defined because the rules terminate.  Each step
+    replaces c*w by c*E(w) and so leaves R(state) unchanged, and R is the
+    identity on a fixed point.  So every run, whatever word it takes at
+    each step and whatever cancels, ends at R(p), the leftmost run's
+    result.  This holds for any terminating rule table, even a wrong one.
+    About five inputs in six of confluence-fuzz have no such word."""
     if p.n != ctx.n:
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
     expected = _normal_state(p.terms, ctx)
-    sites: Sites = {}
-    (strategy, seed), *others = CONFLUENCE_RUNS
-    reached, chose = _fixed_point(p.terms, ctx, strategy, seed, _MAX_STEPS,
-                                  sites)
-    return reached == expected and (not chose or all(
-        _fixed_point(p.terms, ctx, strategy, seed, _MAX_STEPS,
-                     sites)[0] == expected
-        for strategy, seed in others))
+    memo = _Memo()
+    runs = (CONFLUENCE_RUNS if _branches(p.terms, ctx, memo)
+            else CONFLUENCE_RUNS[:1])
+    return all(_fixed_point(p.terms, ctx, strategy, seed, _MAX_STEPS,
+                            memo) == expected for strategy, seed in runs)
 
 
 # -- misc -------------------------------------------------------------

@@ -28,8 +28,8 @@ temporary directory, and checks:
   the normal form of (z1*z2)^600.
 
 tools/compare_reports.py runs the same argvs, with the benchmark's
-reference argvs, on this tree and on a git revision and compares the
-bytes.  This module imports nothing from qball, so that tool can read it
+reference and fuzz-stream argvs, on this tree and on a git revision and
+compares the bytes.  This module imports nothing from qball, so that tool can read it
 without either tree on the path.
 """
 

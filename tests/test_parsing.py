@@ -1,12 +1,13 @@
+import math
 import random
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qball import cli
+from qball import cli, parsing
 from qball.algebra import (BALL, SPHERE, AlgebraContext, ContextError, Letter,
-                           NCPoly)
+                           NCPoly, free_product)
 from qball.norms import MatPoly
 from qball.parsing import (
     ParseError,
@@ -16,7 +17,7 @@ from qball.parsing import (
     print_matrix,
     print_poly,
 )
-from qball.rewrite import normalize
+from qball.rewrite import normalize, pbw_product
 from qball.sampling import random_poly
 
 ONE = ({0: 1}, {})
@@ -203,3 +204,34 @@ def test_negative_power_errors(capsys, text, message, position, mode):
 def test_negative_powers_of_scalars():
     assert parse_expression("(2*i*q^3)^-2 - 0^0 + z1^-0", 1) == \
         NCPoly.constant(1, {-6: -1}, {}, 4)
+
+
+scalar_terms = st.tuples(st.integers(-3, 3), st.integers(1, 3),
+                         st.integers(-3, 3), st.booleans())
+
+
+@given(st.lists(scalar_terms, min_size=1, max_size=3), st.integers(0, 40),
+       st.sampled_from([BALL, SPHERE]))
+def test_scalar_power_equals_repeated_product(terms, e, mode):
+    # Scalar powers are taken by squaring, and must equal the product of
+    # e copies exactly, denominator included, in both word products.
+    s = " + ".join(f"({num}/{den}{'*i' if imag else ''})*q^{k}"
+                   for num, den, k, imag in terms)
+    copies = "*".join([f"({s})"] * e) or "1"
+    for product in (free_product, pbw_product(AlgebraContext(2, mode))):
+        assert (parse_lifted(f"({s})^{e}", 2, product)
+                == parse_lifted(copies, 2, product))
+
+
+def test_scalar_power_makes_logarithmically_many_products(monkeypatch):
+    calls = []
+    real = parsing.mul_lifted
+
+    def counting(a, b, product):
+        calls.append(1)
+        return real(a, b, product)
+
+    monkeypatch.setattr(parsing, "mul_lifted", counting)
+    assert parse_expression("q^-179700", 2) == \
+        NCPoly.constant(2, {-179700: 1})
+    assert 0 < len(calls) <= 2 * math.ceil(math.log2(179700))

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qball.algebra import (
     BALL,
@@ -119,22 +121,33 @@ def test_confluent_classifies_each_word_once(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
-@pytest.mark.parametrize("text, runs", [("z2'*z1", 1), ("z2*z1 + z1'*z1", 5),
-                                        ("z2'*z2*z1", 5)])
+@pytest.mark.parametrize("text, runs", [("z2'*z1", 1), ("z2*z1 + z1'*z1", 1),
+                                        ("z2'*z2*z1", 5),
+                                        ("z1'*z1*z1*z2", 5)])
 def test_confluent_steps_an_input_without_choice_once(mode, text, runs,
                                                       monkeypatch):
-    # z2'*z1 meets one candidate at each step, R3 and nothing else; the
-    # other two start with two candidates, two words or two sites.
+    # Every word that z2'*z1 or z2*z1 + z1'*z1 reaches has one rule site,
+    # so the leftmost run alone decides.  z2'*z2*z1 has two sites, and
+    # z1'*z1*z1*z2 has one, but a word it reaches has two.
     stepped = []
     real = rewrite._fixed_point
 
-    def counting(terms, ctx, strategy, seed, max_steps, sites):
+    def counting(terms, ctx, strategy, seed, max_steps, memo):
         stepped.append((strategy, seed))
-        return real(terms, ctx, strategy, seed, max_steps, sites)
+        return real(terms, ctx, strategy, seed, max_steps, memo)
 
     monkeypatch.setattr(rewrite, "_fixed_point", counting)
     assert confluent(parse_expression(text, 2), AlgebraContext(2, mode))
     assert stepped == list(rewrite.CONFLUENCE_RUNS[:runs])
+
+
+def _wrong_r1(word, site, n):
+    """The rule table with q where R1 has q^-1."""
+    out = apply_rule(word, site, n)
+    if site is not None and not (word[site].starred
+                                 or word[site + 1].starred):
+        return [({1: 1}, w) for _, w in out]
+    return out
 
 
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
@@ -144,18 +157,67 @@ def test_confluent_catches_a_wrong_rule(mode, monkeypatch):
     p = parse_expression("z2'*z2*z1", 2)
     ctx = AlgebraContext(2, mode)
     assert confluent(p, ctx)
-    real = rewrite.apply_rule
-
-    def wrong_r1(word, site, n):
-        out = real(word, site, n)
-        if site is not None and not (word[site].starred
-                                     or word[site + 1].starred):
-            return [({1: 1}, w) for _, w in out]
-        return out
-
-    monkeypatch.setattr(rewrite, "apply_rule", wrong_r1)
+    monkeypatch.setattr(rewrite, "apply_rule", _wrong_r1)
     monkeypatch.setattr(rewrite, "_NF_CACHE", {})
     assert not confluent(p, ctx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([BALL, SPHERE]))
+def test_runs_agree_without_a_branching_word_even_under_a_wrong_rule(seed,
+                                                                     mode):
+    # confluent's argument needs only that the rules terminate: where no
+    # reachable word has two rule sites, all five runs reach one result,
+    # even with the wrong R1, which makes other inputs' runs differ.
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    p, ctx = random_poly(rng, n), AlgebraContext(n, mode)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rewrite, "apply_rule", _wrong_r1)
+        if not rewrite._branches(p.terms, ctx, rewrite._Memo()):
+            reached = [rewrite._fixed_point(p.terms, ctx, strategy, run_seed,
+                                            rewrite._MAX_STEPS,
+                                            rewrite._Memo())
+                       for strategy, run_seed in rewrite.CONFLUENCE_RUNS]
+            assert all(state == reached[0] for state in reached)
+
+
+@pytest.mark.parametrize("mode", [BALL, SPHERE])
+def test_confluent_expands_each_rule_instance_once(mode, monkeypatch):
+    # The walk of _branches and the five runs share one memo of apply_rule.
+    # normalize's own R5 expansions are cached beforehand, so every call
+    # counted comes from the single-step path.
+    calls = Counter()
+    real = rewrite.apply_rule
+
+    def counting(word, site, n):
+        calls[word, site] += 1
+        return real(word, site, n)
+
+    rng = random.Random(23)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        p, ctx = random_poly(rng, n), AlgebraContext(n, mode)
+        normalize(p, ctx)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(rewrite, "apply_rule", counting)
+            assert confluent(p, ctx)
+        assert max(calls.values(), default=1) == 1
+
+
+def test_confluent_stops_on_a_rule_table_that_does_not_terminate(
+        monkeypatch):
+    # Each rewrite of z2*z1*...*z1 appends a z1, so every word reached has
+    # one rule site and there is no end to them: the walk gives up after
+    # _MAX_STEPS words, and the leftmost run raises.
+    def lengthen(word, site, n):
+        return [({0: 1}, word + (Letter(1, False),))]
+
+    monkeypatch.setattr(rewrite, "apply_rule", lengthen)
+    monkeypatch.setattr(rewrite, "_MAX_STEPS", 50)
+    with pytest.raises(RuntimeError, match="no fixed point within 50"):
+        confluent(word_poly(2, (2, False), (1, False)), BALL2)
 
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
 def test_star_compatibility(mode):

@@ -4,9 +4,12 @@
 
 REV (a commit, branch or tag) is exported with `git archive` into a
 temporary directory.  The argvs are the entries of this tree's corpus
-(tests/corpus.py), then every distinct argv of the benchmark's reference
-pools (bench/refs/*.json of this tree, only read).  Each tree, with its own
-src/ first on the path, runs them at 1 and at 2 BLAS threads:
+(tests/corpus.py), then every further distinct argv of the benchmark's
+reference pools (bench/refs/*.json of this tree, only read) and of the
+fuzz-stream ops of seeds 1 and 20041 (bench/workloads.build_ops, only
+called): 763 distinct confluence-fuzz argvs among those 1 000 ops.  Each
+tree, with its own src/ first on the path, runs them at 1 and at 2 BLAS
+threads:
 
 * all argvs through qball.cli.main in one process, each report going to a
   temporary file;
@@ -14,13 +17,14 @@ src/ first on the path, runs them at 1 and at 2 BLAS threads:
 
 The script prints each argv whose exit code or report bytes differ between
 the two trees at one thread count, each run whose exit code is not the one
-the corpus expects (0 for a reference argv), each run that raised an
+the corpus expects (0 for any other argv), each run that raised an
 exception out of main (also counted as a difference between the trees), and
 each corpus argv whose fresh-process bytes differ from its one-process
 bytes in either tree.  Then it prints a summary and exits 1 if any of these
-occurred, else 0.  On a 2-vCPU VM a whole comparison took 44-47 s, of
-which the 244 fresh runs (61 corpus argvs, 2 thread counts, 2 trees) took
-about 37 s, 0.15 s each; without them it took 7 s.
+occurred, else 0.  On a 2-vCPU VM a whole comparison of the 968 argvs
+took 37 s.  Most of it is the 244 fresh runs (61 corpus argvs, 2 thread
+counts, 2 trees); one process runs the 763 fuzz-stream argvs in 1.2 s and
+the other 205 in 1.3 s.
 """
 
 from __future__ import annotations
@@ -32,12 +36,16 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 THREADS = (1, 2)
+FUZZ_SEEDS = (1, 20041)
 sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "bench"))
 
 from corpus import CORPUS  # noqa: E402
+from workloads import build_ops  # noqa: E402
 
 # Reads a JSON list of argvs on stdin and writes a JSON list of
 # [exit code, report text or null] on stdout; the exit code of a run that
@@ -68,14 +76,22 @@ json.dump(results, sys.__stdout__)
 
 
 def argv_list() -> list:
-    """[argv, expected exit code, in the corpus] of the corpus entries,
-    then of the reference pools' distinct argvs in pool and slot order."""
-    runs = [[list(entry.argv), entry.code, True] for entry in CORPUS]
+    """[argv, expected exit code, source] of the corpus entries, then of
+    the reference pools' argvs in pool and slot order, then of the
+    fuzz-stream ops in seed and op order, each argv once; the source is
+    "corpus", "refs" or "fuzz"."""
+    runs = [[list(entry.argv), entry.code, "corpus"] for entry in CORPUS]
+    extra = []
     for pool in sorted((ROOT / "bench" / "refs").glob("*.json")):
         slots = json.loads(pool.read_text(encoding="utf-8"))["slots"]
-        for variant in (v for slot in slots for v in slot):
-            if all(variant["argv"] != argv for argv, _, _ in runs):
-                runs.append([variant["argv"], 0, False])
+        extra += [(v["argv"], "refs") for slot in slots for v in slot]
+    extra += [(op["argv"], "fuzz") for seed in FUZZ_SEEDS
+              for op in build_ops("fuzz-stream", seed)]
+    seen = {tuple(argv) for argv, _, _ in runs}
+    for argv, source in extra:
+        if tuple(argv) not in seen:
+            seen.add(tuple(argv))
+            runs.append([argv, 0, source])
     return runs
 
 
@@ -110,13 +126,14 @@ def main(argv: list) -> int:
             for label, tree in ((rev, pathlib.Path(tmp)), ("this tree", ROOT)):
                 shared = run(tree, argvs, threads)
                 results[label] = shared
-                for (args, code, in_corpus), one in zip(runs, shared):
+                for (args, code, source), one in zip(runs, shared):
                     if one[0] != code:
                         unexpected += 1
                         print(f"{label} at {threads} BLAS thread(s) exits "
                               f"{one[0]}, not {code}: "
                               f"qball {shlex.join(args)}")
-                    if in_corpus and run(tree, [args], threads)[0] != one:
+                    if (source == "corpus"
+                            and run(tree, [args], threads)[0] != one):
                         fresh_differing += 1
                         print(f"{label} at {threads} BLAS thread(s), fresh "
                               f"process differs: qball {shlex.join(args)}")
@@ -128,7 +145,10 @@ def main(argv: list) -> int:
                     differing += 1
                     print(f"differs at {threads} BLAS thread(s), exit "
                           f"{other[0]} -> {mine[0]}: qball {shlex.join(args)}")
-    print(f"{len(argvs)} argvs ({len(CORPUS)} of the corpus) at "
+    sources = Counter(source for _, _, source in runs)
+    print(f"{len(argvs)} argvs ({sources['corpus']} of the corpus, "
+          f"{sources['fuzz']} of the fuzz-stream ops of seeds "
+          f"{' and '.join(map(str, FUZZ_SEEDS))}) at "
           f"{' and '.join(map(str, THREADS))} BLAS threads against {rev}: "
           f"{differing} differ; {unexpected} unexpected exit codes; "
           f"{fresh_differing} fresh-process runs differ from one-process runs")
