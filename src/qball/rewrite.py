@@ -17,10 +17,11 @@ rule_sites and apply_rule are the rule table; the single-step path
 (reduce_step, normalize_by_steps) applies it one instance at a time.
 normalize instead folds a word's letters into the PBW product table, which
 _times_letter gives in closed form, and takes only R5 from the rules, so
-confluent compares two independent codes.  An input from which no word
-with two or more rule sites can be reached is stepped once, by the
-leftmost run: there every word has one expansion, and every run, whatever
-its order, ends where the leftmost run does (see confluent).  Coefficients
+confluent compares two independent codes.  It steps no run: it reduces
+each word reachable from the input once through the rule table, checks
+that every rule site of the word gives the same result, and compares the
+input's result with normalize's; True means that every run of every
+strategy ends at normalize's result (see confluent).  Coefficients
 lie in Z[q, q^-1] until normalize applies the input's own
 Gaussian-rational ones, once, to its lifted state (NCPoly.terms over
 NCPoly.den), which is never changed.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .algebra import (SPHERE, AlgebraContext, Laurent, Letter, NCPoly,
                       State, Word, WordProduct, _addmul, _laurent_addmul,
@@ -188,13 +189,20 @@ def pbw_product(ctx: AlgebraContext) -> WordProduct:
     return product
 
 
-def _normal_state(state: State, ctx: AlgebraContext) -> State:
-    """The normal form of a lifted state, over the same denominator."""
+def _linear(state: State,
+            image: Callable[[Word], Dict[Word, Laurent]]) -> State:
+    """The sum of coeff * image(word) over the terms of state, over the
+    same denominator."""
     out: State = {}
     for word, coeff in state.items():
-        for w, lp in _normalize_word(word, ctx).items():
+        for w, lp in image(word).items():
             _addmul(out, w, lp, coeff)
     return out
+
+
+def _normal_state(state: State, ctx: AlgebraContext) -> State:
+    """The normal form of a lifted state, over the same denominator."""
+    return _linear(state, lambda word: _normalize_word(word, ctx))
 
 
 def normalize(p: NCPoly, ctx: AlgebraContext) -> NCPoly:
@@ -221,14 +229,16 @@ def _check_step_args(p: NCPoly, ctx: AlgebraContext, strategy: str,
 
 
 class _Memo:
-    """Memos of the rule table for runs that share them: rule_sites by
-    word (sites) and apply_rule by (word, site) (terms)."""
+    """One call's memos: rule_sites by word (sites), apply_rule by
+    (word, site) for the stepper (terms) and _reduced's R by word
+    (reduced)."""
 
-    __slots__ = ("sites", "terms")
+    __slots__ = ("sites", "terms", "reduced")
 
     def __init__(self) -> None:
         self.sites: Dict[Word, List[Optional[int]]] = {}
         self.terms: Dict[Tuple[Word, Optional[int]], Expansion] = {}
+        self.reduced: Dict[Word, Dict[Word, Laurent]] = {}
 
 
 def _classify(word: Word, ctx: AlgebraContext,
@@ -310,7 +320,7 @@ _MAX_STEPS = 200000
 def _fixed_point(terms: State, ctx: AlgebraContext, strategy: str,
                  seed: Optional[int], max_steps: int, memo: _Memo) -> State:
     """Step a copy of terms until no pending word is left, and return its
-    canonical part.  memo may be shared by several runs."""
+    canonical part, with memo holding the run's rule table."""
     rng = random.Random(seed) if strategy == RANDOM else None
     pending, canonical = _split(terms, ctx, memo)
     for _ in range(max_steps + 1):
@@ -331,58 +341,85 @@ def normalize_by_steps(p: NCPoly, ctx: AlgebraContext,
                                       max_steps, _Memo()), p.den)
 
 
-def _branches(terms: State, ctx: AlgebraContext, memo: _Memo) -> bool:
-    """Whether a word with two or more rule sites can be reached from the
-    words of terms by apply_rule; also True once more than _MAX_STEPS
-    words were reached, so that a rule table that does not terminate is
-    left to the runs' step bound.  Each word is visited once, and its one
-    site, if any, expanded through memo."""
-    seen = set(terms)
-    todo = list(seen)
-    while todo:
-        word = todo.pop()
-        sites = _classify(word, ctx, memo)
-        if len(sites) > 1:
-            return True
-        for _, w in (_expand(word, sites[0], ctx.n, memo) if sites else ()):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-        if len(seen) > _MAX_STEPS:
-            return True
-    return False
-
-
-# The (strategy, seed) runs that confluent compares with normalize.
+# Five (strategy, seed) runs of the stepper: where confluent is True, each
+# of them reaches normalize's result.
 CONFLUENCE_RUNS = ((LEFTMOST, None), (RIGHTMOST, None),
                    (RANDOM, 0), (RANDOM, 1), (RANDOM, 2))
 
 
-def confluent(p: NCPoly, ctx: AlgebraContext) -> bool:
-    """Whether every run of CONFLUENCE_RUNS reaches normalize's normal form,
-    compared exactly as lifted states over p's one denominator.  The runs
-    share one memo, so each word is classified, and each rule instance
-    expanded, at most once per call.
+def _combine(expansion: Expansion,
+             reduced: Dict[Word, Dict[Word, Laurent]]) -> Dict[Word, Laurent]:
+    """The sum of lp * R(w) over the terms (lp, w) of expansion, with no
+    zero Laurent entry and no empty map."""
+    acc: Dict[Word, Laurent] = {}
+    for lp, w in expansion:
+        for u, c in reduced[w].items():
+            _laurent_addmul(acc.setdefault(u, {}), lp, c)
+    return {u: c for u, c in acc.items() if c}
 
-    The leftmost run's comparison is the whole answer unless a word with
-    two or more rule sites can be reached from p's words (_branches).  A
-    run chooses a word and a site.  If every reachable word w has at most
-    one site, each rewrite of w has one fixed expansion E(w).  Let
-    R(w) = w for canonical w and R(w) = R(E(w)) otherwise, extended
-    linearly; R is well defined because the rules terminate.  Each step
-    replaces c*w by c*E(w) and so leaves R(state) unchanged, and R is the
-    identity on a fixed point.  So every run, whatever word it takes at
-    each step and whatever cancels, ends at R(p), the leftmost run's
-    result.  This holds for any terminating rule table, even a wrong one.
-    About five inputs in six of confluence-fuzz have no such word."""
+
+def _reduced(terms: State, ctx: AlgebraContext) -> Optional[State]:
+    """R(terms), or None if at some word reachable from terms by apply_rule
+    two rule sites reduce to different results.
+
+    R(w) = w for a canonical w, and otherwise the sum of lp * R(w') over
+    the expansion at w's first site; R extends linearly.  The words are
+    reduced bottom-up from an explicit stack: a word is classified when it
+    is first met (memo.sites), and its expansions at every site are pushed
+    with it and kept until it is reduced, once all their words are (R in
+    memo.reduced).  So each word is classified, and each (word, site)
+    expanded, once; memo.terms, the stepper's memo, stays empty.  A word
+    met again while its expansions are still pending lies on a cycle, and
+    more than _MAX_STEPS words reached are taken for a rule table that
+    does not terminate: either raises the steppers' RuntimeError."""
+    memo = _Memo()
+    stack: List[Tuple[Word, Optional[List[Expansion]]]] = [
+        (w, None) for w in terms]
+    while stack:
+        word, expansions = stack.pop()
+        if expansions is not None:
+            first, *others = [_combine(e, memo.reduced) for e in expansions]
+            if any(other != first for other in others):
+                return None
+            memo.reduced[word] = first
+        elif word not in memo.reduced:
+            # A classified word not yet reduced is one whose expansions
+            # are pending, lower on the stack.
+            if word in memo.sites or len(memo.sites) >= _MAX_STEPS:
+                raise RuntimeError(f"no fixed point within {_MAX_STEPS} "
+                                   "steps")
+            memo.sites[word] = sites = rule_sites(word, ctx)
+            if not sites:
+                memo.reduced[word] = {word: {0: 1}}
+                continue
+            expansions = [apply_rule(word, site, ctx.n) for site in sites]
+            stack.append((word, expansions))
+            stack.extend((w, None) for expansion in expansions
+                         for _, w in expansion if w not in memo.reduced)
+    return _linear(terms, memo.reduced.__getitem__)
+
+
+def confluent(p: NCPoly, ctx: AlgebraContext) -> bool:
+    """Whether every rewrite of p ends at normalize's normal form: every
+    site of every word reachable from p's words reduces alike (_reduced),
+    and R(p) equals normalize's closed form, compared exactly as lifted
+    states over p's one denominator.  No run is stepped, and each word is
+    classified, and each rule instance expanded, at most once per call.
+
+    If True, every run of every strategy reaches normalize's result, and
+    so do the five runs of CONFLUENCE_RUNS.  R is linear.  Where every
+    site of a word w reduces to R(w), a step at any site of w replaces
+    c*w by c times that site's expansion, which leaves R(state)
+    unchanged; R is the identity on a fixed point, whose words are
+    canonical.  So every run, whatever word and site it takes at each
+    step and whatever cancels, ends at R(p).  This holds for any rule
+    table that terminates, even a wrong one.  False says that two
+    rewrites of some reachable word differ, or that R(p) differs from
+    normalize's result; it need not mean that a given run does."""
     if p.n != ctx.n:
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
-    expected = _normal_state(p.terms, ctx)
-    memo = _Memo()
-    runs = (CONFLUENCE_RUNS if _branches(p.terms, ctx, memo)
-            else CONFLUENCE_RUNS[:1])
-    return all(_fixed_point(p.terms, ctx, strategy, seed, _MAX_STEPS,
-                            memo) == expected for strategy, seed in runs)
+    reached = _reduced(p.terms, ctx)
+    return reached is not None and reached == _normal_state(p.terms, ctx)
 
 
 # -- misc -------------------------------------------------------------

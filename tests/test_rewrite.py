@@ -102,8 +102,7 @@ def test_confluence_strategies(mode):
 
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
 def test_confluent_classifies_each_word_once(mode, monkeypatch):
-    # The five runs share one rule_sites memo, and a step classifies only
-    # the words its replacement terms bring in.
+    # One memo of rule_sites serves the whole reduction.
     calls = Counter()
     real = rewrite.rule_sites
 
@@ -121,24 +120,18 @@ def test_confluent_classifies_each_word_once(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
-@pytest.mark.parametrize("text, runs", [("z2'*z1", 1), ("z2*z1 + z1'*z1", 1),
-                                        ("z2'*z2*z1", 5),
-                                        ("z1'*z1*z1*z2", 5)])
-def test_confluent_steps_an_input_without_choice_once(mode, text, runs,
-                                                      monkeypatch):
-    # Every word that z2'*z1 or z2*z1 + z1'*z1 reaches has one rule site,
-    # so the leftmost run alone decides.  z2'*z2*z1 has two sites, and
-    # z1'*z1*z1*z2 has one, but a word it reaches has two.
-    stepped = []
-    real = rewrite._fixed_point
+@pytest.mark.parametrize("text", ["z2'*z1", "z2*z1 + z1'*z1", "z2'*z2*z1",
+                                  "z1'*z1*z1*z2"])
+def test_confluent_steps_no_run(mode, text, monkeypatch):
+    # Every word that z2'*z1 or z2*z1 + z1'*z1 reaches has one rule site.
+    # z2'*z2*z1 has two sites, and z1'*z1*z1*z2 has one, but a word it
+    # reaches has two.  confluent reduces each of them without a step.
+    def refuse(*args):
+        raise AssertionError("confluent stepped a run")
 
-    def counting(terms, ctx, strategy, seed, max_steps, memo):
-        stepped.append((strategy, seed))
-        return real(terms, ctx, strategy, seed, max_steps, memo)
-
-    monkeypatch.setattr(rewrite, "_fixed_point", counting)
+    monkeypatch.setattr(rewrite, "_fixed_point", refuse)
+    monkeypatch.setattr(rewrite, "_step", refuse)
     assert confluent(parse_expression(text, 2), AlgebraContext(2, mode))
-    assert stepped == list(rewrite.CONFLUENCE_RUNS[:runs])
 
 
 def _wrong_r1(word, site, n):
@@ -162,31 +155,59 @@ def test_confluent_catches_a_wrong_rule(mode, monkeypatch):
     assert not confluent(p, ctx)
 
 
+def _wrong_at_last_site(least):
+    """The rule table with an extra factor q at the last pair site of a
+    word with least or more pair sites."""
+    def rule(word, site, n):
+        out = apply_rule(word, site, n)
+        sites = [i for i in range(len(word) - 1)
+                 if rewrite._violates(word[i], word[i + 1])]
+        if len(sites) >= least and site == sites[-1]:
+            return [({k + 1: c for k, c in lp.items()}, w) for lp, w in out]
+        return out
+    return rule
+
+
+@pytest.mark.parametrize("mode", [BALL, SPHERE])
+@pytest.mark.parametrize("text, least", [("z2'*z2*z1", 2),
+                                         ("z1'*z1*z1*z2", 2),
+                                         ("z2'*z1'*z2*z1", 3)])
+def test_confluent_compares_every_site(mode, text, least, monkeypatch):
+    # z2'*z2*z1 has two rule sites, and z1'*z1*z1*z2 one, but it reaches
+    # z1*z1'*z1*z2 with two.  z2'*z1'*z2*z1 has three, and no word it
+    # reaches has more than two.  A table wrong only at the last site of
+    # such a word must be caught, though every first site is right.
+    p, ctx = parse_expression(text, 2), AlgebraContext(2, mode)
+    assert confluent(p, ctx)
+    monkeypatch.setattr(rewrite, "apply_rule", _wrong_at_last_site(least))
+    assert not confluent(p, ctx)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([BALL, SPHERE]))
-def test_runs_agree_without_a_branching_word_even_under_a_wrong_rule(seed,
-                                                                     mode):
-    # confluent's argument needs only that the rules terminate: where no
-    # reachable word has two rule sites, all five runs reach one result,
-    # even with the wrong R1, which makes other inputs' runs differ.
+def test_every_run_reaches_r_where_every_site_agrees_even_under_a_wrong_rule(
+        seed, mode):
+    # confluent's argument needs only that the rules terminate: where every
+    # site of every reachable word reduces alike, each of the five runs
+    # ends at R(p), even with the wrong R1, under which some inputs' sites
+    # differ.
     rng = random.Random(seed)
     n = rng.randint(1, 3)
     p, ctx = random_poly(rng, n), AlgebraContext(n, mode)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rewrite, "apply_rule", _wrong_r1)
-        if not rewrite._branches(p.terms, ctx, rewrite._Memo()):
-            reached = [rewrite._fixed_point(p.terms, ctx, strategy, run_seed,
-                                            rewrite._MAX_STEPS,
-                                            rewrite._Memo())
-                       for strategy, run_seed in rewrite.CONFLUENCE_RUNS]
-            assert all(state == reached[0] for state in reached)
+        reached = rewrite._reduced(p.terms, ctx)
+        if reached is not None:
+            for strategy, run_seed in rewrite.CONFLUENCE_RUNS:
+                assert normalize_by_steps(p, ctx, strategy, run_seed) == \
+                    NCPoly(n, reached, p.den)
 
 
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
 def test_confluent_expands_each_rule_instance_once(mode, monkeypatch):
-    # The walk of _branches and the five runs share one memo of apply_rule.
-    # normalize's own R5 expansions are cached beforehand, so every call
-    # counted comes from the single-step path.
+    # One memo of apply_rule serves the whole reduction.  normalize's own
+    # R5 expansions are cached beforehand, so every call counted comes
+    # from the reduction.
     calls = Counter()
     real = rewrite.apply_rule
 
@@ -209,8 +230,8 @@ def test_confluent_expands_each_rule_instance_once(mode, monkeypatch):
 def test_confluent_stops_on_a_rule_table_that_does_not_terminate(
         monkeypatch):
     # Each rewrite of z2*z1*...*z1 appends a z1, so every word reached has
-    # one rule site and there is no end to them: the walk gives up after
-    # _MAX_STEPS words, and the leftmost run raises.
+    # one rule site and there is no end to them: the reduction gives up
+    # after _MAX_STEPS words.
     def lengthen(word, site, n):
         return [({0: 1}, word + (Letter(1, False),))]
 
@@ -218,6 +239,19 @@ def test_confluent_stops_on_a_rule_table_that_does_not_terminate(
     monkeypatch.setattr(rewrite, "_MAX_STEPS", 50)
     with pytest.raises(RuntimeError, match="no fixed point within 50"):
         confluent(word_poly(2, (2, False), (1, False)), BALL2)
+
+
+def test_confluent_stops_on_a_rule_table_with_a_cycle(monkeypatch):
+    # z2*z1 rewrites to itself, so no run ever reaches a fixed point,
+    # though no new word is reached.
+    monkeypatch.setattr(rewrite, "apply_rule",
+                        lambda word, site, n: [({0: 1}, word)])
+    p = word_poly(2, (2, False), (1, False))
+    with pytest.raises(RuntimeError, match="no fixed point within"):
+        normalize_by_steps(p, BALL2, max_steps=50)
+    with pytest.raises(RuntimeError, match="no fixed point within"):
+        confluent(p, BALL2)
+
 
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
 def test_star_compatibility(mode):

@@ -19,7 +19,7 @@ from qball.parsing import parse_expression
 from qball.rewrite import (CONFLUENCE_RUNS, confluent, normalize,
                            normalize_by_steps, reduce_step, rule_sites)
 
-# (strategy, seed) pairs run by confluence-fuzz.
+# The (strategy, seed) runs that confluent's True vouches for.
 CLI_STRATEGIES = list(CONFLUENCE_RUNS)
 
 
@@ -90,8 +90,8 @@ def test_step_budget_matches_reference(case):
 @settings(max_examples=150)
 @given(cases())
 def test_runs_without_choice_share_one_trajectory(case):
-    # confluent steps only the leftmost run when none of its steps has two
-    # or more candidates: every strategy must then visit the same states.
+    # Where no step of the leftmost run has two or more candidates, every
+    # strategy must visit the same states.
     ctx, p, _, _ = case
     path = reference_trajectory(p, ctx, "leftmost", None)
     if any(sum(len(rule_sites(w, ctx)) for w in poly.terms) != 1
