@@ -20,9 +20,12 @@ _times_letter gives in closed form, and takes only R5 from the rules, so
 confluent compares two independent codes.  It steps no run: it reduces
 each word reachable from the input once through the rule table, checks
 that every rule site of the word gives the same result, and compares the
-input's result with normalize's; True means that every run of every
-strategy ends at normalize's result (see confluent).  Coefficients
-lie in Z[q, q^-1] until normalize applies the input's own
+result of each of the input's words with normalize's, word by word, never
+reading the input's coefficients; True means that every run of every
+strategy ends at normalize's result (see confluent).  Words that differ are
+caught even where their differences cancel in the input, which a
+comparison of the two results for the whole input would miss.
+Coefficients lie in Z[q, q^-1] until normalize applies the input's own
 Gaussian-rational ones, once, to its lifted state (NCPoly.terms over
 NCPoly.den), which is never changed.
 pbw_product is the product of the quotient, u, v -> NF(uv), which qball
@@ -358,9 +361,10 @@ def _combine(expansion: Expansion,
     return {u: c for u, c in acc.items() if c}
 
 
-def _reduced(terms: State, ctx: AlgebraContext) -> Optional[State]:
-    """R(terms), or None if at some word reachable from terms by apply_rule
-    two rule sites reduce to different results.
+def _reduced(terms: State, ctx: AlgebraContext
+             ) -> Optional[Dict[Word, Dict[Word, Laurent]]]:
+    """R of every word reachable from the words of terms by apply_rule, or
+    None if at one of them two rule sites reduce to different results.
 
     R(w) = w for a canonical w, and otherwise the sum of lp * R(w') over
     the expansion at w's first site; R extends linearly.  The words are
@@ -396,14 +400,15 @@ def _reduced(terms: State, ctx: AlgebraContext) -> Optional[State]:
             stack.append((word, expansions))
             stack.extend((w, None) for expansion in expansions
                          for _, w in expansion if w not in memo.reduced)
-    return _linear(terms, memo.reduced.__getitem__)
+    return memo.reduced
 
 
 def confluent(p: NCPoly, ctx: AlgebraContext) -> bool:
     """Whether every rewrite of p ends at normalize's normal form: every
     site of every word reachable from p's words reduces alike (_reduced),
-    and R(p) equals normalize's closed form, compared exactly as lifted
-    states over p's one denominator.  No run is stepped, and each word is
+    and each word w of p reduces to normalize's closed form of w, compared
+    exactly as maps of words to Laurent polynomials over Z.  No run is
+    stepped and p's coefficients are never read, and each word is
     classified, and each rule instance expanded, at most once per call.
 
     If True, every run of every strategy reaches normalize's result, and
@@ -412,14 +417,18 @@ def confluent(p: NCPoly, ctx: AlgebraContext) -> bool:
     c*w by c times that site's expansion, which leaves R(state)
     unchanged; R is the identity on a fixed point, whose words are
     canonical.  So every run, whatever word and site it takes at each
-    step and whatever cancels, ends at R(p).  This holds for any rule
-    table that terminates, even a wrong one.  False says that two
-    rewrites of some reachable word differ, or that R(p) differs from
-    normalize's result; it need not mean that a given run does."""
+    step and whatever cancels, ends at R(p), which is normalize's result,
+    as R and the normal form are linear and agree on each word of p.
+    This holds for any rule table that terminates, even a wrong one.
+    False says that two rewrites of some reachable word differ, or that R
+    and normalize differ on some word of p, even where those differences
+    cancel in p: so the check is stricter than comparing R(p) with
+    normalize(p), and False need not mean that a given run goes wrong."""
     if p.n != ctx.n:
         raise ValueError(f"polynomial has n={p.n}, context has n={ctx.n}")
-    reached = _reduced(p.terms, ctx)
-    return reached is not None and reached == _normal_state(p.terms, ctx)
+    reduced = _reduced(p.terms, ctx)
+    return reduced is not None and all(
+        reduced[w] == _normalize_word(w, ctx) for w in p.terms)
 
 
 # -- misc -------------------------------------------------------------

@@ -105,6 +105,26 @@ def test_poisoned_normal_form_fails_confluence_fuzz(restore_nf_cache, capsys):
     assert "1 strategy disagreements" in capsys.readouterr().out
 
 
+def test_confluent_compares_every_word_of_the_input(restore_nf_cache):
+    # The cached normal form of a word of p gains the word z2^3.  confluent
+    # must notice it on p's second word alone, and also on both words of
+    # z2*z1 - z1'*z1, where the two errors cancel in normalize's result,
+    # which then equals every run's.
+    ctx = AlgebraContext(2, BALL)
+    z1, z2 = NCPoly.generator(2, 1), NCPoly.generator(2, 2)
+    p = z2 * z1 - NCPoly.generator(2, 1, True) * z1
+    [cube] = (z2 * z2 * z2).terms
+    assert confluent(p, ctx)
+    first, second = p.terms
+    for word in (second, first):
+        nf = rewrite._normalize_word(word, ctx)
+        restore_nf_cache[(ctx.n, ctx.mode, word)] = {**nf, cube: {0: 1}}
+        assert not confluent(p, ctx)
+    for strategy, seed in CONFLUENCE_RUNS:
+        assert normalize_by_steps(p, ctx, strategy, seed) == \
+            normalize(p, ctx)
+
+
 @settings(max_examples=40)
 @given(cases())
 def test_normal_form_acts_as_the_input_on_certified_fock_block(case):

@@ -119,9 +119,12 @@ def test_confluent_classifies_each_word_once(mode, monkeypatch):
         assert max(calls.values(), default=1) == 1
 
 
+_ONE_AND_TWO_SITES = ["z2'*z1", "z2*z1 + z1'*z1", "z2'*z2*z1",
+                      "z1'*z1*z1*z2"]
+
+
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
-@pytest.mark.parametrize("text", ["z2'*z1", "z2*z1 + z1'*z1", "z2'*z2*z1",
-                                  "z1'*z1*z1*z2"])
+@pytest.mark.parametrize("text", _ONE_AND_TWO_SITES)
 def test_confluent_steps_no_run(mode, text, monkeypatch):
     # Every word that z2'*z1 or z2*z1 + z1'*z1 reaches has one rule site.
     # z2'*z2*z1 has two sites, and z1'*z1*z1*z2 has one, but a word it
@@ -131,6 +134,20 @@ def test_confluent_steps_no_run(mode, text, monkeypatch):
 
     monkeypatch.setattr(rewrite, "_fixed_point", refuse)
     monkeypatch.setattr(rewrite, "_step", refuse)
+    assert confluent(parse_expression(text, 2), AlgebraContext(2, mode))
+
+
+@pytest.mark.parametrize("mode", [BALL, SPHERE])
+@pytest.mark.parametrize("text", _ONE_AND_TWO_SITES)
+def test_confluent_multiplies_no_coefficient(mode, text, monkeypatch):
+    # confluent compares R and the normal form word by word, as maps to
+    # Laurent polynomials over Z, so it never builds a state of Gaussian
+    # coefficients.
+    def refuse(*args):
+        raise AssertionError("confluent built a coefficient state")
+
+    for name in ("_linear", "_normal_state", "_addmul"):
+        monkeypatch.setattr(rewrite, name, refuse)
     assert confluent(parse_expression(text, 2), AlgebraContext(2, mode))
 
 
@@ -196,11 +213,32 @@ def test_every_run_reaches_r_where_every_site_agrees_even_under_a_wrong_rule(
     p, ctx = random_poly(rng, n), AlgebraContext(n, mode)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rewrite, "apply_rule", _wrong_r1)
-        reached = rewrite._reduced(p.terms, ctx)
-        if reached is not None:
+        reduced = rewrite._reduced(p.terms, ctx)
+        if reduced is not None:
+            reached = rewrite._linear(p.terms, reduced.__getitem__)
             for strategy, run_seed in rewrite.CONFLUENCE_RUNS:
                 assert normalize_by_steps(p, ctx, strategy, run_seed) == \
                     NCPoly(n, reached, p.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([BALL, SPHERE]),
+       st.sampled_from([_wrong_r1, _wrong_at_last_site(2)]))
+def test_confluent_implies_r_of_the_input_is_its_normal_form(seed, mode,
+                                                              rule):
+    # confluent compares R with the normal form word by word.  By
+    # linearity that verdict is never weaker than comparing R(p) with
+    # normalize's state for p, which it replaces; under a wrong rule table
+    # some inputs fail either comparison.
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    p, ctx = random_poly(rng, n), AlgebraContext(n, mode)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rewrite, "apply_rule", rule)
+        if confluent(p, ctx):
+            reduced = rewrite._reduced(p.terms, ctx)
+            assert rewrite._linear(p.terms, reduced.__getitem__) == \
+                rewrite._normal_state(p.terms, ctx)
 
 
 @pytest.mark.parametrize("mode", [BALL, SPHERE])
